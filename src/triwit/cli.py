@@ -11,6 +11,7 @@ Exit codes: 0 success (including "no violation found"), 2 input error,
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import hashlib
 import json
 import os
@@ -21,9 +22,9 @@ import numpy as np
 from . import __version__
 from .choi import BiLinearMap, pair
 from .errors import NotHermitian, TriwitError
-from .linalg import Tolerance
-from .schmidt import admissible, schmidt_rank
-from .search import NoViolation, SeesawConfig, violation_search
+from .linalg import DEFAULT_TOL, Tolerance
+from .schmidt import admissible, construct_state_with_sr, schmidt_rank
+from .search import NoViolation, SeesawConfig, sample_state, violation_search
 from .tensor import TriDims, TriOperator, TriVector, unfold
 from .witness import AlphaGrid, QubitWitnessParams, classify, family_choi
 
@@ -33,10 +34,6 @@ from .witness import AlphaGrid, QubitWitnessParams, classify, family_choi
 
 def _complex_pairs(values) -> list[list[float]]:
     return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=complex).ravel()]
-
-
-def _from_pairs(pairs) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
 
 
 def vector_to_json(v: TriVector) -> dict:
@@ -53,32 +50,62 @@ def operator_to_json(op: TriOperator) -> dict:
     }
 
 
-def _resolve_dims(doc: dict, flag) -> TriDims:
-    if flag is not None:
-        return TriDims(*flag)
-    if "dims" in doc:
-        return TriDims(*(int(d) for d in doc["dims"]))
-    raise TriwitError("no dimensions: provide --dims or a 'dims' field in the file")
+def _read_array(path: str, dims_flag=None) -> tuple[TriDims, np.ndarray]:
+    """Parse a vector or operator file into its dims and flat row-major entries.
+
+    This is the only reader of the interchange format.  ``dims`` (or
+    ``dims_flag``, which overrides it) must be three integers, ``data`` a
+    list of ``[re, im]`` pairs of finite reals, and ``rows``/``cols``, when
+    present, the square shape the dims imply.  Raises TriwitError otherwise.
+    """
+    doc = _load_json(path)
+    if not isinstance(doc, dict):
+        raise TriwitError(f"{path}: expected a JSON object, got {type(doc).__name__}")
+    # types are tested exactly: json.load gives booleans their own type,
+    # while int() and numpy would silently convert booleans, 2.5 and "1"
+    raw_dims = doc.get("dims") if dims_flag is None else dims_flag
+    if raw_dims is None:
+        raise TriwitError("no dimensions: provide --dims or a 'dims' field in the file")
+    if not (
+        isinstance(raw_dims, (list, tuple)) and len(raw_dims) == 3 and all(type(d) is int for d in raw_dims)
+    ):
+        raise TriwitError(f"{path}: 'dims' must be 3 positive integers, got {raw_dims!r}")
+    dims = TriDims(*raw_dims)
+    data = doc.get("data")
+    if not isinstance(data, list):
+        raise TriwitError(f"{path}: 'data' must be a list of [re, im] pairs")
+    if not (
+        all(type(e) is list and len(e) == 2 for e in data)
+        and {type(x) for e in data for x in e} <= {int, float}
+    ):
+        raise TriwitError(f"{path}: every 'data' entry must be a pair [re, im] of real numbers")
+    try:
+        pairs = np.array(data, dtype=float).reshape(-1, 2)
+        finite = bool(np.all(np.isfinite(pairs)))
+    except OverflowError:  # an integer beyond the float range
+        finite = False
+    if not finite:
+        raise TriwitError(f"{path}: 'data' entries must be finite")
+    entries = pairs.view(complex).ravel()
+    n = dims.total
+    if "rows" in doc or "cols" in doc:
+        rows, cols = doc.get("rows", n), doc.get("cols", n)
+        if (rows, cols) != (n, n) or entries.size != n * n:
+            raise TriwitError(f"operator shape {rows}x{cols} does not match dims {dims.as_tuple()}")
+    return dims, entries
 
 
 def read_vector(path: str, dims_flag=None) -> TriVector:
-    doc = _load_json(path)
-    dims = _resolve_dims(doc, dims_flag)
-    return TriVector(dims, _from_pairs(doc["data"]))
+    return TriVector(*_read_array(path, dims_flag))
 
 
-def read_operator(path: str, dims_flag=None) -> TriOperator:
-    doc = _load_json(path)
-    dims = _resolve_dims(doc, dims_flag)
+def read_operator(path: str) -> TriOperator:
+    """Read an operator file; a vector file is promoted to its pure-state projector."""
+    dims, data = _read_array(path)
     n = dims.total
-    data = _from_pairs(doc["data"])
-    if "rows" in doc or data.size == n * n:
-        rows = int(doc.get("rows", n))
-        cols = int(doc.get("cols", n))
-        if (rows, cols) != (n, n) or data.size != n * n:
-            raise TriwitError(f"operator shape {rows}x{cols} does not match dims {dims.as_tuple()}")
+    if data.size == n * n:
         return TriOperator(dims, data.reshape(n, n))
-    if data.size == n:  # a vector file: promote to the pure-state projector
+    if data.size == n:
         return TriOperator(dims, np.outer(data, data.conj()))
     raise TriwitError(f"file holds {data.size} entries, expected {n} or {n * n}")
 
@@ -87,7 +114,7 @@ def _load_json(path: str) -> dict:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return json.load(fh)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise TriwitError(f"cannot read {path}: {exc}") from exc
 
 
@@ -107,29 +134,17 @@ def _file_digest(path: str) -> str:
 # ---------------------------------------------------------------------------
 # flag parsing
 
-def _parse_ints(text: str, n: int, what: str) -> tuple[int, ...]:
+def _parse_tuple(text: str, n: int, what: str, convert) -> tuple:
+    """Split ``text`` on commas into exactly ``n`` values, each passed through ``convert``."""
     parts = text.split(",")
     if len(parts) != n:
-        raise TriwitError(f"{what}: expected {n} comma-separated integers, got {text!r}")
-    return tuple(int(p) for p in parts)
+        raise TriwitError(f"{what}: expected {n} comma-separated values, got {text!r}")
+    return tuple(convert(p) for p in parts)
 
 
-def _parse_floats(text: str, n: int, what: str) -> tuple[float, ...]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise TriwitError(f"{what}: expected {n} comma-separated numbers, got {text!r}")
-    return tuple(float(p) for p in parts)
-
-
-def _parse_complexes(text: str, n: int, what: str) -> tuple[complex, ...]:
-    parts = text.split(",")
-    if len(parts) != n:
-        raise TriwitError(f"{what}: expected {n} comma-separated re:im values, got {text!r}")
-    out = []
-    for p in parts:
-        re, _, im = p.partition(":")
-        out.append(complex(float(re), float(im) if im else 0.0))
-    return tuple(out)
+def _complex_flag(text: str) -> complex:
+    re, _, im = text.partition(":")
+    return complex(float(re), float(im) if im else 0.0)
 
 
 def _tolerance(args) -> Tolerance:
@@ -142,22 +157,21 @@ def _seed(args) -> int:
     return int(os.environ.get("TRIWIT_SEED", "0"))
 
 
-def _family_params(args) -> QubitWitnessParams:
-    s = _parse_floats(args.s, 4, "--s")
-    t = _parse_floats(args.t, 4, "--t")
-    if min(s) < 0 or min(t) < 0:
-        raise TriwitError("--s and --t must be nonnegative")
-    u = _parse_complexes(args.u, 4, "--u") if args.u else (0j, 0j, 0j, 0j)
-    return QubitWitnessParams(s=s, t=t, u=u)
+def _family_params(args) -> tuple[QubitWitnessParams, dict]:
+    """The family member given by --s/--t/--u, and its JSON form for reports."""
+    s = _parse_tuple(args.s, 4, "--s", float)
+    t = _parse_tuple(args.t, 4, "--t", float)
+    u = _parse_tuple(args.u, 4, "--u", _complex_flag) if args.u else (0j, 0j, 0j, 0j)
+    params = QubitWitnessParams(s=s, t=t, u=u)
+    return params, {"s": list(params.s), "t": list(params.t), "u": _complex_pairs(params.u)}
 
 
 def _report(command: str, args, inputs: dict, results: dict) -> dict:
-    tol = _tolerance(args)
     return {
         "command": command,
         "inputs": inputs,
         "results": results,
-        "tolerance": {"rank_rel": tol.rank_rel, "psd_abs": tol.psd_abs, "ineq_abs": tol.ineq_abs},
+        "tolerance": dataclasses.asdict(_tolerance(args)),
         "version": __version__,
     }
 
@@ -175,7 +189,7 @@ def _emit(doc: dict, out) -> None:
 # subcommands
 
 def cmd_sr(args) -> dict:
-    dims_flag = _parse_ints(args.dims, 3, "--dims") if args.dims else None
+    dims_flag = _parse_tuple(args.dims, 3, "--dims", int) if args.dims else None
     xi = read_vector(args.vector, dims_flag)
     tol = _tolerance(args)
     rank = schmidt_rank(xi, tol)
@@ -194,7 +208,7 @@ def cmd_sr(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
-    params = _family_params(args)
+    params, payload = _family_params(args)
     tol = _tolerance(args)
     grid = AlphaGrid(radii=args.grid_radii, angles=args.grid_angles)
     report = classify(params, tol, grid)
@@ -207,24 +221,19 @@ def cmd_classify(args) -> dict:
     results = {
         "classes": classes,
         "biseparability_witness": report.biseparability_witness,
-        "params": {
-            "s": list(params.s),
-            "t": list(params.t),
-            "u": _complex_pairs(params.u),
-        },
+        "params": payload,
     }
-    inputs = {"params_sha256": _digest(results["params"])}
+    inputs = {"params_sha256": _digest(payload)}
     return _report("classify", args, inputs, results)
 
 
 def _map_from_args(args, what: str) -> tuple[BiLinearMap, dict]:
-    path = getattr(args, "map", None)
+    path = getattr(args, what)
     if path:
         op = read_operator(path)
         return BiLinearMap(op.dims, op), {what: path, "sha256": _file_digest(path)}
     if args.s and args.t:
-        params = _family_params(args)
-        payload = {"s": list(params.s), "t": list(params.t), "u": _complex_pairs(params.u)}
+        params, payload = _family_params(args)
         return family_choi(params), {"family_params": payload, "sha256": _digest(payload)}
     raise TriwitError(f"provide a {what} file or family parameters --s/--t/--u")
 
@@ -239,16 +248,11 @@ def cmd_pair(args) -> dict:
 
 
 def cmd_search(args) -> dict:
-    if args.witness:
-        w = read_operator(args.witness)
-        inputs = {"witness": args.witness, "sha256": _file_digest(args.witness)}
-    else:
-        phi, inputs = _map_from_args(args, "witness")
-        w = phi.choi
-    target = _parse_ints(args.sr, 3, "--sr")
+    phi, inputs = _map_from_args(args, "witness")
+    target = _parse_tuple(args.sr, 3, "--sr", int)
     tol = _tolerance(args)
     cfg = SeesawConfig(restarts=args.restarts, max_sweeps=args.sweeps, seed=_seed(args))
-    outcome = violation_search(w, target, cfg, tol)
+    outcome = violation_search(phi.choi, target, cfg, tol)
     if isinstance(outcome, NoViolation):
         results = {
             "no_violation": {
@@ -269,17 +273,13 @@ def cmd_search(args) -> dict:
 
 
 def cmd_gen(args) -> dict:
-    target = _parse_ints(args.sr, 3, "--sr")
-    dims = TriDims(*_parse_ints(args.dims, 3, "--dims")) if args.dims else TriDims(*target)
+    target = _parse_tuple(args.sr, 3, "--sr", int)
+    dims = TriDims(*_parse_tuple(args.dims, 3, "--dims", int)) if args.dims else TriDims(*target)
     tol = _tolerance(args)
     if args.sample:
-        from .search import sample_state
-
         rng = np.random.default_rng(_seed(args))
         state = sample_state(dims, target, args.terms, rng, tol)
         return operator_to_json(state)
-    from .schmidt import construct_state_with_sr
-
     return vector_to_json(construct_state_with_sr(target, dims, tol))
 
 
@@ -287,9 +287,9 @@ def cmd_gen(args) -> dict:
 # parser
 
 def _add_tol_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-rank", type=float, default=1e-9, help="relative singular-value cutoff")
-    p.add_argument("--tol-psd", type=float, default=1e-9, help="eigenvalue floor (norm-scaled)")
-    p.add_argument("--tol-ineq", type=float, default=1e-9, help="inequality slack")
+    p.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel, help="relative singular-value cutoff")
+    p.add_argument("--tol-psd", type=float, default=DEFAULT_TOL.psd_abs, help="eigenvalue floor (norm-scaled)")
+    p.add_argument("--tol-ineq", type=float, default=DEFAULT_TOL.ineq_abs, help="inequality slack")
     p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
 

@@ -13,9 +13,9 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import DimMismatch, NotAdmissible, ZeroVector
+from .errors import NotAdmissible, ZeroVector
 from .linalg import DEFAULT_TOL, Tolerance, svd_rank
-from .tensor import Permutation3, TriDims, TriVector, multi_unfold, unfold
+from .tensor import Permutation3, TriDims, TriVector, flip, multi_unfold
 
 
 class SchmidtRank(NamedTuple):
@@ -37,15 +37,9 @@ def triple_leq(s, t) -> bool:
     return all(int(x) <= int(y) for x, y in zip(tuple(s), tuple(t)))
 
 
-def _require_nonzero(xi: TriVector, tol: Tolerance) -> None:
-    if xi.norm() <= tol.psd_abs:
-        raise ZeroVector("Schmidt rank is undefined for the zero vector")
-
-
 def schmidt_rank(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> SchmidtRank:
     """Rank triplet of a nonzero tri-partite vector via mode-unfolding ranks."""
-    _require_nonzero(xi, tol)
-    return SchmidtRank(*(svd_rank(unfold(xi, mode), tol) for mode in (0, 1, 2)))
+    return SchmidtRank(*multirank(xi.data, xi.dims.as_tuple(), tol))
 
 
 def schmidt_rank_by_definition(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> SchmidtRank:
@@ -58,7 +52,8 @@ def schmidt_rank_by_definition(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> S
     than :func:`schmidt_rank` but structurally independent; the two must
     agree on every input.
     """
-    _require_nonzero(xi, tol)
+    if xi.norm() <= tol.psd_abs:
+        raise ZeroVector("Schmidt rank is undefined for the zero vector")
     a = xi.dims.a
     t = xi.as_tensor()
     # value of the map on the i-th basis vector of the first party, as a c x b matrix
@@ -165,21 +160,16 @@ def construct_state_with_sr(t, dims: TriDims, tol: Tolerance = DEFAULT_TOL) -> T
     ds = order.apply(dims.as_tuple())
     tensor = _construct_ascending(*ts, ds)
     sorted_vec = TriVector(TriDims(*ds), tensor.ravel())
-    from .tensor import flip  # local import keeps module load order simple
-
     return flip(sorted_vec, order.inverse())
 
 
 def multirank(xi, dims, tol: Tolerance = DEFAULT_TOL) -> list[int]:
     """Mode-k unfolding ranks of an n-partite vector, one per subsystem.
 
-    Agrees with :func:`schmidt_rank` when n == 3.  Raises ZeroVector for a
+    :func:`schmidt_rank` is this function for n == 3.  Raises ZeroVector for a
     numerically zero input and DimMismatch when the length does not factor.
     """
-    dims = tuple(int(d) for d in dims)
-    arr = np.asarray(xi, dtype=complex).reshape(-1)
-    if arr.size != int(np.prod(dims)):
-        raise DimMismatch(f"vector length {arr.size} does not match dims {dims}")
-    if np.linalg.norm(arr) <= tol.psd_abs:
-        raise ZeroVector("multirank is undefined for the zero vector")
-    return [svd_rank(multi_unfold(arr, dims, mode), tol) for mode in range(len(dims))]
+    unfoldings = [multi_unfold(xi, dims, mode) for mode in range(len(dims))]
+    if np.linalg.norm(xi) <= tol.psd_abs:
+        raise ZeroVector("unfolding ranks are undefined for the zero vector")
+    return [svd_rank(m, tol) for m in unfoldings]

@@ -70,6 +70,18 @@ def _orthonormal_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray
     return q[:, :k]
 
 
+def _assemble(u, v, w, core) -> np.ndarray:
+    return np.einsum("xi,yj,zk,ijk->xyz", u, v, w, core).ravel()
+
+
+def _fit_target(target, dims: TriDims) -> PosTriple:
+    """The target rank triplet as integers; DimMismatch unless 1 <= target <= dims."""
+    t = PosTriple(*(int(x) for x in tuple(target)))
+    if min(t) < 1 or not triple_leq(t, dims.as_tuple()):
+        raise DimMismatch(f"target {tuple(target)} does not fit in dims {dims.as_tuple()}")
+    return t
+
+
 def sample_sr_vector(
     dims: TriDims, target, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL
 ) -> TriVector:
@@ -79,15 +91,13 @@ def sample_sr_vector(
     a random dense core, which bounds every unfolding rank by construction;
     generically the bound is attained.
     """
-    p, q, r = (int(x) for x in tuple(target))
+    p, q, r = _fit_target(target, dims)
     a, b, c = dims.as_tuple()
-    if not triple_leq((p, q, r), (a, b, c)) or min(p, q, r) < 1:
-        raise DimMismatch(f"target {target} does not fit in dims {dims.as_tuple()}")
     u = _orthonormal_columns(rng, a, p)
     v = _orthonormal_columns(rng, b, q)
     w = _orthonormal_columns(rng, c, r)
     core = _draw_complex(rng, (p, q, r))
-    data = np.einsum("xi,yj,zk,ijk->xyz", u, v, w, core).ravel()
+    data = _assemble(u, v, w, core)
     return TriVector(dims, data / np.linalg.norm(data))
 
 
@@ -104,26 +114,24 @@ def sample_state(
     return TriOperator(dims, mat / np.trace(mat).real)
 
 
-def _assemble(u, v, w, core) -> np.ndarray:
-    return np.einsum("xi,yj,zk,ijk->xyz", u, v, w, core).ravel()
-
-
-def _block_jacobians(u, v, w, core):
-    """Linear maps from each vectorized block to the assembled vector."""
+def _block_jacobian(name: str, u, v, w, core) -> np.ndarray:
+    """Linear map from the vectorized block ``name`` to the assembled vector."""
     a, p = u.shape
     b, q = v.shape
     c, r = w.shape
-    ju = np.einsum(
-        "xw,yzi->xyzwi", np.eye(a), np.einsum("ijk,yj,zk->yzi", core, v, w)
-    ).reshape(a * b * c, a * p)
-    jv = np.einsum(
-        "yw,xzj->xyzwj", np.eye(b), np.einsum("xi,ijk,zk->xzj", u, core, w)
-    ).reshape(a * b * c, b * q)
-    jw = np.einsum(
-        "zw,xyk->xyzwk", np.eye(c), np.einsum("xi,ijk,yj->xyk", u, core, v)
-    ).reshape(a * b * c, c * r)
-    jc = np.einsum("xi,yj,zk->xyzijk", u, v, w).reshape(a * b * c, p * q * r)
-    return ju, jv, jw, jc
+    if name == "u":
+        return np.einsum(
+            "xw,yzi->xyzwi", np.eye(a), np.einsum("ijk,yj,zk->yzi", core, v, w)
+        ).reshape(a * b * c, a * p)
+    if name == "v":
+        return np.einsum(
+            "yw,xzj->xyzwj", np.eye(b), np.einsum("xi,ijk,zk->xzj", u, core, w)
+        ).reshape(a * b * c, b * q)
+    if name == "w":
+        return np.einsum(
+            "zw,xyk->xyzwk", np.eye(c), np.einsum("xi,ijk,yj->xyk", u, core, v)
+        ).reshape(a * b * c, c * r)
+    return np.einsum("xi,yj,zk->xyzijk", u, v, w).reshape(a * b * c, p * q * r)
 
 
 def seesaw_minimize(
@@ -161,10 +169,7 @@ def seesaw_minimize(
     for _ in range(max_sweeps):
         sweep_start = value
         for name in ("u", "v", "w", "core"):
-            ju, jv, jw, jc = _block_jacobians(
-                blocks["u"], blocks["v"], blocks["w"], blocks["core"]
-            )
-            jac = {"u": ju, "v": jv, "w": jw, "core": jc}[name]
+            jac = _block_jacobian(name, blocks["u"], blocks["v"], blocks["w"], blocks["core"])
             big_a = jac.conj().T @ wmat @ jac
             big_b = jac.conj().T @ jac
             try:
@@ -206,7 +211,7 @@ def violation_search(
     Returns a validated ViolationCertificate, or NoViolation with the best
     value found.
     """
-    target = PosTriple(*(int(x) for x in tuple(target)))
+    target = _fit_target(target, w.dims)
     wmat = hermitize(w.mat, tol)
     scale = np.linalg.norm(wmat)
     best: SeesawRun | None = None

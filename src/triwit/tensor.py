@@ -138,12 +138,9 @@ def unfold(xi: TriVector, mode: int) -> np.ndarray:
 
     Mode A gives a x (bc), B gives b x (ac), C gives c x (ab); the column
     index runs lexicographically over the remaining subsystems in
-    A-before-B-before-C order.
+    A-before-B-before-C order: the three-party case of :func:`multi_unfold`.
     """
-    if mode not in (MODE_A, MODE_B, MODE_C):
-        raise DimMismatch(f"mode must be 0, 1 or 2, got {mode}")
-    t = xi.as_tensor()
-    return np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1)
+    return multi_unfold(xi.data, xi.dims.as_tuple(), mode)
 
 
 def refold(mat: np.ndarray, mode: int, dims: TriDims) -> TriVector:

@@ -11,6 +11,7 @@ grid-plus-descent search over a complex parameter.
 
 from __future__ import annotations
 
+import cmath
 import enum
 import math
 from dataclasses import dataclass, field
@@ -48,6 +49,8 @@ class QubitWitnessParams:
         u = tuple(complex(x) for x in self.u)
         if len(s) != 4 or len(t) != 4 or len(u) != 4:
             raise ValueError("s, t and u must each have 4 entries")
+        if not all(map(math.isfinite, s + t)) or not all(map(cmath.isfinite, u)):
+            raise ValueError("s, t and u must be finite")
         if min(s) < 0 or min(t) < 0:
             raise ValueError("s and t must be entrywise nonnegative")
         object.__setattr__(self, "s", s)

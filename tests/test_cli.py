@@ -2,6 +2,7 @@ import json
 import math
 
 import numpy as np
+import pytest
 
 from triwit.cli import main, operator_to_json, read_vector, vector_to_json
 from triwit import TriDims, TriOperator, TriVector, family_choi, genuine_witness
@@ -250,4 +251,51 @@ def test_vector_json_full_precision_round_trip(tmp_path):
 
 def test_missing_file_exits_2(capsys):
     code, _ = _run(capsys, ["sr", "/nonexistent/file.json"])
+    assert code == 2
+
+
+@pytest.mark.parametrize(
+    "doc",
+    [
+        [1, 2],
+        {"dims": [2, 2, 2]},
+        {"dims": [2, 2], "data": [[1.0, 0.0]] * 4},
+        {"dims": [1, 1, 2.5], "data": [[1.0, 0.0]] * 2},
+        {"dims": [1, 1, True], "data": [[1.0, 0.0]]},
+        {"dims": [1, 1, 0], "data": []},
+        {"dims": [1, 1, 2], "data": [["1", "0"], ["0", "1"]]},
+        {"dims": [1, 1, 2], "data": [[1.0, 0.0], None]},
+        {"dims": [1, 1, 2], "data": [[1.0, 0.0], [True, 0.0]]},
+        {"dims": [1, 1, 2], "data": [[1.0, 0.0], [1.0]]},
+        {"dims": [1, 1, 2], "data": [[1.0, 0.0], [1.0, 0.0, 0.0]]},
+        {"dims": [1, 1, 2], "data": [[1.0, 0.0], [math.nan, 0.0]]},
+        {"dims": [1, 1, 2], "data": [[1.0, 0.0], [10**400, 0]]},
+        {"dims": [1, 1, 2], "data": "1,0,0,1"},
+        {"dims": [1, 1, 2], "rows": 3, "cols": 3, "data": [[1.0, 0.0]] * 4},
+    ],
+)
+def test_malformed_input_file_exits_2(tmp_path, capsys, doc):
+    path = _write(tmp_path / "bad.json", doc)
+    for argv in (["sr", path], ["pair", path, "--map", path], ["search", path, "--sr", "1,1,1"]):
+        code, _ = _run(capsys, argv)
+        assert code == 2, argv
+
+
+@pytest.mark.parametrize("target", ["0,2,2", "3,3,3"])
+def test_search_rejects_target_outside_dims(tmp_path, capsys, target):
+    w = _write(tmp_path / "w.json", _witness_doc())
+    code, _ = _run(capsys, ["search", w, "--sr", target, "--restarts", "1"])
+    assert code == 2
+
+
+@pytest.mark.parametrize("s", ["nan,1,1,1", "inf,1,1,1"])
+def test_classify_rejects_non_finite_params(capsys, s):
+    code, _ = _run(capsys, ["classify", "--s", s, "--t", "1,1,1,1"])
+    assert code == 2
+
+
+def test_deeply_nested_file_exits_2(tmp_path, capsys):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code, _ = _run(capsys, ["sr", str(path)])
     assert code == 2

@@ -74,6 +74,13 @@ def test_sample_rejects_oversized_target():
         sample_sr_vector(QUBITS, (3, 2, 2), rng)
 
 
+@pytest.mark.parametrize("target", [(0, 2, 2), (3, 3, 3)])
+def test_violation_search_rejects_target_outside_dims(target):
+    w = family_choi(genuine_witness(1.0)).choi
+    with pytest.raises(DimMismatch):
+        violation_search(w, target, SeesawConfig(restarts=1, max_sweeps=2))
+
+
 def test_sample_state_pure_product():
     rng = np.random.default_rng(74)
     rho = sample_state(QUBITS, (1, 1, 1), 1, rng)

@@ -45,6 +45,19 @@ def test_params_validation():
         QubitWitnessParams(s=(0, 0, 0), t=(0, 0, 0, 0), u=(0, 0, 0, 0))
 
 
+@pytest.mark.parametrize(
+    "s, t, u",
+    [
+        ((math.nan, 1, 1, 1), (1, 1, 1, 1), (0, 0, 0, 0)),
+        ((1, 1, 1, 1), (1, 1, math.inf, 1), (0, 0, 0, 0)),
+        ((1, 1, 1, 1), (1, 1, 1, 1), (0, complex(0, math.nan), 0, 0)),
+    ],
+)
+def test_params_reject_non_finite(s, t, u):
+    with pytest.raises(ValueError):
+        QubitWitnessParams(s=s, t=t, u=u)
+
+
 def test_family_choi_identity():
     p = QubitWitnessParams(s=(1, 1, 1, 1), t=(1, 1, 1, 1), u=(0, 0, 0, 0))
     np.testing.assert_allclose(family_choi(p).choi.mat, np.eye(8))

@@ -22,10 +22,10 @@ import numpy as np
 from . import __version__
 from .choi import BiLinearMap, pair
 from .errors import NotHermitian, TriwitError
-from .linalg import DEFAULT_TOL, Tolerance
-from .schmidt import admissible, construct_state_with_sr, schmidt_rank
+from .linalg import DEFAULT_TOL, Tolerance, _spectrum_rank
+from .schmidt import SchmidtRank, _mode_spectra, admissible, construct_state_with_sr
 from .search import NoViolation, SeesawConfig, sample_state, violation_search
-from .tensor import TriDims, TriOperator, TriVector, unfold
+from .tensor import TriDims, TriOperator, TriVector
 from .witness import AlphaGrid, QubitWitnessParams, classify, family_choi
 
 
@@ -50,15 +50,15 @@ def operator_to_json(op: TriOperator) -> dict:
     }
 
 
-def _read_array(path: str, dims_flag=None) -> tuple[TriDims, np.ndarray]:
-    """Parse a vector or operator file into its dims and flat row-major entries.
+def _read_array(path: str, dims_flag=None) -> tuple[TriDims, np.ndarray, str]:
+    """Parse a vector or operator file into its dims, flat row-major entries and sha256.
 
     This is the only reader of the interchange format.  ``dims`` (or
     ``dims_flag``, which overrides it) must be three integers, ``data`` a
     list of ``[re, im]`` pairs of finite reals, and ``rows``/``cols``, when
     present, the square shape the dims imply.  Raises TriwitError otherwise.
     """
-    doc = _load_json(path)
+    doc, digest = _load_json(path)
     if not isinstance(doc, dict):
         raise TriwitError(f"{path}: expected a JSON object, got {type(doc).__name__}")
     # types are tested exactly: json.load gives booleans their own type,
@@ -92,28 +92,35 @@ def _read_array(path: str, dims_flag=None) -> tuple[TriDims, np.ndarray]:
         rows, cols = doc.get("rows", n), doc.get("cols", n)
         if (rows, cols) != (n, n) or entries.size != n * n:
             raise TriwitError(f"operator shape {rows}x{cols} does not match dims {dims.as_tuple()}")
-    return dims, entries
+    return dims, entries, digest
 
 
 def read_vector(path: str, dims_flag=None) -> TriVector:
-    return TriVector(*_read_array(path, dims_flag))
+    dims, data, _ = _read_array(path, dims_flag)
+    return TriVector(dims, data)
 
 
 def read_operator(path: str) -> TriOperator:
     """Read an operator file; a vector file is promoted to its pure-state projector."""
-    dims, data = _read_array(path)
+    return _read_operator(path)[0]
+
+
+def _read_operator(path: str) -> tuple[TriOperator, str]:
+    dims, data, digest = _read_array(path)
     n = dims.total
     if data.size == n * n:
-        return TriOperator(dims, data.reshape(n, n))
+        return TriOperator(dims, data.reshape(n, n)), digest
     if data.size == n:
-        return TriOperator(dims, np.outer(data, data.conj()))
+        return TriOperator(dims, np.outer(data, data.conj())), digest
     raise TriwitError(f"file holds {data.size} entries, expected {n} or {n * n}")
 
 
-def _load_json(path: str) -> dict:
+def _load_json(path: str) -> tuple[object, str]:
+    """The parsed document and the sha256 of the file's bytes, from one read."""
     try:
-        with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        return json.loads(raw.decode("utf-8")), _digest(raw)
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise TriwitError(f"cannot read {path}: {exc}") from exc
 
@@ -124,11 +131,6 @@ def _digest(payload) -> str:
     else:
         raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(raw).hexdigest()
-
-
-def _file_digest(path: str) -> str:
-    with open(path, "rb") as fh:
-        return _digest(fh.read())
 
 
 # ---------------------------------------------------------------------------
@@ -190,20 +192,19 @@ def _emit(doc: dict, out) -> None:
 
 def cmd_sr(args) -> dict:
     dims_flag = _parse_tuple(args.dims, 3, "--dims", int) if args.dims else None
-    xi = read_vector(args.vector, dims_flag)
+    dims, data, digest = _read_array(args.vector, dims_flag)
+    xi = TriVector(dims, data)
     tol = _tolerance(args)
-    rank = schmidt_rank(xi, tol)
-    sing = {
-        mode: sorted(np.linalg.svd(unfold(xi, i), compute_uv=False).tolist(), reverse=True)
-        for i, mode in enumerate(("A", "B", "C"))
-    }
+    spectra = _mode_spectra(xi.data, dims.as_tuple(), tol)
+    rank = SchmidtRank(*(_spectrum_rank(s, tol) for s in spectra))
+    sing = {mode: sorted(s.tolist(), reverse=True) for mode, s in zip(("A", "B", "C"), spectra)}
     results = {
         "schmidt_rank": list(rank),
         "singular_values": sing,
         "admissible": admissible(rank, xi.dims),
         "dims": list(xi.dims.as_tuple()),
     }
-    inputs = {"vector": args.vector, "sha256": _file_digest(args.vector)}
+    inputs = {"vector": args.vector, "sha256": digest}
     return _report("sr", args, inputs, results)
 
 
@@ -230,8 +231,8 @@ def cmd_classify(args) -> dict:
 def _map_from_args(args, what: str) -> tuple[BiLinearMap, dict]:
     path = getattr(args, what)
     if path:
-        op = read_operator(path)
-        return BiLinearMap(op.dims, op), {what: path, "sha256": _file_digest(path)}
+        op, digest = _read_operator(path)
+        return BiLinearMap(op.dims, op), {what: path, "sha256": digest}
     if args.s and args.t:
         params, payload = _family_params(args)
         return family_choi(params), {"family_params": payload, "sha256": _digest(payload)}
@@ -239,11 +240,11 @@ def _map_from_args(args, what: str) -> tuple[BiLinearMap, dict]:
 
 
 def cmd_pair(args) -> dict:
-    state = read_operator(args.state)
+    state, state_digest = _read_operator(args.state)
     phi, map_inputs = _map_from_args(args, "map")
     value = pair(state, phi)
     results = {"value": [value.real, value.imag]}
-    inputs = {"state": args.state, "state_sha256": _file_digest(args.state), **map_inputs}
+    inputs = {"state": args.state, "state_sha256": state_digest, **map_inputs}
     return _report("pair", args, inputs, results)
 
 
@@ -359,6 +360,9 @@ def main(argv=None) -> int:
         return 3
     except (TriwitError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
     _emit(doc, args.out)
     return 0

@@ -3,14 +3,17 @@
 Matrices are plain numpy arrays with dtype complex128.  Every tolerance
 gate in this module scales by the Frobenius norm of its input, except the
 eigenvalue floors which scale by the spectral norm (available for free
-once the spectrum is computed).
+once the spectrum is computed).  Every Hermitian eigenproblem is solved by
+LAPACK's ``zheevd``, through the one helper ``_eigh``.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
 
 from .errors import DegeneratePencil, NotHermitian
 
@@ -57,18 +60,40 @@ def hermitize(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     """Check that ``m`` is Hermitian within tolerance and return (m + m*)/2.
 
     Symmetrizing after the gate removes round-off asymmetry deterministically.
-    Raises NotHermitian when the defect exceeds ``psd_abs * ||m||_F``.
+    Raises NotHermitian when the defect exceeds ``psd_abs * ||m||_F``, and
+    when ``m`` holds a NaN or an infinity (its norm is then not finite).
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    scale = np.linalg.norm(m)
-    defect = np.linalg.norm(m - m.conj().T)
-    if defect > tol.psd_abs * scale:
+    # both tests are negated comparisons so that NaN fails them
+    scale = math.sqrt(np.vdot(m, m).real)
+    if not scale < math.inf:
+        raise NotHermitian(f"matrix norm is not finite: ||m|| = {scale}")
+    mh = m.conj().T
+    diff = m - mh
+    defect = math.sqrt(np.vdot(diff, diff).real)
+    if not defect <= tol.psd_abs * scale:
         raise NotHermitian(
             f"Hermiticity defect {defect:.3e} exceeds {tol.psd_abs:.1e} * ||m|| = {tol.psd_abs * scale:.3e}"
         )
-    return (m + m.conj().T) / 2.0
+    return (m + mh) / 2.0
+
+
+def _eigh(m: np.ndarray):
+    """Ascending eigenvalues and eigenvectors of a Hermitian matrix, read from its lower triangle.
+
+    This calls the gufunc behind ``numpy.linalg.eigh`` (LAPACK ``zheevd`` in
+    numpy's own LAPACK) without that wrapper's per-call checks, which cost
+    more than the solve on the see-saw's 2x2 to 8x8 blocks.  SciPy's
+    ``zheevd`` would bring a second OpenBLAS thread pool, which fights
+    numpy's for the cores from about 16x16 up.  The gufunc reports a failed
+    solve by filling its whole output with NaN.
+    """
+    w, v = _umath_linalg.eigh_lo(m)
+    if w.size and math.isnan(w[0]):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return w, v
 
 
 def hermitian_eig(m: np.ndarray, tol: Tolerance = DEFAULT_TOL):
@@ -78,8 +103,7 @@ def hermitian_eig(m: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     the columns of ``v``, so that ``m == v @ diag(w) @ v.conj().T`` within
     ``10 * psd_abs * ||m||``.
     """
-    w, v = np.linalg.eigh(hermitize(m, tol))
-    return w, v
+    return _eigh(hermitize(m, tol))
 
 
 def svd_rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
@@ -87,7 +111,11 @@ def svd_rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     m = np.asarray(m, dtype=complex)
     if m.size == 0:
         return 0
-    s = np.linalg.svd(m, compute_uv=False)
+    return _spectrum_rank(np.linalg.svd(m, compute_uv=False), tol)
+
+
+def _spectrum_rank(s: np.ndarray, tol: Tolerance) -> int:
+    """The rank rule of :func:`svd_rank`, applied to descending singular values ``s``."""
     if s.size == 0 or s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
@@ -106,14 +134,18 @@ def min_gen_eig(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """
     a = hermitize(a, tol)
     b = hermitize(b, tol)
-    bw, bv = np.linalg.eigh(b)
+    bw, bv = _eigh(b)
     spectral = max(abs(bw[0]), abs(bw[-1]))
     if spectral <= tol.psd_abs:
         raise DegeneratePencil("right-hand matrix is numerically zero")
-    keep = bw > tol.psd_abs * spectral
-    if not np.any(keep):
-        raise DegeneratePencil("right-hand matrix has no numerically positive eigenvalue")
-    whiten = bv[:, keep] / np.sqrt(bw[keep])
-    aw, av = np.linalg.eigh(whiten.conj().T @ a @ whiten)
+    floor = tol.psd_abs * spectral
+    if bw[0] > floor:
+        whiten = bv / np.sqrt(bw)
+    else:
+        keep = bw > floor
+        if not np.any(keep):
+            raise DegeneratePencil("right-hand matrix has no numerically positive eigenvalue")
+        whiten = bv[:, keep] / np.sqrt(bw[keep])
+    aw, av = _eigh(whiten.conj().T @ a @ whiten)
     x = whiten @ av[:, 0]
     return float(aw[0]), x

@@ -14,7 +14,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import NotAdmissible, ZeroVector
-from .linalg import DEFAULT_TOL, Tolerance, svd_rank
+from .linalg import DEFAULT_TOL, Tolerance, _spectrum_rank, svd_rank
 from .tensor import Permutation3, TriDims, TriVector, flip, multi_unfold
 
 
@@ -169,7 +169,12 @@ def multirank(xi, dims, tol: Tolerance = DEFAULT_TOL) -> list[int]:
     :func:`schmidt_rank` is this function for n == 3.  Raises ZeroVector for a
     numerically zero input and DimMismatch when the length does not factor.
     """
+    return [_spectrum_rank(s, tol) for s in _mode_spectra(xi, dims, tol)]
+
+
+def _mode_spectra(xi, dims, tol: Tolerance) -> list[np.ndarray]:
+    """Descending singular values of each mode unfolding; ZeroVector for a numerically zero input."""
     unfoldings = [multi_unfold(xi, dims, mode) for mode in range(len(dims))]
     if np.linalg.norm(xi) <= tol.psd_abs:
         raise ZeroVector("unfolding ranks are undefined for the zero vector")
-    return [svd_rank(m, tol) for m in unfoldings]
+    return [np.linalg.svd(m, compute_uv=False) for m in unfoldings]

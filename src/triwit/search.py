@@ -115,22 +115,33 @@ def sample_state(
 
 
 def _block_jacobian(name: str, u, v, w, core) -> np.ndarray:
-    """Linear map from the vectorized block ``name`` to the assembled vector."""
+    """Linear map from the vectorized block ``name`` to the assembled vector.
+
+    A factor block's Jacobian is block diagonal in that factor's row index
+    (the identity times the contraction of the other three blocks), so only
+    those diagonal blocks are written into a zero array.
+    """
     a, p = u.shape
     b, q = v.shape
     c, r = w.shape
     if name == "u":
-        return np.einsum(
-            "xw,yzi->xyzwi", np.eye(a), np.einsum("ijk,yj,zk->yzi", core, v, w)
-        ).reshape(a * b * c, a * p)
+        jac = np.zeros((a, b, c, a, p), dtype=complex)
+        block = np.einsum("ijk,yj,zk->yzi", core, v, w)
+        for x in range(a):
+            jac[x, :, :, x, :] = block
+        return jac.reshape(a * b * c, a * p)
     if name == "v":
-        return np.einsum(
-            "yw,xzj->xyzwj", np.eye(b), np.einsum("xi,ijk,zk->xzj", u, core, w)
-        ).reshape(a * b * c, b * q)
+        jac = np.zeros((a, b, c, b, q), dtype=complex)
+        block = np.einsum("xi,ijk,zk->xzj", u, core, w)
+        for y in range(b):
+            jac[:, y, :, y, :] = block
+        return jac.reshape(a * b * c, b * q)
     if name == "w":
-        return np.einsum(
-            "zw,xyk->xyzwk", np.eye(c), np.einsum("xi,ijk,yj->xyk", u, core, v)
-        ).reshape(a * b * c, c * r)
+        jac = np.zeros((a, b, c, c, r), dtype=complex)
+        block = np.einsum("xi,ijk,yj->xyk", u, core, v)
+        for z in range(c):
+            jac[:, :, z, z, :] = block
+        return jac.reshape(a * b * c, c * r)
     return np.einsum("xi,yj,zk->xyzijk", u, v, w).reshape(a * b * c, p * q * r)
 
 
@@ -147,9 +158,10 @@ def seesaw_minimize(
 
     Sweeps cycle through the three factor blocks and the core.  Each update
     solves the induced generalized eigenproblem exactly and is kept only if
-    the directly evaluated quotient does not increase, so the recorded
-    objective is non-increasing by construction; a degenerate pencil
-    re-randomizes the offending block instead of failing.
+    the quotient <xi|W|xi>/<xi|xi>, evaluated directly on the candidate
+    vector xi (the block's Jacobian applied to the new block), does not
+    increase, so the recorded objective is non-increasing by construction;
+    a degenerate pencil re-randomizes the offending block instead of failing.
     """
     a, b, c = dims.as_tuple()
     p, q, r = (int(x) for x in tuple(target))
@@ -160,34 +172,30 @@ def seesaw_minimize(
         "core": _draw_complex(rng, (p, q, r)),
     }
 
-    def quotient() -> float:
-        xi = _assemble(blocks["u"], blocks["v"], blocks["w"], blocks["core"])
+    def quotient(xi) -> float:
         return float((xi.conj() @ wmat @ xi).real / (xi.conj() @ xi).real)
 
     trace: list[float] = []
-    value = quotient()
+    value = quotient(_assemble(blocks["u"], blocks["v"], blocks["w"], blocks["core"]))
     for _ in range(max_sweeps):
         sweep_start = value
         for name in ("u", "v", "w", "core"):
             jac = _block_jacobian(name, blocks["u"], blocks["v"], blocks["w"], blocks["core"])
-            big_a = jac.conj().T @ wmat @ jac
-            big_b = jac.conj().T @ jac
+            jac_h = jac.conj().T
             try:
-                _, z = min_gen_eig(big_a, big_b, tol)
+                _, z = min_gen_eig(jac_h @ wmat @ jac, jac_h @ jac, tol)
             except DegeneratePencil:
                 blocks[name] = _draw_complex(rng, blocks[name].shape)
                 continue
-            new = z.reshape(blocks[name].shape)
+            z = z / np.linalg.norm(z)
             # accept only non-increasing steps: the exact block minimum never
             # increases the quotient, but the eigenvalue floor inside
-            # min_gen_eig can clip near-null directions and jitter the value
-            previous = blocks[name]
-            blocks[name] = new / np.linalg.norm(new)
-            candidate = quotient()
+            # min_gen_eig can clip near-null directions and jitter the value,
+            # so the value it returns is not trusted here
+            candidate = quotient(jac @ z)
             if candidate <= value:
                 value = candidate
-            else:
-                blocks[name] = previous
+                blocks[name] = z.reshape(blocks[name].shape)
             trace.append(value)
         if sweep_start - value < convergence_eps:
             break

@@ -299,3 +299,11 @@ def test_deeply_nested_file_exits_2(tmp_path, capsys):
     path.write_text("[" * 100_000 + "]" * 100_000)
     code, _ = _run(capsys, ["sr", str(path)])
     assert code == 2
+
+
+def test_gen_unallocatable_triplet_exits_2(capsys):
+    # the dense 100000^3 tensor cannot be allocated, so this fails at once
+    code = main(["gen", "--sr", "100000,100000,100000"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1

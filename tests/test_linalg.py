@@ -11,6 +11,7 @@ from triwit import (
     min_gen_eig,
     svd_rank,
 )
+from triwit.linalg import hermitize
 
 
 def _rand_complex(rng, shape):
@@ -66,6 +67,11 @@ def test_hermitian_eig_reconstruction():
     assert np.linalg.norm(rec - m) <= 1e-10 * np.linalg.norm(m)
     # eigenvector matrix is unitary
     np.testing.assert_allclose(v.conj().T @ v, np.eye(8), atol=1e-12)
+
+
+def test_hermitian_eig_empty():
+    w, v = hermitian_eig(np.zeros((0, 0)))
+    assert w.shape == (0,) and v.shape == (0, 0)
 
 
 def test_hermitian_eig_rejects_asymmetric():
@@ -186,3 +192,74 @@ def test_min_gen_eig_random_sampling_oracle():
         _quotient_descent(a, b, xs[i].copy()) for i in np.argsort(quotients)[:5]
     )
     assert abs(best - val) <= 1e-3
+
+
+NON_FINITE = [
+    pytest.param((0, 0), np.nan, id="nan-diagonal"),
+    pytest.param((1, 1), np.inf, id="inf-diagonal"),
+    pytest.param((0, 2), np.inf, id="inf-above-diagonal-only"),
+    pytest.param((2, 1), complex(0.0, np.nan), id="nan-imaginary-part"),
+]
+
+
+def _with_entry(m, index, value):
+    m = np.array(m, dtype=complex)
+    m[index] = value
+    return m
+
+
+@pytest.mark.parametrize("index,value", NON_FINITE)
+def test_hermitize_rejects_non_finite(index, value):
+    m = _with_entry(_rand_hermitian(np.random.default_rng(10), 3), index, value)
+    with pytest.raises(NotHermitian):
+        hermitize(m)
+
+
+@pytest.mark.parametrize("index,value", NON_FINITE)
+def test_min_gen_eig_rejects_non_finite(index, value):
+    a = _rand_hermitian(np.random.default_rng(11), 3)
+    with pytest.raises(NotHermitian):
+        min_gen_eig(_with_entry(a, index, value), np.eye(3))
+    with pytest.raises(NotHermitian):
+        min_gen_eig(a, _with_entry(np.eye(3), index, value))
+
+
+@pytest.mark.parametrize("side,accepted", [(1 - 1e-5, True), (1 + 1e-5, False)], ids=["below", "above"])
+def test_hermitize_gate_threshold(side, accepted):
+    # m = h + t k with h Hermitian and k anti-Hermitian: the defect is 2 t ||k||
+    # and ||m||^2 = ||h||^2 + t^2 ||k||^2, so t can be solved for a ratio
+    rng = np.random.default_rng(12)
+    h = _rand_hermitian(rng, 4)
+    g = _rand_complex(rng, (4, 4))
+    k = (g - g.conj().T) / 2
+    ratio = side * DEFAULT_TOL.psd_abs
+    nh, nk = np.linalg.norm(h), np.linalg.norm(k)
+    t = ratio * nh / (nk * np.sqrt(4 - ratio**2))
+    m = h + t * k
+    assert (np.linalg.norm(m - m.conj().T) <= DEFAULT_TOL.psd_abs * np.linalg.norm(m)) == accepted
+    if accepted:
+        np.testing.assert_array_equal(hermitize(m), (m + m.conj().T) / 2.0)
+    else:
+        with pytest.raises(NotHermitian):
+            hermitize(m)
+
+
+def _pinv_whitening_min(a, b, tol=DEFAULT_TOL):
+    """Reference: whiten by the pseudo-inverse square root of b on its numerical range."""
+    bw, bv = np.linalg.eigh(b)
+    keep = bw > tol.psd_abs * np.max(np.abs(bw))
+    whiten = bv[:, keep] / np.sqrt(bw[keep])
+    return np.linalg.eigvalsh(whiten.conj().T @ a @ whiten)[0]
+
+
+@pytest.mark.parametrize("least", [0.5, 1e-14], ids=["full-rank", "below-floor"])
+def test_min_gen_eig_matches_pinv_whitening(least):
+    # least = 1e-14 puts one eigenvalue of b below the floor psd_abs * ||b||_2
+    rng = np.random.default_rng(13)
+    a = _rand_hermitian(rng, 5)
+    u = _rand_unitary(rng, 5)
+    b = u @ np.diag([least, 1.0, 2.0, 3.0, 0.7]) @ u.conj().T
+    b = (b + b.conj().T) / 2
+    val, x = min_gen_eig(a, b)
+    assert abs(val - _pinv_whitening_min(a, b)) <= 1e-10 * np.linalg.norm(a)
+    assert abs((x.conj() @ a @ x).real - val) <= 1e-10 * np.linalg.norm(a)

@@ -24,6 +24,7 @@ from triwit import (
     sr_leq,
     violation_search,
 )
+from triwit.search import _block_jacobian
 
 QUBITS = TriDims(2, 2, 2)
 
@@ -179,3 +180,46 @@ def test_search_deterministic_for_fixed_seed():
     b = violation_search(w, (2, 2, 2), cfg)
     assert a.value == b.value
     np.testing.assert_array_equal(a.xi.data, b.xi.data)
+
+
+def _eye_product_jacobian(name, u, v, w, core):
+    """Reference: each factor block's Jacobian as an identity product."""
+    a, p = u.shape
+    b, q = v.shape
+    c, r = w.shape
+    if name == "u":
+        return np.einsum(
+            "xw,yzi->xyzwi", np.eye(a), np.einsum("ijk,yj,zk->yzi", core, v, w)
+        ).reshape(a * b * c, a * p)
+    if name == "v":
+        return np.einsum(
+            "yw,xzj->xyzwj", np.eye(b), np.einsum("xi,ijk,zk->xzj", u, core, w)
+        ).reshape(a * b * c, b * q)
+    if name == "w":
+        return np.einsum(
+            "zw,xyk->xyzwk", np.eye(c), np.einsum("xi,ijk,yj->xyk", u, core, v)
+        ).reshape(a * b * c, c * r)
+    return np.einsum("xi,yj,zk->xyzijk", u, v, w).reshape(a * b * c, p * q * r)
+
+
+@pytest.mark.parametrize("dims,target", [((2, 2, 2), (1, 2, 2)), ((6, 6, 6), (3, 3, 3))])
+def test_block_jacobian_matches_eye_products(dims, target):
+    rng = np.random.default_rng(80)
+
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    (a, b, c), (p, q, r) = dims, target
+    blocks = (draw((a, p)), draw((b, q)), draw((c, r)), draw((p, q, r)))
+    for name in ("u", "v", "w", "core"):
+        np.testing.assert_array_equal(_block_jacobian(name, *blocks), _eye_product_jacobian(name, *blocks))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_violation_search_rejects_non_finite(value):
+    # TriOperator rejects non-finite entries when it is built; one written into
+    # its matrix afterwards must still fail the search's own Hermiticity gate
+    w = TriOperator(QUBITS, _witness_matrix().mat.copy())
+    w.mat[0, 3] = value
+    with pytest.raises(NotHermitian):
+        violation_search(w, (1, 2, 2), SeesawConfig(restarts=1, max_sweeps=2))

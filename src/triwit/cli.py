@@ -28,6 +28,12 @@ from .search import NoViolation, SeesawConfig, sample_state, violation_search
 from .tensor import TriDims, TriOperator, TriVector
 from .witness import AlphaGrid, QubitWitnessParams, classify, family_choi
 
+# largest array, in complex entries, that gen builds: a*b*c for a vector,
+# (a*b*c)^2 for a sampled state; larger requests are input errors.  Writing
+# the JSON costs about 420 bytes an entry (2**20 entries peak at 515 MB RSS
+# on CPython 3.11, x86-64), so this bound keeps gen well under a gigabyte.
+GEN_MAX_ENTRIES = 2**20
+
 
 # ---------------------------------------------------------------------------
 # JSON interchange helpers
@@ -95,17 +101,13 @@ def _read_array(path: str, dims_flag=None) -> tuple[TriDims, np.ndarray, str]:
     return dims, entries, digest
 
 
-def read_vector(path: str, dims_flag=None) -> TriVector:
-    dims, data, _ = _read_array(path, dims_flag)
+def read_vector(path: str) -> TriVector:
+    dims, data, _ = _read_array(path)
     return TriVector(dims, data)
 
 
-def read_operator(path: str) -> TriOperator:
-    """Read an operator file; a vector file is promoted to its pure-state projector."""
-    return _read_operator(path)[0]
-
-
 def _read_operator(path: str) -> tuple[TriOperator, str]:
+    """An operator file and its sha256; a vector file is promoted to its pure-state projector."""
     dims, data, digest = _read_array(path)
     n = dims.total
     if data.size == n * n:
@@ -276,12 +278,13 @@ def cmd_search(args) -> dict:
 def cmd_gen(args) -> dict:
     target = _parse_tuple(args.sr, 3, "--sr", int)
     dims = TriDims(*_parse_tuple(args.dims, 3, "--dims", int)) if args.dims else TriDims(*target)
-    tol = _tolerance(args)
+    entries = dims.total**2 if args.sample else dims.total
+    if entries > GEN_MAX_ENTRIES:
+        raise TriwitError(f"dims {dims.as_tuple()} need {entries} complex entries, more than {GEN_MAX_ENTRIES}")
     if args.sample:
         rng = np.random.default_rng(_seed(args))
-        state = sample_state(dims, target, args.terms, rng, tol)
-        return operator_to_json(state)
-    return vector_to_json(construct_state_with_sr(target, dims, tol))
+        return operator_to_json(sample_state(dims, target, args.terms, rng))
+    return vector_to_json(construct_state_with_sr(target, dims))
 
 
 # ---------------------------------------------------------------------------
@@ -291,7 +294,6 @@ def _add_tol_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel, help="relative singular-value cutoff")
     p.add_argument("--tol-psd", type=float, default=DEFAULT_TOL.psd_abs, help="eigenvalue floor (norm-scaled)")
     p.add_argument("--tol-ineq", type=float, default=DEFAULT_TOL.ineq_abs, help="inequality slack")
-    p.add_argument("--out", default=None, help="write output to this file instead of stdout")
 
 
 def _add_family_flags(p: argparse.ArgumentParser, required: bool) -> None:
@@ -316,8 +318,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="positivity classes of a witness-family member")
     _add_family_flags(p, required=True)
-    p.add_argument("--grid-radii", type=int, default=64)
-    p.add_argument("--grid-angles", type=int, default=64)
+    p.add_argument("--grid-radii", type=int, default=AlphaGrid.radii)
+    p.add_argument("--grid-angles", type=int, default=AlphaGrid.angles)
     _add_tol_flags(p)
     p.set_defaults(func=cmd_classify)
 
@@ -332,8 +334,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("witness", nargs="?", default=None, help="JSON Hermitian matrix file")
     _add_family_flags(p, required=False)
     p.add_argument("--sr", required=True, help="target rank triplet p,q,r")
-    p.add_argument("--restarts", type=int, default=20)
-    p.add_argument("--sweeps", type=int, default=200)
+    p.add_argument("--restarts", type=int, default=SeesawConfig.restarts)
+    p.add_argument("--sweeps", type=int, default=SeesawConfig.max_sweeps)
     p.add_argument("--seed", type=int, default=None, help="defaults to $TRIWIT_SEED or 0")
     _add_tol_flags(p)
     p.set_defaults(func=cmd_search)
@@ -344,9 +346,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--sample", action="store_true", help="sample a mixed state instead")
     p.add_argument("--terms", type=int, default=5, help="number of projectors in a sampled state")
     p.add_argument("--seed", type=int, default=None, help="defaults to $TRIWIT_SEED or 0")
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_gen)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None, help="write output to this file instead of stdout")
     return parser
 
 
@@ -354,17 +357,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        doc = args.func(args)
+        _emit(args.func(args), args.out)
     except NotHermitian as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
-    except (TriwitError, ValueError) as exc:
+    except (TriwitError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
-    _emit(doc, args.out)
     return 0
 
 

@@ -144,7 +144,7 @@ def _construct_ascending(al: int, be: int, ga: int, dims: tuple[int, int, int]) 
     return t
 
 
-def construct_state_with_sr(t, dims: TriDims, tol: Tolerance = DEFAULT_TOL) -> TriVector:
+def construct_state_with_sr(t, dims: TriDims) -> TriVector:
     """Return a vector whose rank triplet equals ``t`` exactly.
 
     The target is sorted ascending, the three-block construction is applied

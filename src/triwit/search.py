@@ -82,9 +82,7 @@ def _fit_target(target, dims: TriDims) -> PosTriple:
     return t
 
 
-def sample_sr_vector(
-    dims: TriDims, target, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL
-) -> TriVector:
+def sample_sr_vector(dims: TriDims, target, rng: np.random.Generator) -> TriVector:
     """Draw a random unit vector with rank triplet at most ``target``.
 
     Random orthonormal factor sets of the target sizes are combined through
@@ -101,15 +99,13 @@ def sample_sr_vector(
     return TriVector(dims, data / np.linalg.norm(data))
 
 
-def sample_state(
-    dims: TriDims, target, n_terms: int, rng: np.random.Generator, tol: Tolerance = DEFAULT_TOL
-) -> TriOperator:
+def sample_state(dims: TriDims, target, n_terms: int, rng: np.random.Generator) -> TriOperator:
     """Unit-trace mixture of projectors onto sampled rank-bounded vectors."""
     if n_terms < 1:
         raise ValueError("n_terms must be >= 1")
     mat = np.zeros((dims.total, dims.total), dtype=complex)
     for _ in range(n_terms):
-        xi = sample_sr_vector(dims, target, rng, tol).data
+        xi = sample_sr_vector(dims, target, rng).data
         mat += np.outer(xi, xi.conj())
     return TriOperator(dims, mat / np.trace(mat).real)
 
@@ -150,8 +146,8 @@ def seesaw_minimize(
     dims: TriDims,
     target,
     rng: np.random.Generator,
-    max_sweeps: int = 200,
-    convergence_eps: float = 1e-10,
+    max_sweeps: int = SeesawConfig.max_sweeps,
+    convergence_eps: float = SeesawConfig.convergence_eps,
     tol: Tolerance = DEFAULT_TOL,
 ) -> SeesawRun:
     """One see-saw descent from a random start; ``wmat`` must already be Hermitian.

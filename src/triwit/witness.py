@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import cmath
 import enum
+import itertools
 import math
 from dataclasses import dataclass, field
 
@@ -32,7 +33,11 @@ PAIR_CLASSES = {
     (2, 1, 2): ((0, 2), (1, 3)),
     (2, 2, 1): ((0, 1), (2, 3)),
 }
-ALL_CLASSES = ((2, 2, 2), (1, 2, 2), (2, 1, 2), (2, 2, 1), (1, 1, 1))
+
+# fixed radius range and polish count of the (1,1,1) refutation grid
+RADIUS_MIN = 1e-3
+RADIUS_MAX = 1e3
+REFINE = 4
 
 
 @dataclass(frozen=True)
@@ -84,26 +89,22 @@ class PositivityReport:
     classes: dict[tuple[int, int, int], ClassVerdict] = field(default_factory=dict)
     biseparability_witness: bool = False
 
-    def verdict(self, cls) -> Verdict:
-        return self.classes[tuple(cls)].verdict
-
     def certified(self, cls) -> bool:
-        return self.verdict(cls) is Verdict.CERTIFIED
+        return self.classes[tuple(cls)].verdict is Verdict.CERTIFIED
 
 
 @dataclass(frozen=True)
 class AlphaGrid:
     """Polar sampling grid for the (1,1,1) refutation search.
 
-    Radii are log-spaced so both small and large parameters are covered;
-    the most promising grid points get a local derivative-free polish.
+    ``radii`` radii, log-spaced over the fixed range RADIUS_MIN = 1e-3 to
+    RADIUS_MAX = 1e3 so both small and large parameters are covered, times
+    ``angles`` equally spaced angles; the REFINE = 4 grid points of least
+    slack get a local derivative-free polish.
     """
 
     radii: int = 64
     angles: int = 64
-    radius_min: float = 1e-3
-    radius_max: float = 1e3
-    refine: int = 4
 
     def __post_init__(self):
         if self.radii < 1 or self.angles < 1:
@@ -123,14 +124,16 @@ def family_choi(params: QubitWitnessParams) -> BiLinearMap:
     return from_choi(m, QUBIT_DIMS)
 
 
+def _holds(params: QubitWitnessParams, idx, tol: Tolerance) -> bool:
+    """The slack rule behind every closed-form criterion: over the indices
+    ``idx``, the sum of sqrt(s_i t_i) is at least the sum of |u_i|."""
+    rst, au = params.root_st(), params.abs_u()
+    return sum(rst[i] for i in idx) >= sum(au[i] for i in idx) - tol.ineq_abs
+
+
 def check_222(params: QubitWitnessParams, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Exact criterion for the top class: sqrt(s_i t_i) >= |u_i| for each i."""
-    return all(rst >= au - tol.ineq_abs for rst, au in zip(params.root_st(), params.abs_u()))
-
-
-def _pair_ineq(params: QubitWitnessParams, i: int, j: int, tol: Tolerance) -> bool:
-    rst, au = params.root_st(), params.abs_u()
-    return rst[i] + rst[j] >= au[i] + au[j] - tol.ineq_abs
+    return all(_holds(params, (i,), tol) for i in range(4))
 
 
 def check_pair_class(params: QubitWitnessParams, cls, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -138,7 +141,7 @@ def check_pair_class(params: QubitWitnessParams, cls, tol: Tolerance = DEFAULT_T
     cls = tuple(cls)
     if cls not in PAIR_CLASSES:
         raise ValueError(f"not a pair class: {cls}")
-    return all(_pair_ineq(params, i, j, tol) for i, j in PAIR_CLASSES[cls])
+    return all(_holds(params, p, tol) for p in PAIR_CLASSES[cls])
 
 
 def alpha_slack(params: QubitWitnessParams, alpha) -> np.ndarray:
@@ -173,21 +176,20 @@ def check_111(
     grid.  Otherwise the verdict is NumericallySupported, which is
     explicitly not a proof.
     """
-    eps = tol.ineq_abs
-    if sum(params.root_st()) >= sum(params.abs_u()) - eps:
+    if _holds(params, range(4), tol):
         return ClassVerdict(Verdict.CERTIFIED, "sum criterion: sum sqrt(s_i t_i) >= sum |u_i|")
     for cls in PAIR_CLASSES:
         if check_pair_class(params, cls, tol):
             return ClassVerdict(Verdict.CERTIFIED, f"dominated by certified class {cls}")
 
-    radii = np.geomspace(grid.radius_min, grid.radius_max, grid.radii)
+    radii = np.geomspace(RADIUS_MIN, RADIUS_MAX, grid.radii)
     angles = np.linspace(0.0, 2.0 * np.pi, grid.angles, endpoint=False)
     alphas = radii[:, None] * np.exp(1j * angles[None, :])
     slack = alpha_slack(params, alphas)
 
     # keep the polish inside an extended grid range so radii cannot overflow
-    log_lo = math.log(grid.radius_min) - 3.0
-    log_hi = math.log(grid.radius_max) + 3.0
+    log_lo = math.log(RADIUS_MIN) - 3.0
+    log_hi = math.log(RADIUS_MAX) + 3.0
 
     def refined(alpha0: complex) -> complex:
         def objective(x):
@@ -204,14 +206,14 @@ def check_111(
         radius = math.exp(min(max(res.x[0], log_lo), log_hi))
         return radius * np.exp(1j * res.x[1])
 
-    flat = np.argsort(slack, axis=None)[: grid.refine]
+    flat = np.argsort(slack, axis=None)[:REFINE]
     best_alpha, best_slack = None, np.inf
     for idx in flat:
         cand = refined(alphas.ravel()[idx])
         val = float(alpha_slack(params, cand))
         if val < best_slack:
             best_alpha, best_slack = cand, val
-    if best_slack < -eps:
+    if best_slack < -tol.ineq_abs:
         return ClassVerdict(
             Verdict.REFUTED,
             f"inequality fails by {-best_slack:.3e} at alpha = {best_alpha:.6g}",
@@ -254,7 +256,7 @@ def classify(
         if ok:
             classes[cls] = ClassVerdict(Verdict.CERTIFIED, f"pair inequalities {pairs} hold")
         else:
-            i, j = next(p for p in pairs if not _pair_ineq(params, *p, tol))
+            i, j = next(p for p in pairs if not _holds(params, p, tol))
             classes[cls] = ClassVerdict(
                 Verdict.REFUTED,
                 f"pair ({i + 1},{j + 1}): {rst[i]:.6g} + {rst[j]:.6g} < {au[i]:.6g} + {au[j]:.6g}",
@@ -262,9 +264,7 @@ def classify(
 
     classes[(1, 1, 1)] = check_111(params, grid, tol)
 
-    all_pairs = all(
-        _pair_ineq(params, i, j, tol) for i in range(4) for j in range(i + 1, 4)
-    )
+    all_pairs = all(_holds(params, p, tol) for p in itertools.combinations(range(4), 2))
     return PositivityReport(classes=classes, biseparability_witness=all_pairs)
 
 

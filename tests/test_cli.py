@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from triwit.cli import main, operator_to_json, read_vector, vector_to_json
-from triwit import TriDims, TriOperator, TriVector, family_choi, genuine_witness
+from triwit import TriDims, TriOperator, TriVector, cli, family_choi, genuine_witness
 
 
 def _run(capsys, argv):
@@ -302,8 +302,40 @@ def test_deeply_nested_file_exits_2(tmp_path, capsys):
 
 
 def test_gen_unallocatable_triplet_exits_2(capsys):
-    # the dense 100000^3 tensor cannot be allocated, so this fails at once
-    code = main(["gen", "--sr", "100000,100000,100000"])
-    err = capsys.readouterr().err
+    # each array is beyond gen's size limit, so it is refused before anything is allocated
+    for argv in (
+        ["gen", "--sr", "100000,100000,100000"],
+        ["gen", "--sr", "1000,1000,1000"],
+        ["gen", "--sample", "--sr", "1,1,1", "--dims", "100,100,100"],
+    ):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 2, argv
+        assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_gen_size_limit_counts_entries(capsys, monkeypatch):
+    monkeypatch.setattr(cli, "GEN_MAX_ENTRIES", 8)
+    assert main(["gen", "--sr", "2,2,2"]) == 0
+    assert main(["gen", "--sr", "1,1,1", "--dims", "3,1,3"]) == 2
+    assert main(["gen", "--sample", "--sr", "1,1,1", "--dims", "2,1,1"]) == 0
+    assert main(["gen", "--sample", "--sr", "1,1,1", "--dims", "3,1,1"]) == 2
+
+
+def test_gen_takes_no_tolerance_flags(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["gen", "--sr", "1,1,1", "--tol-rank", "1e-3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv", [["gen", "--sr", "1,1,1", "--dims", "2,2,2"], ["classify", "--s", "1,1,1,1", "--t", "1,1,1,1"]]
+)
+@pytest.mark.parametrize("target", ["missing_dir", "directory"])
+def test_unwritable_out_exits_2(tmp_path, capsys, argv, target):
+    out = tmp_path / "missing" / "out.json" if target == "missing_dir" else tmp_path
+    code = main([*argv, "--out", str(out)])
+    captured = capsys.readouterr()
     assert code == 2
-    assert err.startswith("error: ") and err.count("\n") == 1
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1

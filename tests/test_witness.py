@@ -20,6 +20,7 @@ from triwit import (
     is_completely_positive,
     permute_dual,
 )
+from triwit.witness import PAIR_CLASSES
 
 
 def _rand_params(rng, u_scale=1.0):
@@ -27,6 +28,25 @@ def _rand_params(rng, u_scale=1.0):
     return QubitWitnessParams(
         s=tuple(rng.uniform(0, 2, 4)), t=tuple(rng.uniform(0, 2, 4)), u=tuple(u)
     )
+
+
+def _tie_params(rng, n):
+    """Draws on a criterion's boundary: |u_i| = sqrt(s_i t_i) or a pair sum equal to its |u| sum.
+
+    Small integers keep every sum exact.  The |u| entries of one random pair
+    are the roots swapped, and one random entry is sometimes raised by 1.
+    """
+    draws = []
+    for _ in range(n):
+        roots = rng.integers(0, 5, 4).astype(float)
+        abs_u = roots.copy()
+        i, j = rng.choice(4, 2, replace=False)
+        abs_u[i], abs_u[j] = roots[j], roots[i]
+        abs_u[rng.integers(4)] += rng.integers(2)
+        draws.append(
+            QubitWitnessParams(s=tuple(roots), t=tuple(roots), u=tuple(rng.choice([-1.0, 1.0], 4) * abs_u))
+        )
+    return draws
 
 
 def _params_from_roots(roots, abs_u):
@@ -169,13 +189,36 @@ def test_classify_all_certified_when_u_zero():
 def test_classify_monotone_consistency():
     rng = np.random.default_rng(64)
     order = {(2, 2, 2): 3, (1, 2, 2): 2, (2, 1, 2): 2, (2, 2, 1): 2, (1, 1, 1): 1}
-    for _ in range(60):
-        rep = classify(_rand_params(rng, u_scale=rng.uniform(0.2, 2.0)))
+    draws = [_rand_params(rng, u_scale=rng.uniform(0.2, 2.0)) for _ in range(60)]
+    ties = _tie_params(np.random.default_rng(68), 60)
+    for p in draws + ties:
+        rep = classify(p)
         for cls, cv in rep.classes.items():
             if cv.verdict is Verdict.CERTIFIED:
                 for smaller, scv in rep.classes.items():
                     if all(x <= y for x, y in zip(smaller, cls)):
                         assert scv.verdict is not Verdict.REFUTED
+        # one slack rule serves every closed-form criterion, so classify
+        # agrees with each public check, on exact ties as on generic draws
+        top = check_222(p)
+        assert rep.certified((2, 2, 2)) == top
+        for cls in PAIR_CLASSES:
+            assert rep.certified(cls) == (check_pair_class(p, cls) or top)
+        assert rep.classes[(1, 1, 1)] == check_111(p)
+        # the three pair classes hold the six index pairs between them
+        assert rep.biseparability_witness == all(check_pair_class(p, cls) for cls in PAIR_CLASSES)
+    # tie draws hold small integers, so every sum is exact and a tie must hold
+    for p in ties:
+        rst, au = p.root_st(), p.abs_u()
+
+        def holds(idx):
+            return sum(rst[i] for i in idx) >= sum(au[i] for i in idx)
+
+        assert check_222(p) == all(holds((i,)) for i in range(4))
+        for cls, pairs in PAIR_CLASSES.items():
+            assert check_pair_class(p, cls) == all(holds(ij) for ij in pairs)
+        if holds(range(4)):
+            assert check_111(p).verdict is Verdict.CERTIFIED
 
 
 def test_classify_pair_covariance_under_flip():

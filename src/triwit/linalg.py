@@ -44,8 +44,8 @@ class Tolerance:
     ineq_abs: float = 1e-9
 
     def __post_init__(self):
-        if not (self.rank_rel > 0 and self.psd_abs > 0 and self.ineq_abs > 0):
-            raise ValueError("all tolerances must be positive")
+        if not all(0 < x < math.inf for x in (self.rank_rel, self.psd_abs, self.ineq_abs)):
+            raise ValueError("all tolerances must be positive and finite")
 
 
 DEFAULT_TOL = Tolerance()

@@ -4,9 +4,12 @@ The see-saw minimizes <xi|W|xi> over unit vectors whose rank triplet is
 bounded by a target.  The vector is parameterized by three factor blocks
 and a core; with all other blocks frozen, the vector is linear in the free
 block, so each update is an exact generalized Hermitian eigenproblem and
-the objective never increases.  A negative enough final value yields a
-violation certificate; anything else is reported as "no violation found",
-which is deliberately not a positivity proof.
+the objective never increases.  A factor whose target rank equals its
+mode's dimension spans that mode, so it is absorbed into the core and
+fixed at the identity: a sweep updates only the narrower factors and the
+core.  A negative enough final value yields a violation certificate;
+anything else is reported as "no violation found", which is deliberately
+not a positivity proof.
 """
 
 from __future__ import annotations
@@ -152,7 +155,12 @@ def seesaw_minimize(
 ) -> SeesawRun:
     """One see-saw descent from a random start; ``wmat`` must already be Hermitian.
 
-    Sweeps cycle through the three factor blocks and the core.  Each update
+    ``target`` must satisfy ``1 <= target <= dims`` (else DimMismatch).  A
+    factor with target rank equal to its mode's dimension is drawn, absorbed
+    into the core and fixed at the identity, so each sweep updates only the
+    factors narrower than their mode, then the core: a cut target such as
+    (1, 2, 2) on qubits updates u and the core, and target == dims is the
+    least eigenvalue of ``wmat`` after one core update.  Each update
     solves the induced generalized eigenproblem exactly and is kept only if
     the quotient <xi|W|xi>/<xi|xi>, evaluated directly on the candidate
     vector xi (the block's Jacobian applied to the new block), does not
@@ -160,13 +168,24 @@ def seesaw_minimize(
     a degenerate pencil re-randomizes the offending block instead of failing.
     """
     a, b, c = dims.as_tuple()
-    p, q, r = (int(x) for x in tuple(target))
+    p, q, r = _fit_target(target, dims)
     blocks = {
         "u": _draw_complex(rng, (a, p)),
         "v": _draw_complex(rng, (b, q)),
         "w": _draw_complex(rng, (c, r)),
         "core": _draw_complex(rng, (p, q, r)),
     }
+    # a factor as wide as its mode spans it: absorb it into the core and hold
+    # it at the identity, which leaves the reachable cone as it is
+    sweep = []
+    for mode, name in enumerate(("u", "v", "w")):
+        d, k = blocks[name].shape
+        if k < d:
+            sweep.append(name)
+            continue
+        blocks["core"] = np.moveaxis(np.tensordot(blocks[name], blocks["core"], axes=(1, mode)), 0, mode)
+        blocks[name] = np.eye(d, dtype=complex)
+    sweep.append("core")
 
     def quotient(xi) -> float:
         return float((xi.conj() @ wmat @ xi).real / (xi.conj() @ xi).real)
@@ -175,7 +194,7 @@ def seesaw_minimize(
     value = quotient(_assemble(blocks["u"], blocks["v"], blocks["w"], blocks["core"]))
     for _ in range(max_sweeps):
         sweep_start = value
-        for name in ("u", "v", "w", "core"):
+        for name in sweep:
             jac = _block_jacobian(name, blocks["u"], blocks["v"], blocks["w"], blocks["core"])
             jac_h = jac.conj().T
             try:

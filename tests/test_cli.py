@@ -294,6 +294,22 @@ def test_classify_rejects_non_finite_params(capsys, s):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "--s", "0,1,1,0", "--t", "0,1,1,0", "--u", "1:0,1:0,1:0,1:0", "--sr", "2,2,2",
+         "--tol-psd", "inf"],
+        ["sr", "VECTOR", "--tol-rank", "inf"],
+    ],
+)
+def test_infinite_tolerance_exits_2(tmp_path, capsys, argv):
+    vec = vector_to_json(TriVector(TriDims(2, 2, 2), np.arange(8, dtype=float)))
+    path = _write(tmp_path / "v.json", vec)
+    code, out = _run(capsys, [path if a == "VECTOR" else a for a in argv])
+    assert code == 2
+    assert out == ""
+
+
 def test_deeply_nested_file_exits_2(tmp_path, capsys):
     path = tmp_path / "deep.json"
     path.write_text("[" * 100_000 + "]" * 100_000)

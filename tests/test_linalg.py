@@ -33,6 +33,13 @@ def test_tolerance_rejects_nonpositive():
         Tolerance(rank_rel=0.0)
 
 
+@pytest.mark.parametrize("field", ["rank_rel", "psd_abs", "ineq_abs"])
+@pytest.mark.parametrize("value", [np.inf, np.nan])
+def test_tolerance_rejects_non_finite(field, value):
+    with pytest.raises(ValueError):
+        Tolerance(**{field: value})
+
+
 def test_kron_identity():
     np.testing.assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
 

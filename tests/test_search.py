@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.optimize import minimize
 
 from triwit import (
     DimMismatch,
@@ -80,6 +81,13 @@ def test_violation_search_rejects_target_outside_dims(target):
     w = family_choi(genuine_witness(1.0)).choi
     with pytest.raises(DimMismatch):
         violation_search(w, target, SeesawConfig(restarts=1, max_sweeps=2))
+
+
+@pytest.mark.parametrize("target", [(0, 2, 2), (3, 2, 2)])
+def test_seesaw_minimize_rejects_target_outside_dims(target):
+    wmat = _rand_hermitian(np.random.default_rng(77), 8)
+    with pytest.raises(DimMismatch):
+        seesaw_minimize(wmat, QUBITS, target, np.random.default_rng(0), max_sweeps=2)
 
 
 def test_sample_state_pure_product():
@@ -223,3 +231,68 @@ def test_violation_search_rejects_non_finite(value):
     w.mat[0, 3] = value
     with pytest.raises(NotHermitian):
         violation_search(w, (1, 2, 2), SeesawConfig(restarts=1, max_sweeps=2))
+
+
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
+def test_seesaw_full_target_is_one_eigenproblem(dims):
+    # every factor spans its mode, so the first core update is the least
+    # eigenvalue and the second sweep gains nothing
+    n = int(np.prod(dims))
+    for seed in range(4):
+        wmat = _rand_hermitian(np.random.default_rng(300 + seed), n)
+        run = seesaw_minimize(wmat, TriDims(*dims), dims, np.random.default_rng(seed))
+        least = hermitian_eig(wmat)[0][0]
+        assert abs(run.value - least) <= 1e-9 * np.linalg.norm(wmat)
+        assert len(run.objective_trace) <= 2
+
+
+@pytest.mark.parametrize("target", [(1, 2, 2), (2, 1, 2), (2, 2, 1)])
+def test_seesaw_cut_target_updates_two_blocks_a_sweep(target):
+    # the two full-width factors are fixed; a sweep updates the rank-one
+    # factor and the core
+    wmat = _rand_hermitian(np.random.default_rng(310), 8)
+    one = seesaw_minimize(wmat, QUBITS, target, np.random.default_rng(1), max_sweeps=1)
+    assert len(one.objective_trace) == 2
+    full = seesaw_minimize(wmat, QUBITS, target, np.random.default_rng(1))
+    assert len(full.objective_trace) % 2 == 0
+
+
+def _certified_params(rng, cls) -> QubitWitnessParams:
+    """A random family member certified for ``cls``, shrunk towards the class boundary."""
+    roots = tuple(rng.uniform(0.2, 1.5, 4))
+    u = rng.uniform(0.2, 1.0, 4) * np.exp(2j * np.pi * rng.uniform(size=4))
+    while not check_pair_class(p := QubitWitnessParams(s=roots, t=roots, u=tuple(u)), cls):
+        u = 0.8 * u
+    return p
+
+
+def _cut_minimum(wmat, mode) -> float:
+    """min over unit u of lambda_min((u (x) I)^H W (u (x) I)), u acting on qubit ``mode``.
+
+    A Bloch-sphere grid, then a Nelder-Mead polish from its four best points.
+    """
+    order = [mode] + [m for m in range(3) if m != mode]
+    w4 = wmat.reshape((2,) * 6).transpose(order + [3 + m for m in order]).reshape(2, 4, 2, 4)
+
+    def least(angles):
+        theta, phi = angles
+        u = np.array([np.cos(theta / 2), np.exp(1j * phi) * np.sin(theta / 2)])
+        return np.linalg.eigvalsh(np.einsum("x,xiyj,y->ij", u.conj(), w4, u))[0]
+
+    grid = [(t, f) for t in np.linspace(0, np.pi, 33) for f in np.linspace(0, 2 * np.pi, 64, endpoint=False)]
+    starts = sorted(grid, key=least)[:4]
+    opts = {"xatol": 1e-12, "fatol": 1e-15, "maxiter": 4000}
+    return min(minimize(least, x0, method="Nelder-Mead", options=opts).fun for x0 in starts)
+
+
+@pytest.mark.parametrize("cls", [(1, 2, 2), (2, 1, 2), (2, 2, 1)])
+def test_cut_target_search_matches_grid_oracle(cls):
+    # for a cut target the cone minimum is the least eigenvalue of W
+    # compressed by u on the rank-one party, minimized over u
+    rng = np.random.default_rng(320 + cls.index(1))
+    for i in range(3):
+        w = family_choi(_certified_params(rng, cls)).choi
+        out = violation_search(w, cls, SeesawConfig(restarts=20, seed=330 + i))
+        assert isinstance(out, NoViolation)
+        oracle = _cut_minimum(w.mat, cls.index(1))
+        assert abs(out.best_value - oracle) <= 1e-6 * np.linalg.norm(w.mat)

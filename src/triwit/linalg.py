@@ -121,6 +121,27 @@ def _spectrum_rank(s: np.ndarray, tol: Tolerance) -> int:
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
 
 
+def _whitening(b: np.ndarray, tol: Tolerance) -> np.ndarray:
+    """Columns ``s`` with ``s* b s == I`` that span the numerical range of ``b``.
+
+    ``b`` is Hermitian positive semidefinite and read from its lower
+    triangle.  Eigenvectors of ``b`` with eigenvalue at most
+    ``psd_abs * ||b||_2`` are projected out.  Raises DegeneratePencil when
+    ``b`` is numerically zero or has no eigenvalue above that floor.
+    """
+    bw, bv = _eigh(b)
+    spectral = max(abs(bw[0]), abs(bw[-1]))
+    if spectral <= tol.psd_abs:
+        raise DegeneratePencil("right-hand matrix is numerically zero")
+    floor = tol.psd_abs * spectral
+    if bw[0] > floor:
+        return bv / np.sqrt(bw)
+    keep = bw > floor
+    if not np.any(keep):
+        raise DegeneratePencil("right-hand matrix has no numerically positive eigenvalue")
+    return bv[:, keep] / np.sqrt(bw[keep])
+
+
 def min_gen_eig(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """Minimize the generalized Rayleigh quotient x*ax / x*bx.
 
@@ -133,19 +154,7 @@ def min_gen_eig(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     Raises DegeneratePencil when ``b`` is numerically zero.
     """
     a = hermitize(a, tol)
-    b = hermitize(b, tol)
-    bw, bv = _eigh(b)
-    spectral = max(abs(bw[0]), abs(bw[-1]))
-    if spectral <= tol.psd_abs:
-        raise DegeneratePencil("right-hand matrix is numerically zero")
-    floor = tol.psd_abs * spectral
-    if bw[0] > floor:
-        whiten = bv / np.sqrt(bw)
-    else:
-        keep = bw > floor
-        if not np.any(keep):
-            raise DegeneratePencil("right-hand matrix has no numerically positive eigenvalue")
-        whiten = bv[:, keep] / np.sqrt(bw[keep])
+    whiten = _whitening(hermitize(b, tol), tol)
     aw, av = _eigh(whiten.conj().T @ a @ whiten)
     x = whiten @ av[:, 0]
     return float(aw[0]), x

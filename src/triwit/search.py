@@ -3,23 +3,24 @@
 The see-saw minimizes <xi|W|xi> over unit vectors whose rank triplet is
 bounded by a target.  The vector is parameterized by three factor blocks
 and a core; with all other blocks frozen, the vector is linear in the free
-block, so each update is an exact generalized Hermitian eigenproblem and
-the objective never increases.  A factor whose target rank equals its
-mode's dimension spans that mode, so it is absorbed into the core and
-fixed at the identity: a sweep updates only the narrower factors and the
-core.  A negative enough final value yields a violation certificate;
-anything else is reported as "no violation found", which is deliberately
-not a positivity proof.
+block, so each update is an exact eigenproblem and the objective never
+increases.  The factors are kept orthonormal, so the core update is a
+standard eigenproblem, and no update builds a Jacobian (see
+:func:`seesaw_minimize`).  A negative enough final value yields a
+violation certificate; anything else is reported as "no violation found",
+which is deliberately not a positivity proof.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConsistencyError, DegeneratePencil, DimMismatch
-from .linalg import DEFAULT_TOL, Tolerance, hermitize, min_gen_eig
+from .linalg import DEFAULT_TOL, Tolerance, _eigh, _whitening, hermitize
+from .linalg import min_gen_eig  # noqa: F401  (the see-saw no longer calls it; bench/selftest reads search.min_gen_eig)
 from .schmidt import PosTriple, sr_leq, triple_leq
 from .tensor import TriDims, TriOperator, TriVector
 
@@ -57,11 +58,23 @@ class NoViolation:
 
 @dataclass(frozen=True)
 class SeesawRun:
-    """Outcome of a single restart, with the per-update objective trace."""
+    """Outcome of a single restart.
+
+    ``objective_trace`` holds the value after each block update that solved
+    its eigenproblem, kept or ``rejected``; ``redraws`` counts the updates
+    whose pencil was degenerate and re-drew the block instead.  ``sweeps``
+    is the number of sweeps run, and ``converged`` is False when the run
+    stopped at ``max_sweeps`` with its last sweep still gaining at least
+    ``convergence_eps``.
+    """
 
     value: float
     xi: np.ndarray
     objective_trace: list[float]
+    sweeps: int
+    converged: bool
+    rejected: int
+    redraws: int
 
 
 def _draw_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -113,35 +126,11 @@ def sample_state(dims: TriDims, target, n_terms: int, rng: np.random.Generator) 
     return TriOperator(dims, mat / np.trace(mat).real)
 
 
-def _block_jacobian(name: str, u, v, w, core) -> np.ndarray:
-    """Linear map from the vectorized block ``name`` to the assembled vector.
-
-    A factor block's Jacobian is block diagonal in that factor's row index
-    (the identity times the contraction of the other three blocks), so only
-    those diagonal blocks are written into a zero array.
-    """
-    a, p = u.shape
-    b, q = v.shape
-    c, r = w.shape
-    if name == "u":
-        jac = np.zeros((a, b, c, a, p), dtype=complex)
-        block = np.einsum("ijk,yj,zk->yzi", core, v, w)
-        for x in range(a):
-            jac[x, :, :, x, :] = block
-        return jac.reshape(a * b * c, a * p)
-    if name == "v":
-        jac = np.zeros((a, b, c, b, q), dtype=complex)
-        block = np.einsum("xi,ijk,zk->xzj", u, core, w)
-        for y in range(b):
-            jac[:, y, :, y, :] = block
-        return jac.reshape(a * b * c, b * q)
-    if name == "w":
-        jac = np.zeros((a, b, c, c, r), dtype=complex)
-        block = np.einsum("xi,ijk,yj->xyk", u, core, v)
-        for z in range(c):
-            jac[:, :, z, z, :] = block
-        return jac.reshape(a * b * c, c * r)
-    return np.einsum("xi,yj,zk->xyzijk", u, v, w).reshape(a * b * c, p * q * r)
+def _mode_product(mat: np.ndarray, t: np.ndarray, mode: int) -> np.ndarray:
+    """Apply ``mat`` to axis ``mode`` of ``t``; that axis takes the length of mat's rows."""
+    shape = t.shape
+    out = mat @ t.reshape(math.prod(shape[:mode]), shape[mode], -1)
+    return out.reshape(shape[:mode] + (mat.shape[0],) + shape[mode + 1 :])
 
 
 def seesaw_minimize(
@@ -153,70 +142,152 @@ def seesaw_minimize(
     convergence_eps: float = SeesawConfig.convergence_eps,
     tol: Tolerance = DEFAULT_TOL,
 ) -> SeesawRun:
-    """One see-saw descent from a random start; ``wmat`` must already be Hermitian.
+    """One see-saw descent from a random start.
 
-    ``target`` must satisfy ``1 <= target <= dims`` (else DimMismatch).  A
-    factor with target rank equal to its mode's dimension is drawn, absorbed
-    into the core and fixed at the identity, so each sweep updates only the
-    factors narrower than their mode, then the core: a cut target such as
-    (1, 2, 2) on qubits updates u and the core, and target == dims is the
-    least eigenvalue of ``wmat`` after one core update.  Each update
-    solves the induced generalized eigenproblem exactly and is kept only if
-    the quotient <xi|W|xi>/<xi|xi>, evaluated directly on the candidate
-    vector xi (the block's Jacobian applied to the new block), does not
-    increase, so the recorded objective is non-increasing by construction;
-    a degenerate pencil re-randomizes the offending block instead of failing.
+    ``wmat`` is gated once, at entry, by :func:`hermitize` (NotHermitian for
+    a non-Hermitian or non-finite matrix), and ``target`` must satisfy
+    ``1 <= target <= dims`` (else DimMismatch).  The vector is the core
+    multiplied by one factor per mode.  A factor with target rank equal to
+    its mode's dimension is drawn, absorbed into the core and fixed at the
+    identity, so each sweep updates only the factors narrower than their
+    mode, then the core: a cut target such as (1, 2, 2) on qubits updates u
+    and the core, and target == dims is the least eigenvalue of ``wmat``
+    after one core update.
+
+    The free factors are kept orthonormal: after every accepted factor step
+    the factor's QR triangle is pushed into the core, which leaves the
+    vector as it is.  The core step is then one standard eigenproblem of
+    J* W J, J the product of the factors with orthonormal columns.  A factor
+    step contracts W, permuted so that the factor's mode comes first, with
+    the rest of the network (the core times the other factors); its Gram
+    matrix is the identity times a k x k block, whitened under the rule of
+    :func:`min_gen_eig`.  No Jacobian is built.  Both reduced matrices are
+    read from their lower triangles, which is their exact symmetrization.
+    Each step is kept only if the quotient <xi|W|xi>/<xi|xi>, evaluated
+    directly on the candidate vector xi, does not increase, so the recorded
+    objective is non-increasing by construction.  A factor step whose pencil
+    is degenerate re-draws that factor from ``rng``, orthonormalized like an
+    accepted one, instead of failing.  The returned run counts its sweeps,
+    rejected steps and re-draws, and says whether it converged.
     """
-    a, b, c = dims.as_tuple()
-    p, q, r = _fit_target(target, dims)
-    blocks = {
-        "u": _draw_complex(rng, (a, p)),
-        "v": _draw_complex(rng, (b, q)),
-        "w": _draw_complex(rng, (c, r)),
-        "core": _draw_complex(rng, (p, q, r)),
-    }
+    wmat = hermitize(wmat, tol)
+    shape = dims.as_tuple()
+    ranks = _fit_target(target, dims)
+    n, m = dims.total, math.prod(ranks)
+    factors = [_draw_complex(rng, (d, k)) for d, k in zip(shape, ranks)]
+    core = _draw_complex(rng, tuple(ranks))
     # a factor as wide as its mode spans it: absorb it into the core and hold
-    # it at the identity, which leaves the reachable cone as it is
-    sweep = []
-    for mode, name in enumerate(("u", "v", "w")):
-        d, k = blocks[name].shape
-        if k < d:
-            sweep.append(name)
-            continue
-        blocks["core"] = np.moveaxis(np.tensordot(blocks[name], blocks["core"], axes=(1, mode)), 0, mode)
-        blocks[name] = np.eye(d, dtype=complex)
-    sweep.append("core")
+    # it at the identity (None), which leaves the reachable cone as it is
+    free = []
+    for mode, (d, k) in enumerate(zip(shape, ranks)):
+        if k == d:
+            core = _mode_product(factors[mode], core, mode)
+            factors[mode] = None
+        else:
+            free.append(mode)
+    factors_h = [None] * 3
 
-    def quotient(xi) -> float:
-        return float((xi.conj() @ wmat @ xi).real / (xi.conj() @ xi).real)
+    def set_factor(mode, x) -> None:
+        """Store ``x = q r`` as its orthonormal ``q`` and push ``r`` into the core; xi is unchanged."""
+        nonlocal core
+        if x.shape[1] == 1:
+            norm = math.sqrt(np.vdot(x, x).real)
+            factors[mode] = x / norm
+            core = core * norm
+        else:
+            factors[mode], r = np.linalg.qr(x)
+            core = _mode_product(r, core, mode)
+        factors_h[mode] = factors[mode].conj().T
+
+    for mode in free:
+        set_factor(mode, factors[mode])
+    # each free mode's axis order with that mode first, and W permuted to it on both sides
+    orders, wfirst = {}, {}
+    for mode in free:
+        orders[mode] = [mode] + [other for other in range(3) if other != mode]
+        axes = orders[mode] + [3 + other for other in orders[mode]]
+        wfirst[mode] = wmat.reshape(shape * 2).transpose(axes).reshape(n, n)
+
+    def quotient(xi, wm) -> float:
+        return float(np.vdot(xi, wm @ xi).real / np.vdot(xi, xi).real)
+
+    def assemble(t):
+        for mode in free:
+            t = _mode_product(factors[mode], t, mode)
+        return t.reshape(-1)
+
+    def factor_step(mode):
+        """Minimize over factor ``mode``; returns the candidate (in W's mode-first order) and the new factor."""
+        d = shape[mode]
+        order = orders[mode]
+        rest = core.transpose(order)
+        for axis in (1, 2):
+            if factors[order[axis]] is not None:
+                rest = _mode_product(factors[order[axis]], rest, axis)
+        mt = rest.reshape(ranks[mode], n // d)
+        # the vector is new_factor @ mt in mode-first order, so the Gram
+        # matrix is the identity times conj(mt) @ mt.T
+        s = _whitening(mt.conj() @ mt.T, tol)
+        t = mt.T @ s
+        k = t.shape[1]
+        reduced = t.conj().T @ (wfirst[mode].reshape(-1, n // d) @ t).reshape(d, n // d, d * k)
+        _, vecs = _eigh(reduced.reshape(d * k, d * k))
+        y = vecs[:, 0].reshape(d, k)
+        return (y @ t.T).reshape(-1), y @ s.T
+
+    def core_step():
+        """Minimize over the core; returns the candidate and the new core."""
+        t = wmat.reshape(shape + (n,))
+        for mode in free:
+            t = _mode_product(factors_h[mode], t, mode)
+        t = t.reshape(m, n).conj().T.reshape(shape + (m,))
+        for mode in free:
+            t = _mode_product(factors_h[mode], t, mode)
+        _, vecs = _eigh(t.reshape(m, m))
+        y = vecs[:, 0].reshape(ranks)
+        return assemble(y), y
+
+    def accept(candidate, wm) -> bool:
+        """Record the step's value; keep it only if the quotient does not increase."""
+        nonlocal value, rejected
+        # the exact block minimum never increases the quotient, but the
+        # whitening floor can clip near-null directions and jitter the
+        # eigenvalue, so the value is evaluated directly on the candidate
+        cand_value = quotient(candidate, wm)
+        kept = cand_value <= value
+        if kept:
+            value = cand_value
+        else:
+            rejected += 1
+        trace.append(value)
+        return kept
 
     trace: list[float] = []
-    value = quotient(_assemble(blocks["u"], blocks["v"], blocks["w"], blocks["core"]))
-    for _ in range(max_sweeps):
+    rejected = redraws = sweeps = 0
+    converged = False
+    value = quotient(assemble(core), wmat)
+    while sweeps < max_sweeps and not converged:
+        sweeps += 1
         sweep_start = value
-        for name in sweep:
-            jac = _block_jacobian(name, blocks["u"], blocks["v"], blocks["w"], blocks["core"])
-            jac_h = jac.conj().T
+        for mode in free:
             try:
-                _, z = min_gen_eig(jac_h @ wmat @ jac, jac_h @ jac, tol)
+                candidate, new_factor = factor_step(mode)
             except DegeneratePencil:
-                blocks[name] = _draw_complex(rng, blocks[name].shape)
+                redraws += 1
+                set_factor(mode, _draw_complex(rng, factors[mode].shape))
                 continue
-            z = z / np.linalg.norm(z)
-            # accept only non-increasing steps: the exact block minimum never
-            # increases the quotient, but the eigenvalue floor inside
-            # min_gen_eig can clip near-null directions and jitter the value,
-            # so the value it returns is not trusted here
-            candidate = quotient(jac @ z)
-            if candidate <= value:
-                value = candidate
-                blocks[name] = z.reshape(blocks[name].shape)
-            trace.append(value)
-        if sweep_start - value < convergence_eps:
-            break
-    xi = _assemble(blocks["u"], blocks["v"], blocks["w"], blocks["core"])
+            if accept(candidate, wfirst[mode]):
+                set_factor(mode, new_factor)
+        candidate, new_core = core_step()
+        if accept(candidate, wmat):
+            core = new_core
+        converged = sweep_start - value < convergence_eps
+    xi = assemble(core)
     xi = xi / np.linalg.norm(xi)
-    return SeesawRun(value=value, xi=xi, objective_trace=trace)
+    return SeesawRun(
+        value=value, xi=xi, objective_trace=trace, sweeps=sweeps,
+        converged=converged, rejected=rejected, redraws=redraws,
+    )
 
 
 def violation_search(

@@ -25,7 +25,9 @@ from triwit import (
     sr_leq,
     violation_search,
 )
-from triwit.search import _block_jacobian
+from triwit.errors import DegeneratePencil
+from triwit.linalg import Tolerance, min_gen_eig
+from triwit.search import _assemble, _mode_product
 
 QUBITS = TriDims(2, 2, 2)
 
@@ -212,6 +214,8 @@ def _eye_product_jacobian(name, u, v, w, core):
 
 @pytest.mark.parametrize("dims,target", [((2, 2, 2), (1, 2, 2)), ((6, 6, 6), (3, 3, 3))])
 def test_block_jacobian_matches_eye_products(dims, target):
+    # the reference Jacobian of each block maps that block to the vector the
+    # engine builds, by mode products of the factors into the core
     rng = np.random.default_rng(80)
 
     def draw(shape):
@@ -219,8 +223,117 @@ def test_block_jacobian_matches_eye_products(dims, target):
 
     (a, b, c), (p, q, r) = dims, target
     blocks = (draw((a, p)), draw((b, q)), draw((c, r)), draw((p, q, r)))
-    for name in ("u", "v", "w", "core"):
-        np.testing.assert_array_equal(_block_jacobian(name, *blocks), _eye_product_jacobian(name, *blocks))
+    xi = blocks[3]
+    for mode in range(3):
+        xi = _mode_product(blocks[mode], xi, mode)
+    xi = xi.reshape(-1)
+    atol = 1e-12 * np.linalg.norm(xi)
+    np.testing.assert_allclose(_assemble(*blocks), xi, rtol=0, atol=atol)
+    for name, block in zip(("u", "v", "w", "core"), blocks):
+        np.testing.assert_allclose(_eye_product_jacobian(name, *blocks) @ block.reshape(-1), xi, rtol=0, atol=atol)
+
+
+def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=SeesawConfig.convergence_eps):
+    """Reference: the see-saw with explicit Jacobians and generalized eigenproblems.
+
+    It draws from ``rng`` in the engine's order, absorbs full-width factors
+    into the core, sweeps the narrower factors and then the core, and keeps
+    a step only if the quotient does not increase.  Returns the trace.
+    """
+
+    def draw(shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    (a, b, c), (p, q, r) = dims, target
+    blocks = {"u": draw((a, p)), "v": draw((b, q)), "w": draw((c, r)), "core": draw((p, q, r))}
+    sweep = []
+    for mode, name in enumerate(("u", "v", "w")):
+        d, k = blocks[name].shape
+        if k < d:
+            sweep.append(name)
+            continue
+        blocks["core"] = np.moveaxis(np.tensordot(blocks[name], blocks["core"], axes=(1, mode)), 0, mode)
+        blocks[name] = np.eye(d)
+    sweep.append("core")
+
+    def jacobian(name):
+        return _eye_product_jacobian(name, blocks["u"], blocks["v"], blocks["w"], blocks["core"])
+
+    def quotient(xi):
+        return (xi.conj() @ wmat @ xi).real / (xi.conj() @ xi).real
+
+    trace = []
+    value = quotient(jacobian("core") @ blocks["core"].ravel())
+    for _ in range(max_sweeps):
+        start = value
+        for name in sweep:
+            jac = jacobian(name)
+            try:
+                _, z = min_gen_eig(jac.conj().T @ wmat @ jac, jac.conj().T @ jac)
+            except DegeneratePencil:
+                blocks[name] = draw(blocks[name].shape)
+                continue
+            candidate = quotient(jac @ z)
+            if candidate <= value:
+                value = candidate
+                blocks[name] = (z / np.linalg.norm(z)).reshape(blocks[name].shape)
+            trace.append(value)
+        if start - value < eps:
+            break
+    return trace
+
+
+@pytest.mark.parametrize(
+    "dims,target,max_sweeps",
+    [
+        ((2, 2, 2), (1, 2, 2), 200),
+        ((2, 2, 2), (2, 1, 2), 200),
+        ((2, 2, 2), (2, 2, 1), 200),
+        ((2, 3, 4), (1, 3, 4), 200),
+        ((6, 6, 6), (3, 3, 3), 5),
+    ],
+)
+def test_seesaw_matches_jacobian_reference(dims, target, max_sweeps):
+    # the orthonormal gauge and the Jacobian-free steps reach the same iterates
+    n = int(np.prod(dims))
+    for seed in range(3):
+        wmat = _rand_hermitian(np.random.default_rng(340 + seed), n)
+        run = seesaw_minimize(wmat, TriDims(*dims), target, np.random.default_rng(seed), max_sweeps=max_sweeps)
+        ref = _reference_seesaw(wmat, dims, target, np.random.default_rng(seed), max_sweeps)
+        assert len(run.objective_trace) == len(ref)
+        np.testing.assert_allclose(run.objective_trace, ref, rtol=0, atol=1e-9 * np.linalg.norm(wmat))
+
+
+@pytest.mark.parametrize("target", [(1, 2, 2), (2, 1, 2), (2, 2, 1)])
+def test_seesaw_run_reports_sweeps_and_convergence(target):
+    wmat = _rand_hermitian(np.random.default_rng(350), 8)
+    one = seesaw_minimize(wmat, QUBITS, target, np.random.default_rng(2), max_sweeps=1)
+    assert (one.sweeps, one.converged, one.redraws) == (1, False, 0)
+    assert len(one.objective_trace) == 2
+    full = seesaw_minimize(wmat, QUBITS, target, np.random.default_rng(2))
+    assert full.converged and full.sweeps < SeesawConfig.max_sweeps
+    # one update of the rank-one factor and one of the core per sweep
+    assert len(full.objective_trace) + full.redraws == 2 * full.sweeps
+    assert 0 <= full.rejected <= len(full.objective_trace)
+
+
+def test_seesaw_counts_degenerate_redraws():
+    # psd_abs = 1 puts every eigenvalue of a factor step's Gram matrix at or
+    # below the floor, so each factor step re-draws its factor; the core step
+    # solves a standard eigenproblem and still records its value
+    wmat = _rand_hermitian(np.random.default_rng(351), 8)
+    run = seesaw_minimize(wmat, QUBITS, (1, 2, 2), np.random.default_rng(3), max_sweeps=4, tol=Tolerance(psd_abs=1.0))
+    assert run.sweeps >= 1
+    assert run.redraws == run.sweeps == len(run.objective_trace)
+    assert np.all(np.diff(run.objective_trace) <= 0)
+
+
+@pytest.mark.parametrize("index,value", [((0, 0), np.nan), ((1, 1), np.inf), ((0, 3), 1.0)], ids=["nan", "inf", "asymmetric"])
+def test_seesaw_minimize_gates_wmat_at_entry(index, value):
+    wmat = _rand_hermitian(np.random.default_rng(352), 8)
+    wmat[index] += value
+    with pytest.raises(NotHermitian):
+        seesaw_minimize(wmat, QUBITS, (1, 2, 2), np.random.default_rng(0), max_sweeps=2)
 
 
 @pytest.mark.parametrize("value", [np.nan, np.inf])

@@ -302,14 +302,17 @@ def violation_search(
     state in the corresponding Schmidt-number cone whose duality pairing
     against W is negative.  Restart seeds derive from ``cfg.seed`` plus the
     restart index, so runs are reproducible and restarts are independent.
-    Returns a validated ViolationCertificate, or NoViolation with the best
-    value found.
+    When the target equals the dims no factor is free, so every restart
+    solves the same eigenproblem of W and only the first runs; reports
+    still show ``cfg.restarts``.  Returns a validated ViolationCertificate,
+    or NoViolation with the best value found.
     """
     target = _fit_target(target, w.dims)
     wmat = hermitize(w.mat, tol)
     scale = np.linalg.norm(wmat)
+    restarts = 1 if target == w.dims.as_tuple() else cfg.restarts
     best: SeesawRun | None = None
-    for restart in range(cfg.restarts):
+    for restart in range(restarts):
         rng = np.random.default_rng(cfg.seed + restart)
         run = seesaw_minimize(
             wmat, w.dims, target, rng, cfg.max_sweeps, cfg.convergence_eps, tol

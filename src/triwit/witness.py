@@ -7,6 +7,14 @@ lexicographic qubit basis.  For this family every positivity class in the
 admissible region for qubits has an exact closed-form criterion except
 (1, 1, 1), which is certified by sufficient conditions or refuted by a
 grid-plus-descent search over a complex parameter.
+
+The descent is ``_nelder_mead``, a plain-Python copy of scipy's
+non-adaptive Nelder-Mead for two variables (coefficients rho = 1, chi = 2,
+psi = sigma = 0.5; start simplex 1.05 x_k, or 0.00025 where x_k = 0; at
+most POLISH_MAXITER - 1 = 399 iterations; stop when the simplex spans at
+most POLISH_XATOL = 1e-12 and its values at most POLISH_FATOL = 1e-14).
+Given the same objective it returns scipy's point bit for bit, so the
+package imports no scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +26,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .choi import BiLinearMap, from_choi, pair
 from .errors import ConsistencyError, NonPositive
@@ -38,6 +45,15 @@ PAIR_CLASSES = {
 RADIUS_MIN = 1e-3
 RADIUS_MAX = 1e3
 REFINE = 4
+
+# the polish's iteration cap and stopping tolerances (scipy's option names)
+POLISH_MAXITER = 400
+POLISH_XATOL = 1e-12
+POLISH_FATOL = 1e-14
+
+# scipy's non-adaptive Nelder-Mead coefficients and start-simplex steps
+_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+_NONZDELT, _ZDELT = 0.05, 0.00025
 
 
 @dataclass(frozen=True)
@@ -63,7 +79,11 @@ class QubitWitnessParams:
         object.__setattr__(self, "u", u)
 
     def root_st(self) -> tuple[float, float, float, float]:
-        return tuple(math.sqrt(si * ti) for si, ti in zip(self.s, self.t))
+        """sqrt(s_i t_i); split into sqrt(s_i) sqrt(t_i) where s_i t_i overflows."""
+        return tuple(
+            math.sqrt(st) if math.isfinite(st := si * ti) else math.sqrt(si) * math.sqrt(ti)
+            for si, ti in zip(self.s, self.t)
+        )
 
     def abs_u(self) -> tuple[float, float, float, float]:
         return tuple(abs(ui) for ui in self.u)
@@ -100,7 +120,10 @@ class AlphaGrid:
     ``radii`` radii, log-spaced over the fixed range RADIUS_MIN = 1e-3 to
     RADIUS_MAX = 1e3 so both small and large parameters are covered, times
     ``angles`` equally spaced angles; the REFINE = 4 grid points of least
-    slack get a local derivative-free polish.
+    slack get a local derivative-free polish: ``_nelder_mead`` in
+    (log radius, angle), capped at POLISH_MAXITER = 400 with POLISH_XATOL =
+    1e-12 and POLISH_FATOL = 1e-14, the radius clamped to three e-folds
+    beyond the grid's range.
     """
 
     radii: int = 64
@@ -128,7 +151,11 @@ def _holds(params: QubitWitnessParams, idx, tol: Tolerance) -> bool:
     """The slack rule behind every closed-form criterion: over the indices
     ``idx``, the sum of sqrt(s_i t_i) is at least the sum of |u_i|."""
     rst, au = params.root_st(), params.abs_u()
-    return sum(rst[i] for i in idx) >= sum(au[i] for i in idx) - tol.ineq_abs
+    lhs, rhs = sum(rst[i] for i in idx), sum(au[i] for i in idx)
+    if math.isinf(lhs) or math.isinf(rhs):
+        # at most four finite terms, so their quarters sum without overflow
+        return sum(rst[i] / 4 for i in idx) >= sum(au[i] / 4 for i in idx) - tol.ineq_abs / 4
+    return lhs >= rhs - tol.ineq_abs
 
 
 def check_222(params: QubitWitnessParams, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -162,6 +189,105 @@ def alpha_slack(params: QubitWitnessParams, alpha) -> np.ndarray:
     return lhs - rhs
 
 
+# keep the polish inside an extended grid range so radii cannot overflow
+_LOG_LO = math.log(RADIUS_MIN) - 3.0
+_LOG_HI = math.log(RADIUS_MAX) + 3.0
+
+
+def _polish_alpha(log_radius: float, angle: float) -> complex:
+    return math.exp(min(max(log_radius, _LOG_LO), _LOG_HI)) * cmath.exp(1j * angle)
+
+
+def _polish_objective(params: QubitWitnessParams):
+    """``alpha_slack`` at the single point ``_polish_alpha(*x)``, as a float.
+
+    Bit for bit the value a 0-d ``alpha_slack`` call gives, in two numpy
+    calls instead of about twenty: numpy's complex products by conj(u_i)
+    and its complex ``abs`` round differently from Python's, so those stay
+    numpy ufuncs (which give the same bits on a length-2 or length-3 array
+    as on a 0-d one); ``u_i * conj(alpha)``, the sums, ``sqrt`` and ``**``
+    round the same in Python, so they move there.
+    """
+    s, t, u = params.s, params.t, params.u
+    conj_u = np.array([u[3].conjugate(), u[2].conjugate()])
+
+    def objective(x) -> float:
+        alpha = _polish_alpha(x[0], x[1])
+        ca = alpha.conjugate()
+        p3, p2 = (conj_u * alpha).tolist()
+        a, r1, r2 = np.abs([alpha, u[0] * ca + p3, u[1] * ca + p2]).tolist()
+        m = a**2
+        lhs = math.sqrt((s[0] + t[3] * m) * (s[3] + t[0] * m)) + math.sqrt((s[1] + t[2] * m) * (s[2] + t[1] * m))
+        return lhs - (r1 + r2)
+
+    return objective
+
+
+def _ordered(sim: list, fsim: list) -> tuple[list, list]:
+    """The vertices by value, ties kept in place and NaN last, as numpy's argsort orders 3 values."""
+    order = sorted(range(3), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
+    return [sim[i] for i in order], [fsim[i] for i in order]
+
+
+def _nelder_mead(f, x0, maxiter=POLISH_MAXITER, xatol=POLISH_XATOL, fatol=POLISH_FATOL):
+    """Minimize ``f`` over two real variables from ``x0``; return the best vertex and its value.
+
+    A copy of ``scipy.optimize.minimize(f, x0, method="Nelder-Mead")`` with
+    its default (non-adaptive) coefficients, no bounds, ``maxfev`` unset and
+    ``options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol}``.  Each
+    step evaluates the same expressions on the same floats in the same
+    order, so the two return the same vertex bit for bit.
+    """
+    sim = [tuple(x0)]
+    for k in range(2):
+        y = list(x0)
+        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
+        sim.append(tuple(y))
+    sim, fsim = _ordered(sim, [f(x) for x in sim])
+
+    iterations = 1
+    while iterations < maxiter:
+        best, worst = sim[0], sim[-1]
+        if all(abs(xi - bi) <= xatol for x in sim[1:] for xi, bi in zip(x, best)) and all(
+            abs(fsim[0] - fx) <= fatol for fx in fsim[1:]
+        ):
+            break
+
+        xbar = [(a + b) / 2 for a, b in zip(best, sim[1])]
+        xr = tuple((1 + _RHO) * c - _RHO * w for c, w in zip(xbar, worst))
+        fxr = f(xr)
+        shrink = False
+        if fxr < fsim[0]:
+            xe = tuple((1 + _RHO * _CHI) * c - _RHO * _CHI * w for c, w in zip(xbar, worst))
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        elif fxr < fsim[-1]:
+            # contract outside
+            xc = tuple((1 + _PSI * _RHO) * c - _PSI * _RHO * w for c, w in zip(xbar, worst))
+            fxc = f(xc)
+            if fxc <= fxr:
+                sim[-1], fsim[-1] = xc, fxc
+            else:
+                shrink = True
+        else:
+            # contract inside
+            xcc = tuple((1 - _PSI) * c + _PSI * w for c, w in zip(xbar, worst))
+            fxcc = f(xcc)
+            if fxcc < fsim[-1]:
+                sim[-1], fsim[-1] = xcc, fxcc
+            else:
+                shrink = True
+        if shrink:
+            for j in (1, 2):
+                sim[j] = tuple(b + _SIGMA * (xj - b) for xj, b in zip(sim[j], best))
+                fsim[j] = f(sim[j])
+        iterations += 1
+        sim, fsim = _ordered(sim, fsim)
+    return sim[0], fsim[0]
+
+
 def check_111(
     params: QubitWitnessParams,
     grid: AlphaGrid = AlphaGrid(),
@@ -187,32 +313,13 @@ def check_111(
     alphas = radii[:, None] * np.exp(1j * angles[None, :])
     slack = alpha_slack(params, alphas)
 
-    # keep the polish inside an extended grid range so radii cannot overflow
-    log_lo = math.log(RADIUS_MIN) - 3.0
-    log_hi = math.log(RADIUS_MAX) + 3.0
-
-    def refined(alpha0: complex) -> complex:
-        def objective(x):
-            radius = math.exp(min(max(x[0], log_lo), log_hi))
-            return float(alpha_slack(params, radius * np.exp(1j * x[1])))
-
-        x0 = np.array([math.log(abs(alpha0)), np.angle(alpha0)])
-        res = minimize(
-            objective,
-            x0,
-            method="Nelder-Mead",
-            options={"maxiter": 400, "xatol": 1e-12, "fatol": 1e-14},
-        )
-        radius = math.exp(min(max(res.x[0], log_lo), log_hi))
-        return radius * np.exp(1j * res.x[1])
-
-    flat = np.argsort(slack, axis=None)[:REFINE]
+    objective = _polish_objective(params)
     best_alpha, best_slack = None, np.inf
-    for idx in flat:
-        cand = refined(alphas.ravel()[idx])
-        val = float(alpha_slack(params, cand))
+    for idx in np.argsort(slack, axis=None)[:REFINE]:
+        alpha0 = alphas.ravel()[idx]
+        (log_radius, angle), val = _nelder_mead(objective, (math.log(abs(alpha0)), float(np.angle(alpha0))))
         if val < best_slack:
-            best_alpha, best_slack = cand, val
+            best_alpha, best_slack = _polish_alpha(log_radius, angle), val
     if best_slack < -tol.ineq_abs:
         return ClassVerdict(
             Verdict.REFUTED,

@@ -109,6 +109,26 @@ def test_classify_rejects_negative_params(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "st, u, evidence",
+    [
+        # s_i t_i overflows a float, though sqrt(s_i t_i) = 1e200 < |u_i| = 1e300
+        ("1e200", "1e300", "sqrt(s_1 t_1) = 1e+200 < |u_1| = 1e+300"),
+        # sqrt(s_i t_i) < |u_i|, but the sum of two of either overflows
+        ("1.6e308", "1.7e308", "sqrt(s_1 t_1) = 1.6e+308 < |u_1| = 1.7e+308"),
+    ],
+)
+def test_classify_does_not_certify_when_sums_overflow(capsys, st, u, evidence):
+    big = ",".join([st] * 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = _run(capsys, ["classify", "--s", big, "--t", big, "--u", ",".join([u + ":0"] * 4)])
+    assert code == 0
+    results = json.loads(out)["results"]
+    assert all(v["verdict"] != "certified" for v in results["classes"].values())
+    assert results["classes"]["2,2,2"]["evidence"] == evidence
+    assert results["biseparability_witness"] is False
+
+
 def test_pair_ghz_with_witness(tmp_path, capsys):
     state = _write(tmp_path / "ghz.json", _ghz_state_doc())
     code, out = _run(

@@ -359,6 +359,37 @@ def test_seesaw_full_target_is_one_eigenproblem(dims):
         assert len(run.objective_trace) <= 2
 
 
+@pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (1, 2, 3), (1, 1, 1)])
+def test_full_target_search_runs_one_restart(dims, monkeypatch):
+    # target == dims leaves no factor free: the search runs restart 0 only,
+    # and its outcome is the best of all the configured restarts
+    import triwit.search as search
+
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return seesaw_minimize(*args, **kwargs)
+
+    monkeypatch.setattr(search, "seesaw_minimize", counted)
+    n = int(np.prod(dims))
+    cfg = SeesawConfig(restarts=6, seed=40)
+    for seed in range(3):
+        wmat = _rand_hermitian(np.random.default_rng(320 + seed), n)
+        # shift the least eigenvalue to -0.5 for seed 0 (a violation), to 0.5 otherwise (none)
+        wmat = wmat - (hermitian_eig(wmat)[0][0] + (0.5 if seed == 0 else -0.5)) * np.eye(n)
+        calls.clear()
+        out = violation_search(TriOperator(TriDims(*dims), wmat), dims, cfg)
+        assert len(calls) == 1
+        runs = [seesaw_minimize(wmat, TriDims(*dims), dims, np.random.default_rng(cfg.seed + r)) for r in range(6)]
+        best = min(runs, key=lambda run: run.value)
+        xi = out.xi if isinstance(out, ViolationCertificate) else out.best_xi
+        value = out.value if isinstance(out, ViolationCertificate) else out.best_value
+        assert isinstance(out, ViolationCertificate) == (seed == 0)
+        assert abs(value - best.value) <= 1e-12 * np.linalg.norm(wmat)
+        assert abs(abs(np.vdot(best.xi, xi.data)) - 1.0) <= 1e-12
+
+
 @pytest.mark.parametrize("target", [(1, 2, 2), (2, 1, 2), (2, 2, 1)])
 def test_seesaw_cut_target_updates_two_blocks_a_sweep(target):
     # the two full-width factors are fixed; a sweep updates the rank-one

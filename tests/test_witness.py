@@ -161,6 +161,32 @@ def test_check_111_trivially_certified():
     assert check_111(p).verdict is Verdict.CERTIFIED
 
 
+def test_root_st_survives_an_overflowing_product():
+    # s t = 1e400 overflows, but sqrt(s t) = 1e200 is far below |u| = 1e300
+    p = QubitWitnessParams(s=(1e200,) * 4, t=(1e200,) * 4, u=(1e300,) * 4)
+    assert p.root_st() == pytest.approx((1e200,) * 4, rel=1e-15)
+    with np.errstate(over="ignore"):
+        rep = classify(p)
+    assert not any(rep.certified(cls) for cls in rep.classes)
+    assert not rep.biseparability_witness
+    # a finite product keeps the single square root, bit for bit
+    q = QubitWitnessParams(s=(0.3, 2.0, 1e150, 0.0), t=(0.7, 1e-3, 1e150, 5.0), u=(0, 0, 0, 0))
+    assert q.root_st() == tuple(math.sqrt(a * b) for a, b in zip(q.s, q.t))
+
+
+def test_overflowing_sums_certify_nothing():
+    # each sqrt(s_i t_i) = 1.6e308 < |u_i| = 1.7e308, but a sum of two overflows
+    p = QubitWitnessParams(s=(1.6e308,) * 4, t=(1.6e308,) * 4, u=(1.7e308,) * 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = classify(p)
+    assert not any(rep.certified(cls) for cls in rep.classes)
+    assert not rep.biseparability_witness
+    # and the other way round: the sums hold, though both overflow
+    q = QubitWitnessParams(s=(1.7e308,) * 4, t=(1.7e308,) * 4, u=(1.6e308,) * 4)
+    assert all(check_pair_class(q, cls) for cls in PAIR_CLASSES)
+    assert check_111(q).verdict is Verdict.CERTIFIED
+
+
 def test_classify_reproduces_known_family_patterns():
     # (certified?) for classes (222), (122), (212), (221), (111)
     cases = {

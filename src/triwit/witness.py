@@ -86,7 +86,15 @@ class QubitWitnessParams:
         )
 
     def abs_u(self) -> tuple[float, float, float, float]:
-        return tuple(abs(ui) for ui in self.u)
+        """|u_i|; inf where the modulus of finite parts exceeds the float range."""
+        return tuple(_modulus(ui) for ui in self.u)
+
+
+def _modulus(z: complex) -> float:
+    try:
+        return abs(z)
+    except OverflowError:
+        return math.inf
 
 
 class Verdict(enum.Enum):
@@ -153,8 +161,9 @@ def _holds(params: QubitWitnessParams, idx, tol: Tolerance) -> bool:
     rst, au = params.root_st(), params.abs_u()
     lhs, rhs = sum(rst[i] for i in idx), sum(au[i] for i in idx)
     if math.isinf(lhs) or math.isinf(rhs):
-        # at most four finite terms, so their quarters sum without overflow
-        return sum(rst[i] / 4 for i in idx) >= sum(au[i] / 4 for i in idx) - tol.ineq_abs / 4
+        # at most four terms below 2 x the float maximum, so their quarters sum
+        # without overflow; |u_i / 4| is finite even where |u_i| is not
+        return sum(rst[i] / 4 for i in idx) >= sum(abs(params.u[i] / 4) for i in idx) - tol.ineq_abs / 4
     return lhs >= rhs - tol.ineq_abs
 
 
@@ -205,8 +214,9 @@ def _polish_objective(params: QubitWitnessParams):
     calls instead of about twenty: numpy's complex products by conj(u_i)
     and its complex ``abs`` round differently from Python's, so those stay
     numpy ufuncs (which give the same bits on a length-2 or length-3 array
-    as on a 0-d one); ``u_i * conj(alpha)``, the sums, ``sqrt`` and ``**``
-    round the same in Python, so they move there.
+    as on a 0-d one under numpy's AVX-512, AVX2 and baseline x86 loops);
+    ``u_i * conj(alpha)``, the sums, ``sqrt`` and ``**`` round the same in
+    Python, so they move there.
     """
     s, t, u = params.s, params.t, params.u
     conj_u = np.array([u[3].conjugate(), u[2].conjugate()])
@@ -229,14 +239,14 @@ def _ordered(sim: list, fsim: list) -> tuple[list, list]:
     return [sim[i] for i in order], [fsim[i] for i in order]
 
 
-def _nelder_mead(f, x0, maxiter=POLISH_MAXITER, xatol=POLISH_XATOL, fatol=POLISH_FATOL):
+def _nelder_mead(f, x0):
     """Minimize ``f`` over two real variables from ``x0``; return the best vertex and its value.
 
     A copy of ``scipy.optimize.minimize(f, x0, method="Nelder-Mead")`` with
     its default (non-adaptive) coefficients, no bounds, ``maxfev`` unset and
-    ``options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol}``.  Each
-    step evaluates the same expressions on the same floats in the same
-    order, so the two return the same vertex bit for bit.
+    ``options={"maxiter": POLISH_MAXITER, "xatol": POLISH_XATOL, "fatol":
+    POLISH_FATOL}``.  Each step evaluates the same expressions on the same
+    floats in the same order, so the two return the same vertex bit for bit.
     """
     sim = [tuple(x0)]
     for k in range(2):
@@ -246,10 +256,10 @@ def _nelder_mead(f, x0, maxiter=POLISH_MAXITER, xatol=POLISH_XATOL, fatol=POLISH
     sim, fsim = _ordered(sim, [f(x) for x in sim])
 
     iterations = 1
-    while iterations < maxiter:
+    while iterations < POLISH_MAXITER:
         best, worst = sim[0], sim[-1]
-        if all(abs(xi - bi) <= xatol for x in sim[1:] for xi, bi in zip(x, best)) and all(
-            abs(fsim[0] - fx) <= fatol for fx in fsim[1:]
+        if all(abs(xi - bi) <= POLISH_XATOL for x in sim[1:] for xi, bi in zip(x, best)) and all(
+            abs(fsim[0] - fx) <= POLISH_FATOL for fx in fsim[1:]
         ):
             break
 

@@ -129,6 +129,18 @@ def test_classify_does_not_certify_when_sums_overflow(capsys, st, u, evidence):
     assert results["biseparability_witness"] is False
 
 
+@pytest.mark.parametrize("st, certified", [("1.7e308", ["1,2,2", "2,1,2", "2,2,1", "1,1,1"]), ("1", [])])
+def test_classify_takes_a_modulus_beyond_the_float_range(capsys, st, certified):
+    # |u_1| = 2.1e308 overflows a float, though 1.5e308 and 1.5e308 do not
+    big = ",".join([st] * 4)
+    with np.errstate(over="ignore", invalid="ignore"):
+        code, out = _run(capsys, ["classify", "--s", big, "--t", big, "--u", "1.5e308:1.5e308,0:0,0:0,0:0"])
+    assert code == 0
+    classes = json.loads(out)["results"]["classes"]
+    assert {c for c, v in classes.items() if v["verdict"] == "certified"} == set(certified)
+    assert classes["2,2,2"]["evidence"].endswith("< |u_1| = inf")
+
+
 def test_pair_ghz_with_witness(tmp_path, capsys):
     state = _write(tmp_path / "ghz.json", _ghz_state_doc())
     code, out = _run(

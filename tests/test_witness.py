@@ -187,6 +187,24 @@ def test_overflowing_sums_certify_nothing():
     assert check_111(q).verdict is Verdict.CERTIFIED
 
 
+def test_modulus_beyond_the_float_range():
+    # |u_1| = 2.1e308 exceeds the float maximum, though both its parts are finite
+    u = (1.5e308 + 1.5e308j, 0, 0, 0)
+    # sqrt(s_i t_i) = 1.7e308 < |u_1|, but every pair and the sum make up for it
+    p = QubitWitnessParams(s=(1.7e308,) * 4, t=(1.7e308,) * 4, u=u)
+    assert p.abs_u() == (math.inf, 0.0, 0.0, 0.0)
+    rep = classify(p)
+    assert rep.classes[(2, 2, 2)].verdict is Verdict.REFUTED
+    assert all(rep.certified(cls) for cls in [*PAIR_CLASSES, (1, 1, 1)])
+    assert rep.biseparability_witness
+    # with s = t = 1 no class survives
+    q = QubitWitnessParams(s=(1.0,) * 4, t=(1.0,) * 4, u=u)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rep = classify(q)
+    assert not any(rep.certified(cls) for cls in rep.classes)
+    assert rep.classes[(1, 1, 1)].verdict is Verdict.REFUTED
+
+
 def test_classify_reproduces_known_family_patterns():
     # (certified?) for classes (222), (122), (212), (221), (111)
     cases = {

@@ -142,6 +142,15 @@ def _whitening(b: np.ndarray, tol: Tolerance) -> np.ndarray:
     return bv[:, keep] / np.sqrt(bw[keep])
 
 
+def _above_floor(g: float, tol: Tolerance) -> bool:
+    """Whether :func:`_whitening` keeps the 1x1 Gram matrix ``[[g]]``, ``g >= 0``; False for NaN.
+
+    Both of its tests apply: ``g`` must exceed ``psd_abs`` (else it is
+    numerically zero) and ``psd_abs * g``, the floor it sets itself.
+    """
+    return g > tol.psd_abs and g > tol.psd_abs * g
+
+
 def min_gen_eig(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     """Minimize the generalized Rayleigh quotient x*ax / x*bx.
 

@@ -6,9 +6,13 @@ and a core; with all other blocks frozen, the vector is linear in the free
 block, so each update is an exact eigenproblem and the objective never
 increases.  The factors are kept orthonormal, so the core update is a
 standard eigenproblem, and no update builds a Jacobian (see
-:func:`seesaw_minimize`).  A negative enough final value yields a
-violation certificate; anything else is reported as "no violation found",
-which is deliberately not a positivity proof.
+:func:`seesaw_minimize`).  A cut target, such as (1, 2, 2) on qubits (the
+bi-separable states across one cut), runs a dedicated loop: the vector is
+u (x) c, and each step is one product of W, reshaped once per restart,
+with the outer product of the other block, then one eigensolve.  A
+negative enough final value yields a violation certificate; anything else
+is reported as "no violation found", which is deliberately not a
+positivity proof.
 """
 
 from __future__ import annotations
@@ -19,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DegeneratePencil, DimMismatch
-from .linalg import DEFAULT_TOL, Tolerance, _eigh, _whitening, hermitize
+from .linalg import DEFAULT_TOL, Tolerance, _above_floor, _eigh, _whitening, hermitize
 from .linalg import min_gen_eig  # noqa: F401  (the see-saw no longer calls it; bench/selftest reads search.min_gen_eig)
 from .schmidt import PosTriple, sr_leq, triple_leq
 from .tensor import TriDims, TriOperator, TriVector
@@ -169,6 +173,14 @@ def seesaw_minimize(
     is degenerate re-draws that factor from ``rng``, orthonormalized like an
     accepted one, instead of failing.  The returned run counts its sweeps,
     rejected steps and re-draws, and says whether it converged.
+
+    A cut target, whose one factor narrower than its mode has rank one,
+    runs the dedicated loop :func:`_cut_seesaw` instead, chosen from the
+    target and dims alone.  It keeps the same draws, entry gate, direct
+    guard on every candidate, floor rule, gauge and counts, and reaches the
+    same iterates, but each step is one product of a once-reshaped W and
+    one eigensolve: no Gram eigensolve, mode products or permuted copies.
+    Every other target runs the general loop above.
     """
     wmat = hermitize(wmat, tol)
     shape = dims.as_tuple()
@@ -185,6 +197,8 @@ def seesaw_minimize(
             factors[mode] = None
         else:
             free.append(mode)
+    if len(free) == 1 and ranks[free[0]] == 1:
+        return _cut_seesaw(wmat, shape, free[0], factors[free[0]], core, rng, max_sweeps, convergence_eps, tol)
     factors_h = [None] * 3
 
     def set_factor(mode, x) -> None:
@@ -283,6 +297,81 @@ def seesaw_minimize(
             core = new_core
         converged = sweep_start - value < convergence_eps
     xi = assemble(core)
+    xi = xi / np.linalg.norm(xi)
+    return SeesawRun(
+        value=value, xi=xi, objective_trace=trace, sweeps=sweeps,
+        converged=converged, rejected=rejected, redraws=redraws,
+    )
+
+
+def _cut_seesaw(wmat, shape, mode, u, core, rng, max_sweeps, convergence_eps, tol) -> SeesawRun:
+    """The see-saw of :func:`seesaw_minimize` on a cut target, where only ``mode`` is free, at rank one.
+
+    In the free mode's first order the vector is u (x) c, u the factor
+    ``u`` of that mode and c the flattened ``core`` (the other two modes,
+    absorbed).  W, with the free mode first on both sides, is reshaped once
+    into ``w_u`` (d^2 x r^2) and ``w_c`` (r^2 x d^2), so a step's reduced
+    matrix is one product of one of them with the outer product of the
+    other block.  u is kept a unit vector and c carries the norm, so the c
+    step is a standard eigenproblem.  The u step's Gram matrix is ||c||^2,
+    floored by :func:`_above_floor`, the rule of :func:`_whitening`; a
+    degenerate u step re-draws u.
+    """
+    d = shape[mode]
+    r = wmat.shape[0] // d
+    order = [mode] + [other for other in range(3) if other != mode]
+    w4 = wmat.reshape(shape * 2).transpose(order + [3 + other for other in order]).reshape(d, r, d, r)
+    wfirst = w4.reshape(d * r, d * r)
+    w_u = w4.transpose(0, 2, 1, 3).reshape(d * d, r * r)
+    w_c = w4.transpose(1, 3, 0, 2).reshape(r * r, d * d)
+    u = u.reshape(d)
+    c = core.reshape(r)
+
+    def quotient(xi) -> float:
+        return float(np.vdot(xi, wfirst @ xi).real / np.vdot(xi, xi).real)
+
+    def unit_u(x) -> None:
+        """Store ``x`` as the unit u and push its norm into c; xi is unchanged."""
+        nonlocal u, c
+        norm = math.sqrt(np.vdot(x, x).real)
+        u = x / norm
+        c = c * norm
+
+    unit_u(u)
+    trace: list[float] = []
+    rejected = redraws = sweeps = 0
+    converged = False
+    value = quotient((u[:, None] * c).reshape(-1))
+    while sweeps < max_sweeps and not converged:
+        sweeps += 1
+        sweep_start = value
+        gram = np.vdot(c, c).real
+        if not _above_floor(gram, tol):
+            redraws += 1
+            unit_u(_draw_complex(rng, d))
+        else:
+            _, vecs = _eigh((w_u @ (c.conj()[:, None] * c).reshape(-1)).reshape(d, d))
+            y = vecs[:, 0]
+            cand_value = quotient((y[:, None] * c).reshape(-1))
+            if cand_value <= value:
+                value = cand_value
+                u = y
+                c = c / math.sqrt(gram)
+            else:
+                rejected += 1
+            trace.append(value)
+        _, vecs = _eigh((w_c @ (u.conj()[:, None] * u).reshape(-1)).reshape(r, r))
+        y = vecs[:, 0]
+        cand_value = quotient((u[:, None] * y).reshape(-1))
+        if cand_value <= value:
+            value = cand_value
+            c = y
+        else:
+            rejected += 1
+        trace.append(value)
+        converged = sweep_start - value < convergence_eps
+    rest = tuple(shape[other] for other in order[1:])
+    xi = (u[:, None] * c).reshape((d,) + rest).transpose(np.argsort(order)).reshape(-1)
     xi = xi / np.linalg.norm(xi)
     return SeesawRun(
         value=value, xi=xi, objective_trace=trace, sweeps=sweeps,

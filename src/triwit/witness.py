@@ -80,14 +80,24 @@ class QubitWitnessParams:
 
     def root_st(self) -> tuple[float, float, float, float]:
         """sqrt(s_i t_i); split into sqrt(s_i) sqrt(t_i) where s_i t_i overflows."""
-        return tuple(
-            math.sqrt(st) if math.isfinite(st := si * ti) else math.sqrt(si) * math.sqrt(ti)
-            for si, ti in zip(self.s, self.t)
-        )
+        return tuple(_root_product(si, ti) for si, ti in zip(self.s, self.t))
 
     def abs_u(self) -> tuple[float, float, float, float]:
         """|u_i|; inf where the modulus of finite parts exceeds the float range."""
         return tuple(_modulus(ui) for ui in self.u)
+
+
+def _root_product(a: float, b: float) -> float:
+    """sqrt(a b) for nonnegative floats; sqrt(a) sqrt(b) where a b overflows."""
+    ab = a * b
+    return math.sqrt(a) * math.sqrt(b) if math.isinf(ab) else math.sqrt(ab)
+
+
+def _root_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`_root_product` elementwise on arrays."""
+    with np.errstate(over="ignore"):
+        ab = a * b
+    return np.where(np.isinf(ab), np.sqrt(a) * np.sqrt(b), np.sqrt(ab))
 
 
 def _modulus(z: complex) -> float:
@@ -189,9 +199,7 @@ def alpha_slack(params: QubitWitnessParams, alpha) -> np.ndarray:
     alpha = np.asarray(alpha, dtype=complex)
     s, t, u = params.s, params.t, params.u
     m = np.abs(alpha) ** 2
-    lhs = np.sqrt((s[0] + t[3] * m) * (s[3] + t[0] * m)) + np.sqrt(
-        (s[1] + t[2] * m) * (s[2] + t[1] * m)
-    )
+    lhs = _root_products(s[0] + t[3] * m, s[3] + t[0] * m) + _root_products(s[1] + t[2] * m, s[2] + t[1] * m)
     rhs = np.abs(u[0] * alpha.conj() + np.conj(u[3]) * alpha) + np.abs(
         u[1] * alpha.conj() + np.conj(u[2]) * alpha
     )
@@ -227,7 +235,7 @@ def _polish_objective(params: QubitWitnessParams):
         p3, p2 = (conj_u * alpha).tolist()
         a, r1, r2 = np.abs([alpha, u[0] * ca + p3, u[1] * ca + p2]).tolist()
         m = a**2
-        lhs = math.sqrt((s[0] + t[3] * m) * (s[3] + t[0] * m)) + math.sqrt((s[1] + t[2] * m) * (s[2] + t[1] * m))
+        lhs = _root_product(s[0] + t[3] * m, s[3] + t[0] * m) + _root_product(s[1] + t[2] * m, s[2] + t[1] * m)
         return lhs - (r1 + r2)
 
     return objective

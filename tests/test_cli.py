@@ -1,11 +1,26 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from triwit.cli import main, operator_to_json, read_vector, vector_to_json
-from triwit import TriDims, TriOperator, TriVector, cli, family_choi, genuine_witness
+from triwit import (
+    QubitWitnessParams,
+    TriDims,
+    TriOperator,
+    TriVector,
+    alpha_slack,
+    cli,
+    family_choi,
+    genuine_witness,
+)
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def _run(capsys, argv):
@@ -139,6 +154,23 @@ def test_classify_takes_a_modulus_beyond_the_float_range(capsys, st, certified):
     classes = json.loads(out)["results"]["classes"]
     assert {c for c, v in classes.items() if v["verdict"] == "certified"} == set(certified)
     assert classes["2,2,2"]["evidence"].endswith("< |u_1| = inf")
+
+
+def test_classify_refutes_111_where_the_slack_products_overflow():
+    # the slack products overflow at every alpha; the refutation must still be
+    # found, its alpha must re-validate, and nothing may reach stderr
+    big = ",".join(["1e200"] * 4)
+    argv = ["classify", "--s", big, "--t", big, "--u", ",".join(["1e300:0"] * 4)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "triwit.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    results = json.loads(proc.stdout)["results"]
+    verdict = results["classes"]["1,1,1"]
+    assert verdict["verdict"] == "refuted"
+    p = QubitWitnessParams(s=(1e200,) * 4, t=(1e200,) * 4, u=(1e300,) * 4)
+    assert alpha_slack(p, complex(*verdict["alpha"])) < -1e-9
 
 
 def test_pair_ghz_with_witness(tmp_path, capsys):

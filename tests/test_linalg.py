@@ -11,7 +11,7 @@ from triwit import (
     min_gen_eig,
     svd_rank,
 )
-from triwit.linalg import hermitize
+from triwit.linalg import _above_floor, _whitening, hermitize
 
 
 def _rand_complex(rng, shape):
@@ -270,3 +270,18 @@ def test_min_gen_eig_matches_pinv_whitening(least):
     val, x = min_gen_eig(a, b)
     assert abs(val - _pinv_whitening_min(a, b)) <= 1e-10 * np.linalg.norm(a)
     assert abs((x.conj() @ a @ x).real - val) <= 1e-10 * np.linalg.norm(a)
+
+
+@pytest.mark.parametrize("psd_abs", [1e-9, 0.5, 1.0])
+@pytest.mark.parametrize("g", [0.0, 1e-300, 1e-9, 2e-9, 0.5, 1.0, 1.5, 1e300, np.inf, np.nan])
+def test_scalar_floor_is_the_whitening_rule(g, psd_abs):
+    # the see-saw's cut loop floors its 1x1 Gram matrix with _above_floor
+    # in place of _whitening; the two must keep the same values, and neither
+    # keeps a NaN (_whitening's eigensolve fails on it)
+    tol = Tolerance(psd_abs=psd_abs)
+    try:
+        _whitening(np.array([[g]], dtype=complex), tol)
+        kept = True
+    except (DegeneratePencil, np.linalg.LinAlgError):
+        kept = False
+    assert _above_floor(g, tol) is kept

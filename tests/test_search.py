@@ -12,6 +12,7 @@ from triwit import (
     SeesawRun,
     TriDims,
     TriOperator,
+    TriVector,
     ViolationCertificate,
     check_pair_class,
     family_choi,
@@ -291,17 +292,28 @@ def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=SeesawConfig.conv
         ((2, 2, 2), (2, 2, 1), 200),
         ((2, 3, 4), (1, 3, 4), 200),
         ((6, 6, 6), (3, 3, 3), 5),
+        # cut targets with the free mode in the middle, last, and next to a mode of size 1
+        ((2, 3, 4), (2, 1, 4), 200),
+        ((3, 3, 3), (3, 3, 1), 200),
+        ((1, 2, 3), (1, 1, 3), 200),
+        # not cuts: one free mode of rank 2, two free modes
+        ((3, 3, 3), (2, 3, 3), 200),
+        ((2, 2, 2), (1, 1, 2), 200),
     ],
 )
 def test_seesaw_matches_jacobian_reference(dims, target, max_sweeps):
-    # the orthonormal gauge and the Jacobian-free steps reach the same iterates
+    # the orthonormal gauge and the Jacobian-free steps reach the same
+    # iterates, and the returned vector (in W's own order) carries the value
     n = int(np.prod(dims))
     for seed in range(3):
         wmat = _rand_hermitian(np.random.default_rng(340 + seed), n)
         run = seesaw_minimize(wmat, TriDims(*dims), target, np.random.default_rng(seed), max_sweeps=max_sweeps)
         ref = _reference_seesaw(wmat, dims, target, np.random.default_rng(seed), max_sweeps)
+        atol = 1e-9 * np.linalg.norm(wmat)
         assert len(run.objective_trace) == len(ref)
-        np.testing.assert_allclose(run.objective_trace, ref, rtol=0, atol=1e-9 * np.linalg.norm(wmat))
+        np.testing.assert_allclose(run.objective_trace, ref, rtol=0, atol=atol)
+        assert abs(np.vdot(run.xi, wmat @ run.xi).real - run.value) <= atol
+        assert sr_leq(TriVector(TriDims(*dims), run.xi), target)
 
 
 @pytest.mark.parametrize("target", [(1, 2, 2), (2, 1, 2), (2, 2, 1)])
@@ -320,12 +332,32 @@ def test_seesaw_run_reports_sweeps_and_convergence(target):
 def test_seesaw_counts_degenerate_redraws():
     # psd_abs = 1 puts every eigenvalue of a factor step's Gram matrix at or
     # below the floor, so each factor step re-draws its factor; the core step
-    # solves a standard eigenproblem and still records its value
+    # solves a standard eigenproblem and still records its value.  Each cut
+    # is checked, so the free factor is in every position once.
     wmat = _rand_hermitian(np.random.default_rng(351), 8)
-    run = seesaw_minimize(wmat, QUBITS, (1, 2, 2), np.random.default_rng(3), max_sweeps=4, tol=Tolerance(psd_abs=1.0))
-    assert run.sweeps >= 1
-    assert run.redraws == run.sweeps == len(run.objective_trace)
-    assert np.all(np.diff(run.objective_trace) <= 0)
+    for target in ((1, 2, 2), (2, 1, 2), (2, 2, 1)):
+        run = seesaw_minimize(wmat, QUBITS, target, np.random.default_rng(3), max_sweeps=4, tol=Tolerance(psd_abs=1.0))
+        assert run.sweeps >= 1
+        assert run.redraws == run.sweeps == len(run.objective_trace)
+        assert np.all(np.diff(run.objective_trace) <= 0)
+        # replay the draws: u, v, w and the core, then one re-drawn rank-one factor
+        # a sweep; each core step reaches the least eigenvalue of W compressed by it
+        rng = np.random.default_rng(3)
+
+        def draw(shape):
+            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+        blocks = [draw((2, k)) for k in target]
+        xi = _assemble(*blocks, draw(target))
+        value = (xi.conj() @ wmat @ xi).real / (xi.conj() @ xi).real
+        mode = target.index(1)
+        order = [mode] + [m for m in range(3) if m != mode]
+        w4 = wmat.reshape((2,) * 6).transpose(order + [3 + m for m in order]).reshape(2, 4, 2, 4)
+        for got in run.objective_trace:
+            u = draw((2, 1))[:, 0]
+            least = np.linalg.eigvalsh(np.einsum("x,xiyj,y->ij", u.conj(), w4, u))[0] / np.vdot(u, u).real
+            value = min(value, least)
+            assert abs(got - value) <= 1e-12 * np.linalg.norm(wmat)
 
 
 @pytest.mark.parametrize("index,value", [((0, 0), np.nan), ((1, 1), np.inf), ((0, 3), 1.0)], ids=["nan", "inf", "asymmetric"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -172,6 +173,18 @@ def test_root_st_survives_an_overflowing_product():
     # a finite product keeps the single square root, bit for bit
     q = QubitWitnessParams(s=(0.3, 2.0, 1e150, 0.0), t=(0.7, 1e-3, 1e150, 5.0), u=(0, 0, 0, 0))
     assert q.root_st() == tuple(math.sqrt(a * b) for a, b in zip(q.s, q.t))
+
+
+def test_check_111_refutes_where_the_slack_products_overflow():
+    # (s_i + t_j m)(s_k + t_l m) overflows at every alpha, but the slack at
+    # alpha = 1 is 4e200 - 4e300; no overflow warning may escape
+    p = QubitWitnessParams(s=(1e200,) * 4, t=(1e200,) * 4, u=(1e300,) * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert float(alpha_slack(p, 1.0)) == pytest.approx(4e200 - 4e300, rel=1e-15)
+        verdict = check_111(p)
+        assert verdict.verdict is Verdict.REFUTED
+        assert alpha_slack(p, verdict.alpha) < -1e-9
 
 
 def test_overflowing_sums_certify_nothing():

@@ -127,8 +127,12 @@ def _whitening(b: np.ndarray, tol: Tolerance) -> np.ndarray:
     ``b`` is Hermitian positive semidefinite and read from its lower
     triangle.  Eigenvectors of ``b`` with eigenvalue at most
     ``psd_abs * ||b||_2`` are projected out.  Raises DegeneratePencil when
-    ``b`` is numerically zero or has no eigenvalue above that floor.
+    ``b`` holds a NaN or inf (the eigensolver may fail on it, or return
+    finite values), is numerically zero or has no eigenvalue above that
+    floor.
     """
+    if not np.isfinite(b).all():
+        raise DegeneratePencil("right-hand matrix is not finite")
     bw, bv = _eigh(b)
     spectral = max(abs(bw[0]), abs(bw[-1]))
     if spectral <= tol.psd_abs:

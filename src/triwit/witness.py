@@ -8,13 +8,16 @@ admissible region for qubits has an exact closed-form criterion except
 (1, 1, 1), which is certified by sufficient conditions or refuted by a
 grid-plus-descent search over a complex parameter.
 
-The descent is ``_nelder_mead``, a plain-Python copy of scipy's
-non-adaptive Nelder-Mead for two variables (coefficients rho = 1, chi = 2,
-psi = sigma = 0.5; start simplex 1.05 x_k, or 0.00025 where x_k = 0; at
-most POLISH_MAXITER - 1 = 399 iterations; stop when the simplex spans at
-most POLISH_XATOL = 1e-12 and its values at most POLISH_FATOL = 1e-14).
-Given the same objective it returns scipy's point bit for bit, so the
-package imports no scipy.
+The descent is ``_nelder_mead``, scipy's non-adaptive Nelder-Mead
+unrolled in plain Python for exactly two variables (coefficients rho = 1,
+chi = 2, psi = sigma = 0.5; start simplex 1.05 x_k, or 0.00025 where
+x_k = 0; at most POLISH_MAXITER - 1 = 399 iterations; stop when the simplex
+spans at most POLISH_XATOL = 1e-12 and its values at most POLISH_FATOL =
+1e-14).  Its three vertices live in locals, each step is written per
+coordinate, and ``_ordered`` re-sorts them as numpy's argsort orders three
+values: ascending, ties kept in place, NaN last.  Given the same objective
+it evaluates it at scipy's points in scipy's order and returns scipy's
+point bit for bit, so the package imports no scipy.
 """
 
 from __future__ import annotations
@@ -88,16 +91,23 @@ class QubitWitnessParams:
 
 
 def _root_product(a: float, b: float) -> float:
-    """sqrt(a b) for nonnegative floats; sqrt(a) sqrt(b) where a b overflows."""
+    """sqrt(a b) for nonnegative floats, also where a b is not finite.
+
+    Where a b overflows, sqrt(a) sqrt(b); where it is inf * 0, 0.
+    """
     ab = a * b
-    return math.sqrt(a) * math.sqrt(b) if math.isinf(ab) else math.sqrt(ab)
+    if ab < math.inf:
+        return math.sqrt(ab)
+    return 0.0 if a == 0 or b == 0 else math.sqrt(a) * math.sqrt(b)
 
 
 def _root_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`_root_product` elementwise on arrays."""
-    with np.errstate(over="ignore"):
-        ab = a * b
-    return np.where(np.isinf(ab), np.sqrt(a) * np.sqrt(b), np.sqrt(ab))
+    """:func:`_root_product` elementwise on arrays; numpy warns where a b is not finite."""
+    ab = a * b
+    finite = ab < np.inf
+    if finite.all():
+        return np.sqrt(ab)
+    return np.where(finite, np.sqrt(ab), np.where((a == 0) | (b == 0), 0.0, np.sqrt(a) * np.sqrt(b)))
 
 
 def _modulus(z: complex) -> float:
@@ -194,16 +204,18 @@ def alpha_slack(params: QubitWitnessParams, alpha) -> np.ndarray:
     """Slack of the (1,1,1) inequality at the complex parameter(s) ``alpha``.
 
     Nonnegative for every alpha exactly when the map is in the bottom
-    class.  Vectorized over numpy arrays of alphas.
+    class.  Vectorized over numpy arrays of alphas.  Terms that overflow
+    read inf, without a warning, so the slack can read -inf.
     """
     alpha = np.asarray(alpha, dtype=complex)
     s, t, u = params.s, params.t, params.u
-    m = np.abs(alpha) ** 2
-    lhs = _root_products(s[0] + t[3] * m, s[3] + t[0] * m) + _root_products(s[1] + t[2] * m, s[2] + t[1] * m)
-    rhs = np.abs(u[0] * alpha.conj() + np.conj(u[3]) * alpha) + np.abs(
-        u[1] * alpha.conj() + np.conj(u[2]) * alpha
-    )
-    return lhs - rhs
+    with np.errstate(over="ignore", invalid="ignore"):
+        m = np.abs(alpha) ** 2
+        lhs = _root_products(s[0] + t[3] * m, s[3] + t[0] * m) + _root_products(s[1] + t[2] * m, s[2] + t[1] * m)
+        rhs = np.abs(u[0] * alpha.conj() + np.conj(u[3]) * alpha) + np.abs(
+            u[1] * alpha.conj() + np.conj(u[2]) * alpha
+        )
+        return lhs - rhs
 
 
 # keep the polish inside an extended grid range so radii cannot overflow
@@ -241,10 +253,24 @@ def _polish_objective(params: QubitWitnessParams):
     return objective
 
 
-def _ordered(sim: list, fsim: list) -> tuple[list, list]:
-    """The vertices by value, ties kept in place and NaN last, as numpy's argsort orders 3 values."""
+def _ordered(s0, s1, s2, f0, f1, f2):
+    """The vertices ``s0, s1, s2`` and values ``f0, f1, f2``, ordered as numpy's argsort orders 3 values.
+
+    Ascending by value, ties kept in place and NaN last.  Without NaN this is an
+    insertion sort in which only a strictly smaller value moves forward;
+    with NaN, a stable sort keyed by (is NaN, value).
+    """
+    if f0 == f0 and f1 == f1 and f2 == f2:
+        if f1 < f0:
+            s0, s1, f0, f1 = s1, s0, f1, f0
+        if f2 < f1:
+            s1, s2, f1, f2 = s2, s1, f2, f1
+            if f1 < f0:
+                s0, s1, f0, f1 = s1, s0, f1, f0
+        return s0, s1, s2, f0, f1, f2
+    sim, fsim = (s0, s1, s2), (f0, f1, f2)
     order = sorted(range(3), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
-    return [sim[i] for i in order], [fsim[i] for i in order]
+    return (*(sim[i] for i in order), *(fsim[i] for i in order))
 
 
 def _nelder_mead(f, x0):
@@ -253,57 +279,70 @@ def _nelder_mead(f, x0):
     A copy of ``scipy.optimize.minimize(f, x0, method="Nelder-Mead")`` with
     its default (non-adaptive) coefficients, no bounds, ``maxfev`` unset and
     ``options={"maxiter": POLISH_MAXITER, "xatol": POLISH_XATOL, "fatol":
-    POLISH_FATOL}``.  Each step evaluates the same expressions on the same
-    floats in the same order, so the two return the same vertex bit for bit.
+    POLISH_FATOL}``, unrolled for two variables: the vertices ``s0, s1, s2``
+    (tuples passed to ``f``) and their values ``f0, f1, f2`` are locals,
+    every step is written per coordinate, and :func:`_ordered` re-sorts
+    them as scipy's argsort does.  Each step evaluates ``f`` at the same
+    points in the same order as scipy, each point from the same float
+    expressions (scipy's coefficient products folded, which changes no
+    value), so the two return the same vertex bit for bit.
     """
-    sim = [tuple(x0)]
-    for k in range(2):
-        y = list(x0)
-        y[k] = (1 + _NONZDELT) * y[k] if y[k] != 0 else _ZDELT
-        sim.append(tuple(y))
-    sim, fsim = _ordered(sim, [f(x) for x in sim])
+    maxiter, xatol, fatol = POLISH_MAXITER, POLISH_XATOL, POLISH_FATOL
+    # (1 + a) xbar - a w for a = rho (reflect), rho chi (expand), psi rho (contract outside)
+    reflect, expand, outside = 1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO
+    rho, rho_chi, psi_rho = _RHO, _RHO * _CHI, _PSI * _RHO
+    # (1 - psi) xbar + psi w (contract inside); s0 + sigma (s - s0) (shrink towards s0)
+    inside, psi, sigma = 1 - _PSI, _PSI, _SIGMA
 
-    iterations = 1
-    while iterations < POLISH_MAXITER:
-        best, worst = sim[0], sim[-1]
-        if all(abs(xi - bi) <= POLISH_XATOL for x in sim[1:] for xi, bi in zip(x, best)) and all(
-            abs(fsim[0] - fx) <= POLISH_FATOL for fx in fsim[1:]
+    x, y = x0
+    s0 = (x, y)
+    s1 = ((1 + _NONZDELT) * x if x != 0 else _ZDELT, y)
+    s2 = (x, (1 + _NONZDELT) * y if y != 0 else _ZDELT)
+    s0, s1, s2, f0, f1, f2 = _ordered(s0, s1, s2, f(s0), f(s1), f(s2))
+
+    for _ in range(maxiter - 1):
+        (a0, b0), (a1, b1), (a2, b2) = s0, s1, s2
+        if (
+            abs(a1 - a0) <= xatol
+            and abs(b1 - b0) <= xatol
+            and abs(a2 - a0) <= xatol
+            and abs(b2 - b0) <= xatol
+            and abs(f0 - f1) <= fatol
+            and abs(f0 - f2) <= fatol
         ):
             break
 
-        xbar = [(a + b) / 2 for a, b in zip(best, sim[1])]
-        xr = tuple((1 + _RHO) * c - _RHO * w for c, w in zip(xbar, worst))
+        ca, cb = (a0 + a1) / 2, (b0 + b1) / 2
+        xr = (reflect * ca - rho * a2, reflect * cb - rho * b2)
         fxr = f(xr)
         shrink = False
-        if fxr < fsim[0]:
-            xe = tuple((1 + _RHO * _CHI) * c - _RHO * _CHI * w for c, w in zip(xbar, worst))
+        if fxr < f0:
+            xe = (expand * ca - rho_chi * a2, expand * cb - rho_chi * b2)
             fxe = f(xe)
-            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
-        elif fxr < fsim[-2]:
-            sim[-1], fsim[-1] = xr, fxr
-        elif fxr < fsim[-1]:
-            # contract outside
-            xc = tuple((1 + _PSI * _RHO) * c - _PSI * _RHO * w for c, w in zip(xbar, worst))
+            s2, f2 = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < f1:
+            s2, f2 = xr, fxr
+        elif fxr < f2:
+            xc = (outside * ca - psi_rho * a2, outside * cb - psi_rho * b2)
             fxc = f(xc)
             if fxc <= fxr:
-                sim[-1], fsim[-1] = xc, fxc
+                s2, f2 = xc, fxc
             else:
                 shrink = True
         else:
-            # contract inside
-            xcc = tuple((1 - _PSI) * c + _PSI * w for c, w in zip(xbar, worst))
+            xcc = (inside * ca + psi * a2, inside * cb + psi * b2)
             fxcc = f(xcc)
-            if fxcc < fsim[-1]:
-                sim[-1], fsim[-1] = xcc, fxcc
+            if fxcc < f2:
+                s2, f2 = xcc, fxcc
             else:
                 shrink = True
         if shrink:
-            for j in (1, 2):
-                sim[j] = tuple(b + _SIGMA * (xj - b) for xj, b in zip(sim[j], best))
-                fsim[j] = f(sim[j])
-        iterations += 1
-        sim, fsim = _ordered(sim, fsim)
-    return sim[0], fsim[0]
+            s1 = (a0 + sigma * (a1 - a0), b0 + sigma * (b1 - b0))
+            f1 = f(s1)
+            s2 = (a0 + sigma * (a2 - a0), b0 + sigma * (b2 - b0))
+            f2 = f(s2)
+        s0, s1, s2, f0, f1, f2 = _ordered(s0, s1, s2, f0, f1, f2)
+    return s0, f0
 
 
 def check_111(

@@ -173,6 +173,33 @@ def test_classify_refutes_111_where_the_slack_products_overflow():
     assert alpha_slack(p, complex(*verdict["alpha"])) < -1e-9
 
 
+@pytest.mark.parametrize(
+    "s, t, u",
+    [
+        ("0,0,0,0", "1e305,1e305,0,0", "1e306:0,0:0,0:0,0:0"),
+        ("1,1,1,1", "1,1,1,1", "1.5e308:1.5e308,0:0,0:0,0:0"),
+    ],
+    ids=["inf-times-zero", "u-times-alpha"],
+)
+def test_classify_refutes_111_where_slack_terms_overflow(s, t, u):
+    # a root product reads inf * 0, or u_1 conj(alpha) overflows; the
+    # refutation's alpha must re-validate, and nothing may reach stderr
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "triwit.cli", "classify", "--s", s, "--t", t, "--u", u],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    verdict = json.loads(proc.stdout)["results"]["classes"]["1,1,1"]
+    assert verdict["verdict"] == "refuted"
+    u_parsed = [complex(*map(float, z.split(":"))) for z in u.split(",")]
+    p = QubitWitnessParams(s=tuple(map(float, s.split(","))), t=tuple(map(float, t.split(","))), u=tuple(u_parsed))
+    assert alpha_slack(p, complex(*verdict["alpha"])) < 0
+
+
 def test_pair_ghz_with_witness(tmp_path, capsys):
     state = _write(tmp_path / "ghz.json", _ghz_state_doc())
     code, out = _run(

@@ -276,12 +276,30 @@ def test_min_gen_eig_matches_pinv_whitening(least):
 @pytest.mark.parametrize("g", [0.0, 1e-300, 1e-9, 2e-9, 0.5, 1.0, 1.5, 1e300, np.inf, np.nan])
 def test_scalar_floor_is_the_whitening_rule(g, psd_abs):
     # the see-saw's cut loop floors its 1x1 Gram matrix with _above_floor
-    # in place of _whitening; the two must keep the same values, and neither
-    # keeps a NaN (_whitening's eigensolve fails on it)
+    # in place of _whitening; the two must keep the same values, neither
+    # keeps a NaN or inf, and _whitening rejects every value it does not
+    # keep as a degenerate pencil, which the see-saw re-draws
     tol = Tolerance(psd_abs=psd_abs)
     try:
         _whitening(np.array([[g]], dtype=complex), tol)
         kept = True
-    except (DegeneratePencil, np.linalg.LinAlgError):
+    except DegeneratePencil:
         kept = False
     assert _above_floor(g, tol) is kept
+
+
+@pytest.mark.parametrize(
+    "b",
+    [
+        [[np.nan, 0], [0, 1]],
+        [[1, 0], [0, np.nan]],
+        [[2, 1], [1, np.nan]],
+        [[np.inf, 0], [0, 1]],
+        [[1, np.nan], [np.nan, 1]],
+    ],
+)
+def test_whitening_rejects_a_non_finite_gram(b):
+    # the eigensolver fails on some of these and returns finite eigenvalues
+    # with NaN columns on others; either way the pencil is degenerate
+    with pytest.raises(DegeneratePencil):
+        _whitening(np.array(b, dtype=complex), DEFAULT_TOL)

@@ -3,6 +3,7 @@
 scipy is a test dependency only; the package itself must not import it.
 """
 
+import itertools
 import math
 import os
 import subprocess
@@ -23,6 +24,7 @@ from triwit.witness import (
     RADIUS_MIN,
     REFINE,
     _nelder_mead,
+    _ordered,
     _polish_alpha,
     _polish_objective,
 )
@@ -35,13 +37,36 @@ def _hex(x):
     return [float(v).hex() for v in x]
 
 
+def _recorded(f, points):
+    """``f``, appending each point it is evaluated at to ``points``."""
+
+    def g(x):
+        points.append(_hex(x))
+        return f(x)
+
+    return g
+
+
 def _same_as_scipy(f, x0):
-    """Run both minimizers from ``x0``; assert the same point and value, bit for bit."""
-    res = minimize(f, np.array(x0, dtype=float), method="Nelder-Mead", options=OPTIONS)
-    x, val = _nelder_mead(f, tuple(float(v) for v in x0))
+    """Run both minimizers from ``x0``; assert they evaluate ``f`` at the same
+    points in the same order and return the same point and value, bit for bit."""
+    want, got = [], []
+    res = minimize(_recorded(f, want), np.array(x0, dtype=float), method="Nelder-Mead", options=OPTIONS)
+    x, val = _nelder_mead(_recorded(f, got), tuple(float(v) for v in x0))
+    assert got == want
     assert _hex(x) == _hex(res.x)
     assert _hex([val]) == _hex([res.fun])
     return res
+
+
+def test_ordered_is_numpy_argsort_on_three_values():
+    # all 216 patterns of signed zeros, infinities and NaN: the 125 NaN-free
+    # ones take the insertion sort, the other 91 the keyed sort
+    for values in itertools.product([0.0, -0.0, 1.0, math.inf, -math.inf, math.nan], repeat=3):
+        order = np.argsort(np.array(values)).tolist()
+        got = _ordered("a", "b", "c", *values)
+        assert list(got[:3]) == ["abc"[i] for i in order], values
+        assert _hex(got[3:]) == _hex([values[i] for i in order]), values
 
 
 def _grid_params(rng):

@@ -187,6 +187,34 @@ def test_check_111_refutes_where_the_slack_products_overflow():
         assert alpha_slack(p, verdict.alpha) < -1e-9
 
 
+# t_j m overflows next to a zero factor, so a root product reads inf * 0;
+# or u_1 conj(alpha) overflows.  The true slack is -1e306 |alpha|, and -inf.
+# Each case: the parameters, and an alpha with its slack.
+SLACK_TERM_OVERFLOWS = {
+    "inf-times-zero": (
+        QubitWitnessParams(s=(0.0,) * 4, t=(1e305, 1e305, 0.0, 0.0), u=(1e306, 0, 0, 0)),
+        100.0,  # t_1 m = 1e309 overflows, but its factor s_1 + t_4 m is 0
+        -1e308,
+    ),
+    "u-times-alpha": (
+        QubitWitnessParams(s=(1.0,) * 4, t=(1.0,) * 4, u=(1.5e308 + 1.5e308j, 0, 0, 0)),
+        1.0,
+        -math.inf,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", SLACK_TERM_OVERFLOWS)
+def test_check_111_refutes_where_slack_terms_overflow(name):
+    p, alpha, slack = SLACK_TERM_OVERFLOWS[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert float(alpha_slack(p, alpha)) == pytest.approx(slack, rel=1e-15)
+        verdict = check_111(p)
+        assert verdict.verdict is Verdict.REFUTED
+        assert alpha_slack(p, verdict.alpha) < 0
+
+
 def test_overflowing_sums_certify_nothing():
     # each sqrt(s_i t_i) = 1.6e308 < |u_i| = 1.7e308, but a sum of two overflows
     p = QubitWitnessParams(s=(1.6e308,) * 4, t=(1.6e308,) * 4, u=(1.7e308,) * 4)

@@ -256,21 +256,17 @@ def _polish_objective(params: QubitWitnessParams):
 def _ordered(s0, s1, s2, f0, f1, f2):
     """The vertices ``s0, s1, s2`` and values ``f0, f1, f2``, ordered as numpy's argsort orders 3 values.
 
-    Ascending by value, ties kept in place and NaN last.  Without NaN this is an
-    insertion sort in which only a strictly smaller value moves forward;
-    with NaN, a stable sort keyed by (is NaN, value).
+    An insertion sort under numpy's float less-than, ``a < b or (b is NaN
+    and a is not)``: only a strictly smaller value moves forward, so ties
+    (NaN against NaN, -0.0 against 0.0) keep their places and NaN goes last.
     """
-    if f0 == f0 and f1 == f1 and f2 == f2:
-        if f1 < f0:
+    if f1 < f0 or f0 != f0 and f1 == f1:
+        s0, s1, f0, f1 = s1, s0, f1, f0
+    if f2 < f1 or f1 != f1 and f2 == f2:
+        s1, s2, f1, f2 = s2, s1, f2, f1
+        if f1 < f0 or f0 != f0 and f1 == f1:
             s0, s1, f0, f1 = s1, s0, f1, f0
-        if f2 < f1:
-            s1, s2, f1, f2 = s2, s1, f2, f1
-            if f1 < f0:
-                s0, s1, f0, f1 = s1, s0, f1, f0
-        return s0, s1, s2, f0, f1, f2
-    sim, fsim = (s0, s1, s2), (f0, f1, f2)
-    order = sorted(range(3), key=lambda i: (fsim[i] != fsim[i], fsim[i]))
-    return (*(sim[i] for i in order), *(fsim[i] for i in order))
+    return s0, s1, s2, f0, f1, f2
 
 
 def _nelder_mead(f, x0):

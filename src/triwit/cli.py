@@ -6,12 +6,15 @@ Vectors are {"dims": [a, b, c], "data": [[re, im], ...]}; operators add
 
 Exit codes: 0 success (including "no violation found"), 2 input error,
 3 contract violation (non-Hermitian input where Hermitian is required).
+``main(argv)`` may be called repeatedly in one process: the parser is
+built on first use and reused, and TRIWIT_SEED is read on each call.
 """
 
 from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -302,7 +305,9 @@ def _add_family_flags(p: argparse.ArgumentParser, required: bool) -> None:
     p.add_argument("--u", default=None, help="four complex values as re:im, e.g. 1:0,1:0,1:0,1:0")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on the first call; every later call shares it, so callers must not modify it."""
     parser = argparse.ArgumentParser(
         prog="triwit",
         description="Schmidt-rank triplets, witness classification and entanglement certification",
@@ -354,8 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         _emit(args.func(args), args.out)
     except NotHermitian as exc:

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotAdmissible, ZeroVector
 from .linalg import DEFAULT_TOL, Tolerance, _spectrum_rank, svd_rank
-from .tensor import Permutation3, TriDims, TriVector, flip, multi_unfold
+from .tensor import Permutation3, TriDims, TriVector, multi_unfold
 
 
 class SchmidtRank(NamedTuple):
@@ -147,20 +147,18 @@ def _construct_ascending(al: int, be: int, ga: int, dims: tuple[int, int, int]) 
 def construct_state_with_sr(t, dims: TriDims) -> TriVector:
     """Return a vector whose rank triplet equals ``t`` exactly.
 
-    The target is sorted ascending, the three-block construction is applied
-    with standard basis vectors in the correspondingly permuted dimensions,
-    and the result is flipped back.  Raises NotAdmissible outside the
-    admissible region.
+    The parties are put in the stable ascending order of ``t``, the
+    three-block construction is applied with standard basis vectors in the
+    correspondingly permuted dimensions, and the tensor is transposed back
+    by the inverse order, which is what flipping the sorted vector would
+    give.  Raises NotAdmissible outside the admissible region.
     """
     t = tuple(int(x) for x in tuple(t))
     if not admissible(t, dims):
         raise NotAdmissible(f"rank triplet {t} is not admissible in dims {dims.as_tuple()}")
-    order = Permutation3(tuple(int(i) for i in np.argsort(t, kind="stable")))
-    ts = order.apply(t)
-    ds = order.apply(dims.as_tuple())
-    tensor = _construct_ascending(*ts, ds)
-    sorted_vec = TriVector(TriDims(*ds), tensor.ravel())
-    return flip(sorted_vec, order.inverse())
+    order = Permutation3(tuple(sorted(range(3), key=t.__getitem__)))
+    tensor = _construct_ascending(*order.apply(t), order.apply(dims.as_tuple()))
+    return TriVector(dims, tensor.transpose(order.inverse().image).ravel())
 
 
 def multirank(xi, dims, tol: Tolerance = DEFAULT_TOL) -> list[int]:

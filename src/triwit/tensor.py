@@ -85,7 +85,7 @@ def _as_finite_complex(data, length: int, what: str) -> np.ndarray:
     arr = np.asarray(data, dtype=complex).reshape(-1)
     if arr.size != length:
         raise DimMismatch(f"{what}: expected {length} entries, got {arr.size}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError(f"{what}: entries must be finite")
     return arr
 
@@ -119,7 +119,7 @@ class TriOperator:
         mat = np.asarray(self.mat, dtype=complex)
         if mat.shape != (n, n):
             raise DimMismatch(f"TriOperator: expected shape {(n, n)}, got {mat.shape}")
-        if not np.all(np.isfinite(mat)):
+        if not np.isfinite(mat).all():
             raise ValueError("TriOperator: entries must be finite")
         object.__setattr__(self, "mat", mat)
 

@@ -223,6 +223,39 @@ _LOG_LO = math.log(RADIUS_MIN) - 3.0
 _LOG_HI = math.log(RADIUS_MAX) + 3.0
 
 
+# every term of alpha_slack at |alpha| <= exp(_LOG_HI) is below 2**(e + 5),
+# where e is the largest of the binary exponents (math.frexp) of max s, of
+# max t times the largest m = |alpha|**2, and of u's largest real or
+# imaginary part times the largest radius; e <= _EXP_MAX keeps them finite
+_EXP_R = math.frexp(math.exp(_LOG_HI))[1]
+_EXP_M = math.frexp(math.exp(_LOG_HI) ** 2)[1]
+_EXP_MAX = 1018
+
+
+def _scaled_for_slack(params: QubitWitnessParams) -> tuple[QubitWitnessParams, float]:
+    """``params`` times a power of two c at which no term of the slack can overflow, and c.
+
+    The slack is homogeneous of degree 1 in (s, t, u) and a power-of-two
+    scale is exact, so the slack at c (s, t, u) is c times the slack at
+    (s, t, u) wherever no term overflows or leaves the normal range.
+    Where no term can overflow unscaled, c = 1 and ``params`` come back as
+    they are.
+    """
+    e = max(
+        math.frexp(max(params.s))[1],
+        math.frexp(max(params.t))[1] + _EXP_M,
+        math.frexp(max(max(abs(z.real), abs(z.imag)) for z in params.u))[1] + _EXP_R,
+    )
+    if e <= _EXP_MAX:
+        return params, 1.0
+    c = 2.0 ** (_EXP_MAX - e)
+    return QubitWitnessParams(
+        s=tuple(x * c for x in params.s),
+        t=tuple(x * c for x in params.t),
+        u=tuple(complex(z.real * c, z.imag * c) for z in params.u),
+    ), c
+
+
 def _polish_alpha(log_radius: float, angle: float) -> complex:
     return math.exp(min(max(log_radius, _LOG_LO), _LOG_HI)) * cmath.exp(1j * angle)
 
@@ -353,7 +386,10 @@ def check_111(
     bigger class implies the bottom one).  Refuted with a witnessing alpha
     when the inequality fails beyond tolerance somewhere on the refined
     grid.  Otherwise the verdict is NumericallySupported, which is
-    explicitly not a proof.
+    explicitly not a proof.  Where a term of the slack could overflow, the
+    grid and polish run on (s, t, u) scaled down by a power of two, against
+    the tolerance on the same scale, and the evidence is given in the
+    original units.
     """
     if _holds(params, range(4), tol):
         return ClassVerdict(Verdict.CERTIFIED, "sum criterion: sum sqrt(s_i t_i) >= sum |u_i|")
@@ -364,19 +400,20 @@ def check_111(
     radii = np.geomspace(RADIUS_MIN, RADIUS_MAX, grid.radii)
     angles = np.linspace(0.0, 2.0 * np.pi, grid.angles, endpoint=False)
     alphas = radii[:, None] * np.exp(1j * angles[None, :])
-    slack = alpha_slack(params, alphas)
+    scaled, scale = _scaled_for_slack(params)
+    slack = alpha_slack(scaled, alphas)
 
-    objective = _polish_objective(params)
+    objective = _polish_objective(scaled)
     best_alpha, best_slack = None, np.inf
     for idx in np.argsort(slack, axis=None)[:REFINE]:
         alpha0 = alphas.ravel()[idx]
         (log_radius, angle), val = _nelder_mead(objective, (math.log(abs(alpha0)), float(np.angle(alpha0))))
         if val < best_slack:
             best_alpha, best_slack = _polish_alpha(log_radius, angle), val
-    if best_slack < -tol.ineq_abs:
+    if best_slack < -tol.ineq_abs * scale:
         return ClassVerdict(
             Verdict.REFUTED,
-            f"inequality fails by {-best_slack:.3e} at alpha = {best_alpha:.6g}",
+            f"inequality fails by {-best_slack / scale:.3e} at alpha = {best_alpha:.6g}",
             alpha=complex(best_alpha),
         )
     return ClassVerdict(

@@ -11,11 +11,13 @@ import pytest
 from triwit.cli import main, operator_to_json, read_vector, vector_to_json
 from triwit import (
     QubitWitnessParams,
+    __version__,
     TriDims,
     TriOperator,
     TriVector,
     alpha_slack,
     cli,
+    construct_state_with_sr,
     family_choi,
     genuine_witness,
 )
@@ -171,6 +173,25 @@ def test_classify_refutes_111_where_the_slack_products_overflow():
     assert verdict["verdict"] == "refuted"
     p = QubitWitnessParams(s=(1e200,) * 4, t=(1e200,) * 4, u=(1e300,) * 4)
     assert alpha_slack(p, complex(*verdict["alpha"])) < -1e-9
+
+
+def test_classify_refutes_111_where_the_slack_sums_overflow():
+    # s_i + t_j m overflows, so the unscaled slack reads inf - inf at alpha = 1,
+    # where it is 4 (1.6e308 - 1.7e308); the refutation must be found with
+    # nothing on stderr, and its alpha must violate the draw scaled by 2**-64
+    argv = ["classify", "--s", ",".join(["1.6e308"] * 4), "--t", ",".join(["1.6e308"] * 4)]
+    argv += ["--u", ",".join(["1.7e308:0"] * 4)]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "triwit.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    verdict = json.loads(proc.stdout)["results"]["classes"]["1,1,1"]
+    assert verdict["verdict"] == "refuted"
+    small = QubitWitnessParams(s=(1.6e308 * 2**-64,) * 4, t=(1.6e308 * 2**-64,) * 4, u=(1.7e308 * 2**-64,) * 4)
+    slack = float(alpha_slack(small, complex(*verdict["alpha"])))
+    assert slack < 0
+    assert float(verdict["evidence"].split()[3]) == pytest.approx(-slack * 2**64, rel=1e-3)
 
 
 @pytest.mark.parametrize(
@@ -329,6 +350,45 @@ def test_env_seed_default(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("TRIWIT_SEED", "123")
     _, again = _run(capsys, argv)
     assert with_env == again
+
+
+def test_parser_is_built_once():
+    assert cli.build_parser() is cli.build_parser()
+
+
+def test_reused_parser_gives_identical_reports(tmp_path, capsys):
+    # every subcommand twice in one process, in two orders, with an argparse
+    # error and --version between the rounds: the --out reports must not move
+    vec = _write(tmp_path / "vec.json", vector_to_json(construct_state_with_sr((2, 2, 3), TriDims(2, 2, 3))))
+    state = _write(tmp_path / "ghz.json", _ghz_state_doc())
+    witness = _write(tmp_path / "w.json", _witness_doc())
+    family = ["--s", "1.6,1.6,1.6,1.6", "--t", "1.6,1.6,1.6,1.6", "--u", "1.7:0,1.7:0,1.7:0,1.7:0"]
+    commands = {
+        "sr": ["sr", vec],
+        "classify": ["classify", *family, "--grid-radii", "8", "--grid-angles", "8"],
+        "pair": ["pair", state, *family],
+        "search": ["search", witness, "--sr", "1,2,2", "--restarts", "2", "--seed", "5"],
+        "gen": ["gen", "--sr", "1,2,2", "--dims", "2,2,2", "--sample", "--seed", "3"],
+    }
+
+    def run_all(order, tag):
+        reports = {}
+        for name in order:
+            out = tmp_path / f"{name}-{tag}.json"
+            assert main([*commands[name], "--out", str(out)]) == 0
+            reports[name] = out.read_bytes()
+        return reports
+
+    first = run_all(list(commands), "first")
+    with pytest.raises(SystemExit) as exc:
+        main(["search", witness])  # no --sr
+    assert exc.value.code == 2
+    with pytest.raises(SystemExit) as exc:
+        main(["--version"])
+    assert exc.value.code == 0
+    assert capsys.readouterr().out == f"triwit {__version__}\n" == "triwit 0.1.0\n"
+    second = run_all(reversed(list(commands)), "second")
+    assert first == second
 
 
 def test_vector_json_full_precision_round_trip(tmp_path):

@@ -5,6 +5,7 @@ from triwit import (
     ALL_PERMUTATIONS,
     DimMismatch,
     NotAdmissible,
+    Permutation3,
     SchmidtRank,
     TriDims,
     TriVector,
@@ -19,6 +20,7 @@ from triwit import (
     schmidt_rank_by_definition,
     sr_leq,
 )
+from triwit.schmidt import _construct_ascending
 
 QUBITS = TriDims(2, 2, 2)
 
@@ -124,6 +126,20 @@ def test_construct_exhaustive_333():
     for t in all_admissible(dims):
         xi = construct_state_with_sr(t, dims)
         assert schmidt_rank(xi) == t
+
+
+@pytest.mark.parametrize("d", [(1, 2, 3), (2, 3, 4), (3, 3, 2), (4, 2, 3), (4, 4, 4)])
+def test_construct_equals_flipping_the_sorted_vector_back(d):
+    # the direct transpose must give, bit for bit, the vector built on the
+    # stably sorted dims and flipped back by the inverse order; ties included
+    dims = TriDims(*d)
+    for t in all_admissible(dims):
+        order = Permutation3(tuple(int(i) for i in np.argsort(t, kind="stable")))
+        ds = order.apply(d)
+        want = flip(TriVector(TriDims(*ds), _construct_ascending(*order.apply(t), ds).ravel()), order.inverse())
+        got = construct_state_with_sr(t, dims)
+        assert got.dims == want.dims == dims
+        assert got.data.tobytes() == want.data.tobytes(), t
 
 
 def test_construct_rejects_inadmissible():

@@ -21,7 +21,7 @@ from triwit import (
     is_completely_positive,
     permute_dual,
 )
-from triwit.witness import PAIR_CLASSES
+from triwit.witness import _LOG_HI, PAIR_CLASSES, _scaled_for_slack
 
 
 def _rand_params(rng, u_scale=1.0):
@@ -213,6 +213,52 @@ def test_check_111_refutes_where_slack_terms_overflow(name):
         verdict = check_111(p)
         assert verdict.verdict is Verdict.REFUTED
         assert alpha_slack(p, verdict.alpha) < 0
+
+
+def test_check_111_refutes_where_the_slack_sums_overflow():
+    # s_i + t_j m overflows, so the unscaled slack at alpha = 1 reads
+    # inf - inf, though it is 4 (1.6e308 - 1.7e308) = -4e307 there
+    p = QubitWitnessParams(s=(1.6e308,) * 4, t=(1.6e308,) * 4, u=(1.7e308,) * 4)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert math.isnan(alpha_slack(p, 1.0))
+        verdict = check_111(p)
+    assert verdict.verdict is Verdict.REFUTED
+    # the slack is homogeneous of degree 1, so the alpha violates every
+    # power-of-two rescaling of the draw, by the reported amount rescaled
+    small = QubitWitnessParams(s=(1.6e308 * 2**-64,) * 4, t=(1.6e308 * 2**-64,) * 4, u=(1.7e308 * 2**-64,) * 4)
+    slack = float(alpha_slack(small, verdict.alpha))
+    assert slack == pytest.approx(-4e307 * 2**-64, rel=0.05)
+    assert float(verdict.evidence.split()[3]) == pytest.approx(-slack * 2**64, rel=1e-3)
+    # and it is the verdict of the unscaled path run on the exactly scaled draw
+    scaled, c = _scaled_for_slack(p)
+    assert c < 1 and _scaled_for_slack(scaled) == (scaled, 1.0)
+    assert check_111(scaled).alpha == verdict.alpha
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        QubitWitnessParams(s=(1e200,) * 4, t=(1e200,) * 4, u=(1e300,) * 4),
+        QubitWitnessParams(s=(1.6,) * 4, t=(1.6,) * 4, u=(1.7,) * 4),
+        QubitWitnessParams(s=(1e300,) * 4, t=(1e-300,) * 4, u=(1e-3,) * 4),
+    ],
+)
+def test_check_111_leaves_draws_without_overflow_unscaled(p):
+    scaled, c = _scaled_for_slack(p)
+    assert scaled is p and c == 1.0
+
+
+def test_scaled_slack_terms_stay_finite_at_the_float_maximum():
+    big = np.finfo(float).max
+    p = QubitWitnessParams(s=(big,) * 4, t=(big,) * 4, u=(complex(big, -big),) * 4)
+    scaled, c = _scaled_for_slack(p)
+    radii = np.geomspace(1e-12, math.exp(_LOG_HI), 200)
+    alphas = radii[:, None] * np.exp(1j * np.linspace(0.0, 2.0 * np.pi, 16))[None, :]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert np.isfinite(alpha_slack(scaled, alphas)).all()
+        assert check_111(p).verdict is Verdict.REFUTED
 
 
 def test_overflowing_sums_certify_nothing():

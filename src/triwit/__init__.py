@@ -26,7 +26,7 @@ from .errors import (
     TriwitError,
     ZeroVector,
 )
-from .linalg import DEFAULT_TOL, Tolerance, hermitian_eig, kron, min_gen_eig, svd_rank
+from .linalg import DEFAULT_TOL, Tolerance, hermitian_eig, min_gen_eig, svd_rank
 from .schmidt import (
     PosTriple,
     SchmidtRank,

@@ -4,16 +4,18 @@ Complex numbers serialize as [re, im] pairs, row-major, never as strings.
 Vectors are {"dims": [a, b, c], "data": [[re, im], ...]}; operators add
 "rows" and "cols".  Reports are deterministic for fixed inputs and seed.
 
-Exit codes: 0 success (including "no violation found"), 2 input error,
-3 contract violation (non-Hermitian input where Hermitian is required).
-``main(argv)`` may be called repeatedly in one process: the parser is
-built on first use and reused, and TRIWIT_SEED is read on each call.
+Exit codes, all returned by ``main(argv)``, which never raises SystemExit:
+0 success (including "no violation found", --help and --version), 2 input
+error (argparse usage errors too), 3 contract violation (non-Hermitian input
+where Hermitian is required).  ``main`` may be called repeatedly in one
+process; TRIWIT_SEED is read on each call.  Each command takes only the
+--tol-* flags it reads and echoes exactly those in its report: sr --tol-rank
+and --tol-psd, classify --tol-ineq, search all three, pair none.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import functools
 import hashlib
 import json
@@ -36,6 +38,12 @@ from .witness import AlphaGrid, QubitWitnessParams, classify, family_choi
 # the JSON costs about 420 bytes an entry (2**20 entries peak at 515 MB RSS
 # on CPython 3.11, x86-64), so this bound keeps gen well under a gigabyte.
 GEN_MAX_ENTRIES = 2**20
+
+_TOL_FLAGS = {
+    "rank_rel": ("--tol-rank", "relative singular-value cutoff"),
+    "psd_abs": ("--tol-psd", "eigenvalue floor (norm-scaled)"),
+    "ineq_abs": ("--tol-ineq", "inequality slack"),
+}
 
 
 # ---------------------------------------------------------------------------
@@ -65,7 +73,7 @@ def _read_array(path: str, dims_flag=None) -> tuple[TriDims, np.ndarray, str]:
     This is the only reader of the interchange format.  ``dims`` (or
     ``dims_flag``, which overrides it) must be three integers, ``data`` a
     list of ``[re, im]`` pairs of finite reals, and ``rows``/``cols``, when
-    present, the square shape the dims imply.  Raises TriwitError otherwise.
+    present, integers equal to ``a*b*c``.  Raises TriwitError otherwise.
     """
     doc, digest = _load_json(path)
     if not isinstance(doc, dict):
@@ -99,7 +107,7 @@ def _read_array(path: str, dims_flag=None) -> tuple[TriDims, np.ndarray, str]:
     n = dims.total
     if "rows" in doc or "cols" in doc:
         rows, cols = doc.get("rows", n), doc.get("cols", n)
-        if (rows, cols) != (n, n) or entries.size != n * n:
+        if type(rows) is not int or type(cols) is not int or (rows, cols) != (n, n) or entries.size != n * n:
             raise TriwitError(f"operator shape {rows}x{cols} does not match dims {dims.as_tuple()}")
     return dims, entries, digest
 
@@ -154,8 +162,8 @@ def _complex_flag(text: str) -> complex:
     return complex(float(re), float(im) if im else 0.0)
 
 
-def _tolerance(args) -> Tolerance:
-    return Tolerance(rank_rel=args.tol_rank, psd_abs=args.tol_psd, ineq_abs=args.tol_ineq)
+def _given_tolerances(args) -> dict:
+    return {field: value for field, value in vars(args).items() if field in _TOL_FLAGS}
 
 
 def _seed(args) -> int:
@@ -178,7 +186,7 @@ def _report(command: str, args, inputs: dict, results: dict) -> dict:
         "command": command,
         "inputs": inputs,
         "results": results,
-        "tolerance": dataclasses.asdict(_tolerance(args)),
+        "tolerance": _given_tolerances(args),
         "version": __version__,
     }
 
@@ -199,7 +207,7 @@ def cmd_sr(args) -> dict:
     dims_flag = _parse_tuple(args.dims, 3, "--dims", int) if args.dims else None
     dims, data, digest = _read_array(args.vector, dims_flag)
     xi = TriVector(dims, data)
-    tol = _tolerance(args)
+    tol = Tolerance(**_given_tolerances(args))
     spectra = _mode_spectra(xi.data, dims.as_tuple(), tol)
     rank = SchmidtRank(*(_spectrum_rank(s, tol) for s in spectra))
     sing = {mode: sorted(s.tolist(), reverse=True) for mode, s in zip(("A", "B", "C"), spectra)}
@@ -215,7 +223,7 @@ def cmd_sr(args) -> dict:
 
 def cmd_classify(args) -> dict:
     params, payload = _family_params(args)
-    tol = _tolerance(args)
+    tol = Tolerance(**_given_tolerances(args))
     grid = AlphaGrid(radii=args.grid_radii, angles=args.grid_angles)
     report = classify(params, tol, grid)
     classes = {}
@@ -235,6 +243,8 @@ def cmd_classify(args) -> dict:
 
 def _map_from_args(args, what: str) -> tuple[BiLinearMap, dict]:
     path = getattr(args, what)
+    if path and (args.s, args.t, args.u) != (None, None, None):
+        raise TriwitError(f"give either a {what} file or family parameters --s/--t/--u, not both")
     if path:
         op, digest = _read_operator(path)
         return BiLinearMap(op.dims, op), {what: path, "sha256": digest}
@@ -256,7 +266,7 @@ def cmd_pair(args) -> dict:
 def cmd_search(args) -> dict:
     phi, inputs = _map_from_args(args, "witness")
     target = _parse_tuple(args.sr, 3, "--sr", int)
-    tol = _tolerance(args)
+    tol = Tolerance(**_given_tolerances(args))
     cfg = SeesawConfig(restarts=args.restarts, max_sweeps=args.sweeps, seed=_seed(args))
     outcome = violation_search(phi.choi, target, cfg, tol)
     if isinstance(outcome, NoViolation):
@@ -293,10 +303,10 @@ def cmd_gen(args) -> dict:
 # ---------------------------------------------------------------------------
 # parser
 
-def _add_tol_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--tol-rank", type=float, default=DEFAULT_TOL.rank_rel, help="relative singular-value cutoff")
-    p.add_argument("--tol-psd", type=float, default=DEFAULT_TOL.psd_abs, help="eigenvalue floor (norm-scaled)")
-    p.add_argument("--tol-ineq", type=float, default=DEFAULT_TOL.ineq_abs, help="inequality slack")
+def _add_tol_flags(p: argparse.ArgumentParser, *fields: str) -> None:
+    for field in fields:
+        flag, text = _TOL_FLAGS[field]
+        p.add_argument(flag, dest=field, type=float, default=getattr(DEFAULT_TOL, field), help=text)
 
 
 def _add_family_flags(p: argparse.ArgumentParser, required: bool) -> None:
@@ -318,21 +328,20 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sr", help="Schmidt-rank triplet of a vector file")
     p.add_argument("vector", help="JSON vector file")
     p.add_argument("--dims", default=None, help="a,b,c (overrides the file)")
-    _add_tol_flags(p)
+    _add_tol_flags(p, "rank_rel", "psd_abs")
     p.set_defaults(func=cmd_sr)
 
     p = sub.add_parser("classify", help="positivity classes of a witness-family member")
     _add_family_flags(p, required=True)
     p.add_argument("--grid-radii", type=int, default=AlphaGrid.radii)
     p.add_argument("--grid-angles", type=int, default=AlphaGrid.angles)
-    _add_tol_flags(p)
+    _add_tol_flags(p, "ineq_abs")
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("pair", help="duality pairing of a state with a map")
     p.add_argument("state", help="JSON state file (operator, or vector promoted to a projector)")
     p.add_argument("--map", default=None, help="JSON Choi-matrix file")
     _add_family_flags(p, required=False)
-    _add_tol_flags(p)
     p.set_defaults(func=cmd_pair)
 
     p = sub.add_parser("search", help="see-saw search for a block-positivity violation")
@@ -342,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--restarts", type=int, default=SeesawConfig.restarts)
     p.add_argument("--sweeps", type=int, default=SeesawConfig.max_sweeps)
     p.add_argument("--seed", type=int, default=None, help="defaults to $TRIWIT_SEED or 0")
-    _add_tol_flags(p)
+    _add_tol_flags(p, "rank_rel", "psd_abs", "ineq_abs")
     p.set_defaults(func=cmd_search)
 
     p = sub.add_parser("gen", help="generate a vector with an exact rank triplet, or sample a state")
@@ -359,9 +368,11 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         _emit(args.func(args), args.out)
+    except SystemExit as exc:  # argparse, after printing: a usage error (2), --help or --version (0)
+        return exc.code
     except NotHermitian as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

@@ -20,7 +20,6 @@ from .errors import DegeneratePencil, NotHermitian
 __all__ = [
     "Tolerance",
     "DEFAULT_TOL",
-    "kron",
     "hermitize",
     "hermitian_eig",
     "svd_rank",
@@ -49,11 +48,6 @@ class Tolerance:
 
 
 DEFAULT_TOL = Tolerance()
-
-
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product, row-major convention (second factor varies fastest)."""
-    return np.kron(np.asarray(a, dtype=complex), np.asarray(b, dtype=complex))
 
 
 def hermitize(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:

@@ -20,7 +20,6 @@ from triwit import (
     from_function,
     is_completely_positive,
     kraus_decompose,
-    kron,
     pair,
     permute_dual,
     transpose_full,
@@ -61,7 +60,7 @@ def test_apply_identity_elementary_is_kron():
     dims = TriDims(2, 2, 4)
     phi = elementary(np.eye(4), dims)
     x, y = _rand_complex(rng, (2, 2)), _rand_complex(rng, (2, 2))
-    np.testing.assert_allclose(apply(phi, x, y), kron(x, y), atol=1e-12)
+    np.testing.assert_allclose(apply(phi, x, y), np.kron(x, y), atol=1e-12)
 
 
 def test_apply_family_closed_form():
@@ -122,7 +121,7 @@ def test_elementary_matches_direct_formula():
     for _ in range(10):
         x, y = _rand_complex(rng, (2, 2)), _rand_complex(rng, (3, 3))
         np.testing.assert_allclose(
-            apply(phi, x, y), v @ kron(x, y) @ v.conj().T, atol=1e-10
+            apply(phi, x, y), v @ np.kron(x, y) @ v.conj().T, atol=1e-10
         )
 
 
@@ -133,7 +132,7 @@ def test_kraus_hadamard_single_factor():
     rng = np.random.default_rng(44)
     x, y = _rand_complex(rng, (2, 2)), _rand_complex(rng, (2, 2))
     v = factors[0]
-    np.testing.assert_allclose(v @ kron(x, y) @ v.conj().T, x * y, atol=1e-12)
+    np.testing.assert_allclose(v @ np.kron(x, y) @ v.conj().T, x * y, atol=1e-12)
 
 
 def test_kraus_rank_one_round_trip():
@@ -202,7 +201,7 @@ def test_pair_product_state_dual_route():
     phi = family_choi(_rand_params(rng))
     for _ in range(20):
         u, v, w = (_rand_complex(rng, (2, 2)) for _ in range(3))
-        rho = TriOperator(QUBITS, kron(kron(u, v), w))
+        rho = TriOperator(QUBITS, np.kron(np.kron(u, v), w))
         direct = pair(rho, phi)
         via_map = np.trace(apply(phi, u, v) @ w.T)
         assert abs(direct - via_map) <= 1e-10
@@ -329,7 +328,7 @@ def test_contract_ab_factorized_input_matches_apply():
     phi = family_choi(_rand_params(rng))
     x, y = _rand_complex(rng, (2, 2)), _rand_complex(rng, (2, 2))
     np.testing.assert_allclose(
-        contract_ab(phi, kron(x, y)), apply(phi, x, y), atol=1e-12
+        contract_ab(phi, np.kron(x, y)), apply(phi, x, y), atol=1e-12
     )
 
 

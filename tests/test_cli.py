@@ -10,6 +10,7 @@ import pytest
 
 from triwit.cli import main, operator_to_json, read_vector, vector_to_json
 from triwit import (
+    DEFAULT_TOL,
     QubitWitnessParams,
     __version__,
     TriDims,
@@ -29,6 +30,14 @@ def _run(capsys, argv):
     code = main(argv)
     out = capsys.readouterr().out
     return code, out
+
+
+def _run_module(argv):
+    """``python -m triwit.cli`` with ``argv``, importing this checkout's package."""
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
+    return subprocess.run(
+        [sys.executable, "-m", "triwit.cli", *argv], capture_output=True, text=True, env=env, timeout=120
+    )
 
 
 def _write(path, doc):
@@ -163,10 +172,7 @@ def test_classify_refutes_111_where_the_slack_products_overflow():
     # found, its alpha must re-validate, and nothing may reach stderr
     big = ",".join(["1e200"] * 4)
     argv = ["classify", "--s", big, "--t", big, "--u", ",".join(["1e300:0"] * 4)]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "triwit.cli", *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = _run_module(argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     results = json.loads(proc.stdout)["results"]
     verdict = results["classes"]["1,1,1"]
@@ -181,10 +187,7 @@ def test_classify_refutes_111_where_the_slack_sums_overflow():
     # nothing on stderr, and its alpha must violate the draw scaled by 2**-64
     argv = ["classify", "--s", ",".join(["1.6e308"] * 4), "--t", ",".join(["1.6e308"] * 4)]
     argv += ["--u", ",".join(["1.7e308:0"] * 4)]
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "triwit.cli", *argv], capture_output=True, text=True, env=env, timeout=120
-    )
+    proc = _run_module(argv)
     assert (proc.returncode, proc.stderr) == (0, "")
     verdict = json.loads(proc.stdout)["results"]["classes"]["1,1,1"]
     assert verdict["verdict"] == "refuted"
@@ -205,14 +208,7 @@ def test_classify_refutes_111_where_the_slack_sums_overflow():
 def test_classify_refutes_111_where_slack_terms_overflow(s, t, u):
     # a root product reads inf * 0, or u_1 conj(alpha) overflows; the
     # refutation's alpha must re-validate, and nothing may reach stderr
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "triwit.cli", "classify", "--s", s, "--t", t, "--u", u],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=120,
-    )
+    proc = _run_module(["classify", "--s", s, "--t", t, "--u", u])
     assert (proc.returncode, proc.stderr) == (0, "")
     verdict = json.loads(proc.stdout)["results"]["classes"]["1,1,1"]
     assert verdict["verdict"] == "refuted"
@@ -294,6 +290,29 @@ def test_search_family_flags(capsys):
     assert abs(json.loads(out)["results"]["violation"]["value"] + 1.0) <= 1e-6
 
 
+@pytest.mark.parametrize(
+    "family",
+    [["--s", "9,9,9,9"], ["--t", "9,9,9,9"], ["--u", "0:0,0:0,0:0,0:0"],
+     ["--s", "9,9,9,9", "--t", "9,9,9,9", "--u", "0:0,0:0,0:0,0:0"]],
+    ids=["s", "t", "u", "all"],
+)
+@pytest.mark.parametrize("command", ["pair", "search"])
+def test_file_and_family_flags_together_exit_2(tmp_path, capsys, command, family):
+    # a map file and --s/--t/--u are two sources for one map; neither may be dropped silently
+    w = _write(tmp_path / "w.json", _witness_doc())
+    state = _write(tmp_path / "ghz.json", _ghz_state_doc())
+    what, argv = {
+        "pair": ("map", ["pair", state, "--map", w]),
+        "search": ("witness", ["search", w, "--sr", "1,2,2", "--restarts", "2", "--seed", "5"]),
+    }[command]
+    assert main(argv) == 0
+    capsys.readouterr()
+    assert main([*argv, *family]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"{what} file" in captured.err and "--s/--t/--u" in captured.err
+
+
 def test_search_rejects_non_hermitian(tmp_path, capsys):
     bad = np.triu(np.ones((8, 8)))
     path = _write(
@@ -358,7 +377,7 @@ def test_parser_is_built_once():
 
 def test_reused_parser_gives_identical_reports(tmp_path, capsys):
     # every subcommand twice in one process, in two orders, with an argparse
-    # error and --version between the rounds: the --out reports must not move
+    # error, --help and --version between the rounds: the --out reports must not move
     vec = _write(tmp_path / "vec.json", vector_to_json(construct_state_with_sr((2, 2, 3), TriDims(2, 2, 3))))
     state = _write(tmp_path / "ghz.json", _ghz_state_doc())
     witness = _write(tmp_path / "w.json", _witness_doc())
@@ -380,15 +399,53 @@ def test_reused_parser_gives_identical_reports(tmp_path, capsys):
         return reports
 
     first = run_all(list(commands), "first")
-    with pytest.raises(SystemExit) as exc:
-        main(["search", witness])  # no --sr
-    assert exc.value.code == 2
-    with pytest.raises(SystemExit) as exc:
-        main(["--version"])
-    assert exc.value.code == 0
+    assert main(["search", witness]) == 2  # no --sr
+    assert main(["sr", "--help"]) == 0
+    assert capsys.readouterr().out.startswith("usage: triwit sr ")
+    assert main(["--version"]) == 0
     assert capsys.readouterr().out == f"triwit {__version__}\n" == "triwit 0.1.0\n"
     second = run_all(reversed(list(commands)), "second")
     assert first == second
+
+
+TOL_FIELDS = {"--tol-rank": "rank_rel", "--tol-psd": "psd_abs", "--tol-ineq": "ineq_abs"}
+# the tolerance flags each report's computation reads; gen writes no report and takes none
+TOL_READ = {"sr": ["--tol-rank", "--tol-psd"], "classify": ["--tol-ineq"], "pair": [], "search": list(TOL_FIELDS)}
+
+
+def _report_argv(tmp_path, command):
+    if command == "sr":
+        vec = construct_state_with_sr((2, 2, 3), TriDims(2, 2, 3))
+        return ["sr", _write(tmp_path / "vec.json", vector_to_json(vec))]
+    if command == "classify":
+        return ["classify", "--s", "0,1,1,2", "--t", "0,1,1,2", "--grid-radii", "8", "--grid-angles", "8"]
+    witness = _write(tmp_path / "w.json", _witness_doc())
+    if command == "pair":
+        return ["pair", _write(tmp_path / "ghz.json", _ghz_state_doc()), "--map", witness]
+    return ["search", witness, "--sr", "1,2,2", "--restarts", "2", "--sweeps", "5", "--seed", "5"]
+
+
+@pytest.mark.parametrize("flag", [None, *TOL_FIELDS])
+@pytest.mark.parametrize("command", list(TOL_READ))
+def test_commands_take_only_the_tolerance_flags_they_read(tmp_path, capsys, command, flag):
+    argv = _report_argv(tmp_path, command)
+    code, out = _run(capsys, argv if flag is None else [*argv, flag, "0.5"])
+    if flag is not None and flag not in TOL_READ[command]:
+        assert (code, out) == (2, "")  # a usage error, returned by main
+        return
+    assert code == 0
+    report = json.loads(out)
+    assert set(report) == {"command", "inputs", "results", "tolerance", "version"}
+    echoed = {TOL_FIELDS[f]: 0.5 if f == flag else getattr(DEFAULT_TOL, TOL_FIELDS[f]) for f in TOL_READ[command]}
+    assert report["tolerance"] == echoed
+
+
+def test_module_entry_point_exit_codes():
+    bogus = _run_module(["--bogus"])
+    assert (bogus.returncode, bogus.stdout) == (2, "")
+    assert "usage: triwit" in bogus.stderr
+    version = _run_module(["--version"])
+    assert (version.returncode, version.stdout, version.stderr) == (0, "triwit 0.1.0\n", "")
 
 
 def test_vector_json_full_precision_round_trip(tmp_path):
@@ -423,6 +480,8 @@ def test_missing_file_exits_2(capsys):
         {"dims": [1, 1, 2], "data": [[1.0, 0.0], [10**400, 0]]},
         {"dims": [1, 1, 2], "data": "1,0,0,1"},
         {"dims": [1, 1, 2], "rows": 3, "cols": 3, "data": [[1.0, 0.0]] * 4},
+        {"dims": [1, 1, 1], "rows": True, "cols": 1.0, "data": [[1, 0]]},
+        {"dims": [1, 1, 2], "rows": 2.0, "data": [[1.0, 0.0]] * 4},
     ],
 )
 def test_malformed_input_file_exits_2(tmp_path, capsys, doc):
@@ -490,9 +549,7 @@ def test_gen_size_limit_counts_entries(capsys, monkeypatch):
 
 
 def test_gen_takes_no_tolerance_flags(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["gen", "--sr", "1,1,1", "--tol-rank", "1e-3"])
-    assert exc.value.code == 2
+    assert main(["gen", "--sr", "1,1,1", "--tol-rank", "1e-3"]) == 2
 
 
 @pytest.mark.parametrize(

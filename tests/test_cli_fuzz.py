@@ -2,7 +2,8 @@
 
 Arbitrary JSON documents go in as data files and arbitrary strings as the
 comma-separated flags; the CLI must answer 0, 2 (input error) or 3
-(non-Hermitian input) and never let an exception escape.  Flag values are
+(non-Hermitian input) and never let an exception escape, argparse's
+SystemExit included.  Flag values are
 built from small integers and digit-free text, so a fuzzed --sr or --dims
 never asks for a tensor larger than 6 x 6 x 6.
 """
@@ -66,10 +67,7 @@ triplets = _flag(3)
 def _exit_code(argv) -> int:
     sink = io.StringIO()
     with contextlib.redirect_stdout(sink), contextlib.redirect_stderr(sink):
-        try:
-            return main(argv)
-        except SystemExit as exc:  # argparse rejects a malformed command line this way
-            return exc.code
+        return main(argv)
 
 
 @FUZZ

@@ -7,7 +7,6 @@ from triwit import (
     NotHermitian,
     Tolerance,
     hermitian_eig,
-    kron,
     min_gen_eig,
     svd_rank,
 )
@@ -38,22 +37,6 @@ def test_tolerance_rejects_nonpositive():
 def test_tolerance_rejects_non_finite(field, value):
     with pytest.raises(ValueError):
         Tolerance(**{field: value})
-
-
-def test_kron_identity():
-    np.testing.assert_allclose(kron(np.eye(2), np.eye(2)), np.eye(4))
-
-
-def test_kron_diagonal():
-    got = kron(np.diag([1.0, 2.0]), np.diag([1.0, 0.0]))
-    np.testing.assert_allclose(got, np.diag([1.0, 0.0, 2.0, 0.0]))
-
-
-def test_kron_mixed_product_identity():
-    rng = np.random.default_rng(1)
-    a, b = _rand_complex(rng, (2, 2)), _rand_complex(rng, (2, 2))
-    u, v = _rand_complex(rng, 2), _rand_complex(rng, 2)
-    np.testing.assert_allclose(kron(a, b) @ np.kron(u, v), np.kron(a @ u, b @ v), atol=1e-12)
 
 
 def test_hermitian_eig_diagonal():

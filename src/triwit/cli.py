@@ -112,11 +112,6 @@ def _read_array(path: str, dims_flag=None) -> tuple[TriDims, np.ndarray, str]:
     return dims, entries, digest
 
 
-def read_vector(path: str) -> TriVector:
-    dims, data, _ = _read_array(path)
-    return TriVector(dims, data)
-
-
 def _read_operator(path: str) -> tuple[TriOperator, str]:
     """An operator file and its sha256; a vector file is promoted to its pure-state projector."""
     dims, data, digest = _read_array(path)

@@ -32,7 +32,7 @@ class Tolerance:
     """Numerical cutoffs shared across the package.
 
     rank_rel: singular values below ``rank_rel * sigma_max`` do not count
-        towards a rank.
+        towards a rank; it must be below 1, or not even sigma_max counts.
     psd_abs: eigenvalue floor; scaled by the matrix norm wherever it is used.
     ineq_abs: slack for scalar inequality checks, applied on the favorable
         side so exact boundary cases pass.
@@ -45,6 +45,8 @@ class Tolerance:
     def __post_init__(self):
         if not all(0 < x < math.inf for x in (self.rank_rel, self.psd_abs, self.ineq_abs)):
             raise ValueError("all tolerances must be positive and finite")
+        if self.rank_rel >= 1:
+            raise ValueError("rank_rel must be below 1")
 
 
 DEFAULT_TOL = Tolerance()

@@ -2,17 +2,18 @@
 
 The see-saw minimizes <xi|W|xi> over unit vectors whose rank triplet is
 bounded by a target.  The vector is parameterized by three factor blocks
-and a core; with all other blocks frozen, the vector is linear in the free
-block, so each update is an exact eigenproblem and the objective never
-increases.  The factors are kept orthonormal, so the core update is a
-standard eigenproblem, and no update builds a Jacobian (see
-:func:`seesaw_minimize`).  A cut target, such as (1, 2, 2) on qubits (the
-bi-separable states across one cut), runs a dedicated loop: the vector is
-u (x) c, and each step is one product of W, reshaped once per restart,
-with the outer product of the other block, then one eigensolve.  A
-negative enough final value yields a violation certificate; anything else
-is reported as "no violation found", which is deliberately not a
-positivity proof.
+and a core; with all other blocks frozen, the vector is linear in the
+free block, so each update is an exact eigenproblem and the objective
+never increases; an update whose pencil is degenerate is a rejected
+step, so a restart draws randomness only at its start.  The factors are
+kept orthonormal, so the core update is a standard eigenproblem, and no
+update builds a Jacobian (see :func:`seesaw_minimize`).  A cut target,
+such as (1, 2, 2) on qubits (the bi-separable states across one cut),
+runs a dedicated loop: the vector is u (x) c, and each step is one
+product of W, reshaped once per restart, with the outer product of the
+other block, then one eigensolve.  A negative enough final value yields
+a violation certificate; anything else is reported as "no violation
+found", which is deliberately not a positivity proof.
 """
 
 from __future__ import annotations
@@ -64,12 +65,12 @@ class NoViolation:
 class SeesawRun:
     """Outcome of a single restart.
 
-    ``objective_trace`` holds the value after each block update that solved
-    its eigenproblem, kept or ``rejected``; ``redraws`` counts the updates
-    whose pencil was degenerate and re-drew the block instead.  ``sweeps``
-    is the number of sweeps run, and ``converged`` is False when the run
-    stopped at ``max_sweeps`` with its last sweep still gaining at least
-    ``convergence_eps``.
+    ``objective_trace`` holds the value after each block update, kept or
+    ``rejected``; an update whose pencil is degenerate leaves its block in
+    place and counts as rejected.  ``value`` is the quotient of ``xi``.
+    ``sweeps`` is the number of sweeps run, and ``converged`` is False when
+    the run stopped at ``max_sweeps`` with its last sweep still gaining at
+    least ``convergence_eps``.
     """
 
     value: float
@@ -78,7 +79,37 @@ class SeesawRun:
     sweeps: int
     converged: bool
     rejected: int
-    redraws: int
+
+
+class _Record:
+    """A restart's value, trace and rejected steps, under the step rule both see-saw loops share."""
+
+    __slots__ = ("value", "trace", "rejected")
+
+    def __init__(self, value: float):
+        self.value, self.trace, self.rejected = value, [], 0
+
+    def keep(self, cand_value: float) -> bool:
+        """Record a step; keep it only if its quotient ``cand_value`` does not go up.
+
+        The exact block minimum never increases the quotient, but the whitening
+        floor can clip near-null directions and jitter the eigenvalue, so each
+        loop evaluates the quotient directly on the candidate vector.  A
+        degenerate step has no candidate and passes NaN, which is never kept.
+        """
+        kept = cand_value <= self.value
+        if kept:
+            self.value = cand_value
+        else:
+            self.rejected += 1
+        self.trace.append(self.value)
+        return kept
+
+    def run(self, xi: np.ndarray, sweeps: int, converged: bool) -> SeesawRun:
+        return SeesawRun(
+            value=self.value, xi=xi / np.linalg.norm(xi), objective_trace=self.trace,
+            sweeps=sweeps, converged=converged, rejected=self.rejected,
+        )
 
 
 def _draw_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -170,9 +201,10 @@ def seesaw_minimize(
     Each step is kept only if the quotient <xi|W|xi>/<xi|xi>, evaluated
     directly on the candidate vector xi, does not increase, so the recorded
     objective is non-increasing by construction.  A factor step whose pencil
-    is degenerate re-draws that factor from ``rng``, orthonormalized like an
-    accepted one, instead of failing.  The returned run counts its sweeps,
-    rejected steps and re-draws, and says whether it converged.
+    is degenerate leaves the factor in place and counts as a rejected step,
+    so ``rng`` is read only for the start.  The trace has one entry per
+    block update, the value is the quotient of the returned vector, and the
+    run counts its sweeps and rejected steps and says whether it converged.
 
     A cut target, whose one factor narrower than its mode has rank one,
     runs the dedicated loop :func:`_cut_seesaw` instead, chosen from the
@@ -198,7 +230,7 @@ def seesaw_minimize(
         else:
             free.append(mode)
     if len(free) == 1 and ranks[free[0]] == 1:
-        return _cut_seesaw(wmat, shape, free[0], factors[free[0]], core, rng, max_sweeps, convergence_eps, tol)
+        return _cut_seesaw(wmat, shape, free[0], factors[free[0]], core, max_sweeps, convergence_eps, tol)
     factors_h = [None] * 3
 
     def set_factor(mode, x) -> None:
@@ -261,50 +293,27 @@ def seesaw_minimize(
         y = vecs[:, 0].reshape(ranks)
         return assemble(y), y
 
-    def accept(candidate, wm) -> bool:
-        """Record the step's value; keep it only if the quotient does not increase."""
-        nonlocal value, rejected
-        # the exact block minimum never increases the quotient, but the
-        # whitening floor can clip near-null directions and jitter the
-        # eigenvalue, so the value is evaluated directly on the candidate
-        cand_value = quotient(candidate, wm)
-        kept = cand_value <= value
-        if kept:
-            value = cand_value
-        else:
-            rejected += 1
-        trace.append(value)
-        return kept
-
-    trace: list[float] = []
-    rejected = redraws = sweeps = 0
-    converged = False
-    value = quotient(assemble(core), wmat)
+    record = _Record(quotient(assemble(core), wmat))
+    sweeps, converged = 0, False
     while sweeps < max_sweeps and not converged:
         sweeps += 1
-        sweep_start = value
+        sweep_start = record.value
         for mode in free:
             try:
                 candidate, new_factor = factor_step(mode)
             except DegeneratePencil:
-                redraws += 1
-                set_factor(mode, _draw_complex(rng, factors[mode].shape))
+                record.keep(math.nan)
                 continue
-            if accept(candidate, wfirst[mode]):
+            if record.keep(quotient(candidate, wfirst[mode])):
                 set_factor(mode, new_factor)
         candidate, new_core = core_step()
-        if accept(candidate, wmat):
+        if record.keep(quotient(candidate, wmat)):
             core = new_core
-        converged = sweep_start - value < convergence_eps
-    xi = assemble(core)
-    xi = xi / np.linalg.norm(xi)
-    return SeesawRun(
-        value=value, xi=xi, objective_trace=trace, sweeps=sweeps,
-        converged=converged, rejected=rejected, redraws=redraws,
-    )
+        converged = sweep_start - record.value < convergence_eps
+    return record.run(assemble(core), sweeps, converged)
 
 
-def _cut_seesaw(wmat, shape, mode, u, core, rng, max_sweeps, convergence_eps, tol) -> SeesawRun:
+def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, convergence_eps, tol) -> SeesawRun:
     """The see-saw of :func:`seesaw_minimize` on a cut target, where only ``mode`` is free, at rank one.
 
     In the free mode's first order the vector is u (x) c, u the factor
@@ -315,7 +324,7 @@ def _cut_seesaw(wmat, shape, mode, u, core, rng, max_sweeps, convergence_eps, to
     other block.  u is kept a unit vector and c carries the norm, so the c
     step is a standard eigenproblem.  The u step's Gram matrix is ||c||^2,
     floored by :func:`_above_floor`, the rule of :func:`_whitening`; a
-    degenerate u step re-draws u.
+    degenerate u step leaves u in place and counts as rejected.
     """
     d = shape[mode]
     r = wmat.shape[0] // d
@@ -324,59 +333,36 @@ def _cut_seesaw(wmat, shape, mode, u, core, rng, max_sweeps, convergence_eps, to
     wfirst = w4.reshape(d * r, d * r)
     w_u = w4.transpose(0, 2, 1, 3).reshape(d * d, r * r)
     w_c = w4.transpose(1, 3, 0, 2).reshape(r * r, d * d)
-    u = u.reshape(d)
-    c = core.reshape(r)
 
     def quotient(xi) -> float:
         return float(np.vdot(xi, wfirst @ xi).real / np.vdot(xi, xi).real)
 
-    def unit_u(x) -> None:
-        """Store ``x`` as the unit u and push its norm into c; xi is unchanged."""
-        nonlocal u, c
-        norm = math.sqrt(np.vdot(x, x).real)
-        u = x / norm
-        c = c * norm
-
-    unit_u(u)
-    trace: list[float] = []
-    rejected = redraws = sweeps = 0
-    converged = False
-    value = quotient((u[:, None] * c).reshape(-1))
+    # u is stored as a unit vector and its norm pushed into c; xi is unchanged
+    u = u.reshape(d)
+    norm = math.sqrt(np.vdot(u, u).real)
+    u, c = u / norm, core.reshape(r) * norm
+    record = _Record(quotient((u[:, None] * c).reshape(-1)))
+    sweeps, converged = 0, False
     while sweeps < max_sweeps and not converged:
         sweeps += 1
-        sweep_start = value
+        sweep_start = record.value
         gram = np.vdot(c, c).real
-        if not _above_floor(gram, tol):
-            redraws += 1
-            unit_u(_draw_complex(rng, d))
-        else:
+        if _above_floor(gram, tol):
             _, vecs = _eigh((w_u @ (c.conj()[:, None] * c).reshape(-1)).reshape(d, d))
             y = vecs[:, 0]
-            cand_value = quotient((y[:, None] * c).reshape(-1))
-            if cand_value <= value:
-                value = cand_value
+            if record.keep(quotient((y[:, None] * c).reshape(-1))):
                 u = y
                 c = c / math.sqrt(gram)
-            else:
-                rejected += 1
-            trace.append(value)
+        else:
+            record.keep(math.nan)
         _, vecs = _eigh((w_c @ (u.conj()[:, None] * u).reshape(-1)).reshape(r, r))
         y = vecs[:, 0]
-        cand_value = quotient((u[:, None] * y).reshape(-1))
-        if cand_value <= value:
-            value = cand_value
+        if record.keep(quotient((u[:, None] * y).reshape(-1))):
             c = y
-        else:
-            rejected += 1
-        trace.append(value)
-        converged = sweep_start - value < convergence_eps
+        converged = sweep_start - record.value < convergence_eps
     rest = tuple(shape[other] for other in order[1:])
     xi = (u[:, None] * c).reshape((d,) + rest).transpose(np.argsort(order)).reshape(-1)
-    xi = xi / np.linalg.norm(xi)
-    return SeesawRun(
-        value=value, xi=xi, objective_trace=trace, sweeps=sweeps,
-        converged=converged, rejected=rejected, redraws=redraws,
-    )
+    return record.run(xi, sweeps, converged)
 
 
 def violation_search(

@@ -381,18 +381,20 @@ def check_111(
 ) -> ClassVerdict:
     """One-sided test of the bottom class.
 
-    Certified when the summed closed-form condition holds, or when any
-    mixed class holds (the class cones shrink as the triplets grow, so a
-    bigger class implies the bottom one).  Refuted with a witnessing alpha
-    when the inequality fails beyond tolerance somewhere on the refined
-    grid.  Otherwise the verdict is NumericallySupported, which is
-    explicitly not a proof.  Where a term of the slack could overflow, the
-    grid and polish run on (s, t, u) scaled down by a power of two, against
-    the tolerance on the same scale, and the evidence is given in the
-    original units.
+    Certified when the summed closed-form condition holds, or when the top
+    class or any mixed class holds (the class cones shrink as the triplets
+    grow, so a bigger class implies the bottom one).  Refuted with a
+    witnessing alpha when the inequality fails beyond tolerance somewhere on
+    the refined grid.  Otherwise the verdict is NumericallySupported, which
+    is explicitly not a proof.  Where a term of the slack could overflow,
+    the grid and polish run on (s, t, u) scaled down by a power of two,
+    against the tolerance on the same scale, and the evidence is given in
+    the original units.
     """
     if _holds(params, range(4), tol):
         return ClassVerdict(Verdict.CERTIFIED, "sum criterion: sum sqrt(s_i t_i) >= sum |u_i|")
+    if check_222(params, tol):
+        return ClassVerdict(Verdict.CERTIFIED, "dominated by certified class (2, 2, 2)")
     for cls in PAIR_CLASSES:
         if check_pair_class(params, cls, tol):
             return ClassVerdict(Verdict.CERTIFIED, f"dominated by certified class {cls}")
@@ -449,9 +451,10 @@ def classify(
         )
 
     for cls, pairs in PAIR_CLASSES.items():
-        ok = check_pair_class(params, cls, tol) or top
-        if ok:
+        if check_pair_class(params, cls, tol):
             classes[cls] = ClassVerdict(Verdict.CERTIFIED, f"pair inequalities {pairs} hold")
+        elif top:
+            classes[cls] = ClassVerdict(Verdict.CERTIFIED, "dominated by certified class (2, 2, 2)")
         else:
             i, j = next(p for p in pairs if not _holds(params, p, tol))
             classes[cls] = ClassVerdict(

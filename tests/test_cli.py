@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from triwit.cli import main, operator_to_json, read_vector, vector_to_json
+from triwit.cli import _read_array, main, operator_to_json, vector_to_json
 from triwit import (
     DEFAULT_TOL,
     QubitWitnessParams,
@@ -452,7 +452,8 @@ def test_vector_json_full_precision_round_trip(tmp_path):
     rng = np.random.default_rng(80)
     xi = TriVector(TriDims(2, 2, 2), rng.standard_normal(8) + 1j * rng.standard_normal(8))
     path = _write(tmp_path / "v.json", vector_to_json(xi))
-    back = read_vector(path)
+    dims, data, _ = _read_array(path)
+    back = TriVector(dims, data)
     # serialization must be lossless at double precision
     np.testing.assert_array_equal(back.data, xi.data)
 
@@ -510,6 +511,10 @@ def test_classify_rejects_non_finite_params(capsys, s):
         ["search", "--s", "0,1,1,0", "--t", "0,1,1,0", "--u", "1:0,1:0,1:0,1:0", "--sr", "2,2,2",
          "--tol-psd", "inf"],
         ["sr", "VECTOR", "--tol-rank", "inf"],
+        # a rank tolerance of 1 or more would count no singular value, so every rank is 0
+        ["sr", "VECTOR", "--tol-rank", "1"],
+        ["search", "--s", "0,1,1,0", "--t", "0,1,1,0", "--u", "1:0,1:0,1:0,1:0", "--sr", "1,2,2",
+         "--tol-rank", "2"],
     ],
 )
 def test_infinite_tolerance_exits_2(tmp_path, capsys, argv):

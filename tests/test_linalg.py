@@ -32,8 +32,12 @@ def test_tolerance_rejects_nonpositive():
         Tolerance(rank_rel=0.0)
 
 
-@pytest.mark.parametrize("field", ["rank_rel", "psd_abs", "ineq_abs"])
-@pytest.mark.parametrize("value", [np.inf, np.nan])
+@pytest.mark.parametrize(
+    "field,value",
+    [pytest.param(f, v, id=f"{v}-{f}") for v in (np.inf, np.nan) for f in ("rank_rel", "psd_abs", "ineq_abs")]
+    # at rank_rel >= 1 not even the largest singular value counts, so every rank is 0
+    + [pytest.param("rank_rel", v, id=f"{v}-rank_rel") for v in (1.0, 2.0)],
+)
 def test_tolerance_rejects_non_finite(field, value):
     with pytest.raises(ValueError):
         Tolerance(**{field: value})

@@ -239,7 +239,8 @@ def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=SeesawConfig.conv
 
     It draws from ``rng`` in the engine's order, absorbs full-width factors
     into the core, sweeps the narrower factors and then the core, and keeps
-    a step only if the quotient does not increase.  Returns the trace.
+    a step only if the quotient does not increase; a degenerate step is
+    rejected.  Returns the trace.
     """
 
     def draw(shape):
@@ -272,7 +273,8 @@ def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=SeesawConfig.conv
             try:
                 _, z = min_gen_eig(jac.conj().T @ wmat @ jac, jac.conj().T @ jac)
             except DegeneratePencil:
-                blocks[name] = draw(blocks[name].shape)
+                # a degenerate step leaves the block in place: a rejected step
+                trace.append(value)
                 continue
             candidate = quotient(jac @ z)
             if candidate <= value:
@@ -320,44 +322,78 @@ def test_seesaw_matches_jacobian_reference(dims, target, max_sweeps):
 def test_seesaw_run_reports_sweeps_and_convergence(target):
     wmat = _rand_hermitian(np.random.default_rng(350), 8)
     one = seesaw_minimize(wmat, QUBITS, target, np.random.default_rng(2), max_sweeps=1)
-    assert (one.sweeps, one.converged, one.redraws) == (1, False, 0)
+    assert (one.sweeps, one.converged) == (1, False)
     assert len(one.objective_trace) == 2
     full = seesaw_minimize(wmat, QUBITS, target, np.random.default_rng(2))
     assert full.converged and full.sweeps < SeesawConfig.max_sweeps
     # one update of the rank-one factor and one of the core per sweep
-    assert len(full.objective_trace) + full.redraws == 2 * full.sweeps
+    assert len(full.objective_trace) == 2 * full.sweeps
     assert 0 <= full.rejected <= len(full.objective_trace)
 
 
-def test_seesaw_counts_degenerate_redraws():
+def test_seesaw_degenerate_step_leaves_u_unchanged():
     # psd_abs = 1 puts every eigenvalue of a factor step's Gram matrix at or
-    # below the floor, so each factor step re-draws its factor; the core step
-    # solves a standard eigenproblem and still records its value.  Each cut
-    # is checked, so the free factor is in every position once.
+    # below the floor, so each u step is degenerate: it leaves u at its
+    # (normalized) draw and counts as a rejected step with a trace entry.
+    # The core steps then reach the least eigenvalue of W compressed by that
+    # u.  Each cut is checked, so the free factor is in every position once.
     wmat = _rand_hermitian(np.random.default_rng(351), 8)
     for target in ((1, 2, 2), (2, 1, 2), (2, 2, 1)):
         run = seesaw_minimize(wmat, QUBITS, target, np.random.default_rng(3), max_sweeps=4, tol=Tolerance(psd_abs=1.0))
         assert run.sweeps >= 1
-        assert run.redraws == run.sweeps == len(run.objective_trace)
+        assert len(run.objective_trace) == 2 * run.sweeps
+        assert run.rejected >= run.sweeps
         assert np.all(np.diff(run.objective_trace) <= 0)
-        # replay the draws: u, v, w and the core, then one re-drawn rank-one factor
-        # a sweep; each core step reaches the least eigenvalue of W compressed by it
+        # replay the draws: u, v, w and the core; u is the rank-one factor's draw
         rng = np.random.default_rng(3)
-
-        def draw(shape):
-            return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-        blocks = [draw((2, k)) for k in target]
-        xi = _assemble(*blocks, draw(target))
-        value = (xi.conj() @ wmat @ xi).real / (xi.conj() @ xi).real
+        blocks = [rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k)) for k in target]
         mode = target.index(1)
+        u = blocks[mode][:, 0] / np.linalg.norm(blocks[mode])
         order = [mode] + [m for m in range(3) if m != mode]
         w4 = wmat.reshape((2,) * 6).transpose(order + [3 + m for m in order]).reshape(2, 4, 2, 4)
-        for got in run.objective_trace:
-            u = draw((2, 1))[:, 0]
-            least = np.linalg.eigvalsh(np.einsum("x,xiyj,y->ij", u.conj(), w4, u))[0] / np.vdot(u, u).real
-            value = min(value, least)
-            assert abs(got - value) <= 1e-12 * np.linalg.norm(wmat)
+        least = np.linalg.eigvalsh(np.einsum("x,xiyj,y->ij", u.conj(), w4, u))[0]
+        assert abs(run.value - least) <= 1e-12 * np.linalg.norm(wmat)
+        # the returned vector, with the free mode first, is u (x) c for some c
+        m = run.xi.reshape(2, 2, 2).transpose(order).reshape(2, 4)
+        assert np.linalg.norm(m - np.outer(u, u.conj() @ m)) <= 1e-12
+
+
+def _start_draws(rng, dims, target) -> None:
+    """Draw from ``rng`` exactly what a see-saw restart draws at its start."""
+    for shape in [(d, k) for d, k in zip(dims, target)] + [target]:
+        rng.standard_normal(shape)
+        rng.standard_normal(shape)
+
+
+# cut targets (one free factor of rank one) and general ones (a free factor
+# of rank two, two free factors, three free factors)
+ENGINE_TARGETS = [
+    ((2, 2, 2), (1, 2, 2)),
+    ((2, 3, 4), (2, 1, 4)),
+    ((3, 3, 3), (2, 3, 3)),
+    ((2, 2, 2), (1, 1, 2)),
+    ((2, 2, 2), (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("psd_abs", [1e-9, 0.3, 1.0])
+@pytest.mark.parametrize("dims,target", ENGINE_TARGETS)
+def test_seesaw_value_is_the_quotient_of_xi(dims, target, psd_abs):
+    # whatever the floor, the value is that of the returned vector, each
+    # sweep updates every free factor and the core once, and a restart
+    # draws from its generator only at its start
+    n = int(np.prod(dims))
+    free = sum(k < d for d, k in zip(dims, target))
+    for seed in range(4):
+        wmat = _rand_hermitian(np.random.default_rng(360 + seed), n)
+        rng = np.random.default_rng(seed)
+        run = seesaw_minimize(wmat, TriDims(*dims), target, rng, tol=Tolerance(psd_abs=psd_abs))
+        assert abs(np.vdot(run.xi, wmat @ run.xi).real - run.value) <= 1e-12 * np.linalg.norm(wmat)
+        assert len(run.objective_trace) == (free + 1) * run.sweeps
+        assert run.objective_trace[-1] == run.value
+        replay = np.random.default_rng(seed)
+        _start_draws(replay, dims, target)
+        assert rng.bit_generator.state == replay.bit_generator.state
 
 
 @pytest.mark.parametrize("index,value", [((0, 0), np.nan), ((1, 1), np.inf), ((0, 3), 1.0)], ids=["nan", "inf", "asymmetric"])

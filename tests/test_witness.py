@@ -352,6 +352,30 @@ def test_classify_monotone_consistency():
             assert check_111(p).verdict is Verdict.CERTIFIED
 
 
+def test_classify_monotone_inside_the_tolerance_band():
+    # each |u_i| exceeds sqrt(s_i t_i) by less than ineq_abs, so (2,2,2) holds
+    # within tolerance while a sum over two or four indices can fail by up to
+    # two or four of those excesses; the certified top class must still
+    # certify every smaller one, and say so where their own sums fail
+    ineq_abs = 1e-9
+    draws = [QubitWitnessParams(s=(1, 1, 1, 1), t=(1, 1, 1, 1), u=(1.0000000009,) * 4)]
+    rng = np.random.default_rng(69)
+    for _ in range(40):
+        s, t = rng.uniform(0.2, 2.0, 4), rng.uniform(0.2, 2.0, 4)
+        mags = np.sqrt(s * t) + rng.uniform(0.0, 0.9, 4) * ineq_abs
+        draws.append(QubitWitnessParams(s=tuple(s), t=tuple(t), u=tuple(mags * np.exp(2j * np.pi * rng.uniform(size=4)))))
+    dominated = 0
+    for p in draws:
+        rep = classify(p)
+        assert all(cv.verdict is Verdict.CERTIFIED for cv in rep.classes.values()), p
+        for cls in PAIR_CLASSES:
+            own = check_pair_class(p, cls)
+            dominated += not own
+            assert rep.classes[cls].evidence.startswith("pair inequalities" if own else "dominated by certified class")
+    # the first draw fails every pair sum, so its pair classes rest on (2,2,2) alone
+    assert dominated >= 3
+
+
 def test_classify_pair_covariance_under_flip():
     # the flipped family member has relabeled parameters; its (1,2,2) status
     # must match the original (2,1,2) status

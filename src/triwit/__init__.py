@@ -33,7 +33,6 @@ from .schmidt import (
     admissible,
     all_admissible,
     construct_state_with_sr,
-    multirank,
     schmidt_rank,
     schmidt_rank_by_definition,
     sr_leq,
@@ -59,10 +58,7 @@ from .tensor import (
     TriOperator,
     TriVector,
     flip,
-    multi_unfold,
     product_vector,
-    refold,
-    transpose_full,
     unfold,
 )
 from .witness import (

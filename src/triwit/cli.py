@@ -10,7 +10,8 @@ error (argparse usage errors too), 3 contract violation (non-Hermitian input
 where Hermitian is required).  ``main`` may be called repeatedly in one
 process; TRIWIT_SEED is read on each call.  Each command takes only the
 --tol-* flags it reads and echoes exactly those in its report: sr --tol-rank
-and --tol-psd, classify --tol-ineq, search all three, pair none.
+and --tol-psd, classify --tol-ineq, search all three, pair none; gen reads
+--terms and --seed only with --sample, and refuses them without it.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ from .witness import AlphaGrid, QubitWitnessParams, classify, family_choi
 # the JSON costs about 420 bytes an entry (2**20 entries peak at 515 MB RSS
 # on CPython 3.11, x86-64), so this bound keeps gen well under a gigabyte.
 GEN_MAX_ENTRIES = 2**20
+GEN_SAMPLE_TERMS = 5  # projectors in a state sampled by gen --sample without --terms
 
 _TOL_FLAGS = {
     "rank_rel": ("--tol-rank", "relative singular-value cutoff"),
@@ -203,9 +205,9 @@ def cmd_sr(args) -> dict:
     dims, data, digest = _read_array(args.vector, dims_flag)
     xi = TriVector(dims, data)
     tol = Tolerance(**_given_tolerances(args))
-    spectra = _mode_spectra(xi.data, dims.as_tuple(), tol)
+    spectra = _mode_spectra(xi, tol)
     rank = SchmidtRank(*(_spectrum_rank(s, tol) for s in spectra))
-    sing = {mode: sorted(s.tolist(), reverse=True) for mode, s in zip(("A", "B", "C"), spectra)}
+    sing = {mode: s.tolist() for mode, s in zip(("A", "B", "C"), spectra)}
     results = {
         "schmidt_rank": list(rank),
         "singular_values": sing,
@@ -284,6 +286,8 @@ def cmd_search(args) -> dict:
 
 
 def cmd_gen(args) -> dict:
+    if not args.sample and (args.terms, args.seed) != (None, None):
+        raise TriwitError("gen: --terms and --seed apply only with --sample")
     target = _parse_tuple(args.sr, 3, "--sr", int)
     dims = TriDims(*_parse_tuple(args.dims, 3, "--dims", int)) if args.dims else TriDims(*target)
     entries = dims.total**2 if args.sample else dims.total
@@ -291,7 +295,8 @@ def cmd_gen(args) -> dict:
         raise TriwitError(f"dims {dims.as_tuple()} need {entries} complex entries, more than {GEN_MAX_ENTRIES}")
     if args.sample:
         rng = np.random.default_rng(_seed(args))
-        return operator_to_json(sample_state(dims, target, args.terms, rng))
+        terms = GEN_SAMPLE_TERMS if args.terms is None else args.terms
+        return operator_to_json(sample_state(dims, target, terms, rng))
     return vector_to_json(construct_state_with_sr(target, dims))
 
 
@@ -352,8 +357,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gen", help="generate a vector with an exact rank triplet, or sample a state")
     p.add_argument("--sr", required=True, help="target triplet alpha,beta,gamma")
     p.add_argument("--dims", default=None, help="a,b,c (defaults to the triplet itself)")
-    p.add_argument("--sample", action="store_true", help="sample a mixed state instead")
-    p.add_argument("--terms", type=int, default=5, help="number of projectors in a sampled state")
+    p.add_argument("--sample", action="store_true", help="sample a mixed state; needed by --terms, --seed")
+    p.add_argument("--terms", type=int, default=None, help=f"projectors to mix (default {GEN_SAMPLE_TERMS})")
     p.add_argument("--seed", type=int, default=None, help="defaults to $TRIWIT_SEED or 0")
     p.set_defaults(func=cmd_gen)
 

@@ -1,10 +1,10 @@
 """Schmidt-rank triplets, the admissible region, and a constructive generator.
 
 The rank triplet of a tri-partite vector is computed two ways: from the
-numerical ranks of the three mode unfoldings (the fast route used
-everywhere), and literally from the nested-map definition (a slower
-independent oracle, kept so tests can guard the equivalence instead of
-assuming it).
+numerical ranks of the three mode unfoldings given by ``tensor.unfold``
+(the fast route used everywhere, the CLI's ``sr`` report included), and
+literally from the nested-map definition (a slower independent oracle,
+kept so tests can guard the equivalence instead of assuming it).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotAdmissible, ZeroVector
 from .linalg import DEFAULT_TOL, Tolerance, _spectrum_rank, svd_rank
-from .tensor import Permutation3, TriDims, TriVector, multi_unfold
+from .tensor import Permutation3, TriDims, TriVector, unfold
 
 
 class SchmidtRank(NamedTuple):
@@ -38,8 +38,8 @@ def triple_leq(s, t) -> bool:
 
 
 def schmidt_rank(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> SchmidtRank:
-    """Rank triplet of a nonzero tri-partite vector via mode-unfolding ranks."""
-    return SchmidtRank(*multirank(xi.data, xi.dims.as_tuple(), tol))
+    """Rank triplet of a nonzero tri-partite vector via mode-unfolding ranks; ZeroVector for a zero input."""
+    return SchmidtRank(*(_spectrum_rank(s, tol) for s in _mode_spectra(xi, tol)))
 
 
 def schmidt_rank_by_definition(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> SchmidtRank:
@@ -161,18 +161,9 @@ def construct_state_with_sr(t, dims: TriDims) -> TriVector:
     return TriVector(dims, tensor.transpose(order.inverse().image).ravel())
 
 
-def multirank(xi, dims, tol: Tolerance = DEFAULT_TOL) -> list[int]:
-    """Mode-k unfolding ranks of an n-partite vector, one per subsystem.
-
-    :func:`schmidt_rank` is this function for n == 3.  Raises ZeroVector for a
-    numerically zero input and DimMismatch when the length does not factor.
-    """
-    return [_spectrum_rank(s, tol) for s in _mode_spectra(xi, dims, tol)]
-
-
-def _mode_spectra(xi, dims, tol: Tolerance) -> list[np.ndarray]:
-    """Descending singular values of each mode unfolding; ZeroVector for a numerically zero input."""
-    unfoldings = [multi_unfold(xi, dims, mode) for mode in range(len(dims))]
-    if np.linalg.norm(xi) <= tol.psd_abs:
+def _mode_spectra(xi: TriVector, tol: Tolerance) -> list[np.ndarray]:
+    """Descending singular values of the three mode unfoldings, which both :func:`schmidt_rank` and the
+    CLI's ``sr`` report read; ZeroVector for a numerically zero input."""
+    if xi.norm() <= tol.psd_abs:
         raise ZeroVector("unfolding ranks are undefined for the zero vector")
-    return [np.linalg.svd(m, compute_uv=False) for m in unfoldings]
+    return [np.linalg.svd(unfold(xi, mode), compute_uv=False) for mode in range(3)]

@@ -1,4 +1,4 @@
-"""Tri-partite (and n-partite) index bookkeeping.
+"""Tri-partite index bookkeeping.
 
 A vector of C^a (x) C^b (x) C^c is stored flat in lexicographic order: the
 basis ket |i>|k>|m> sits at position (i*b + k)*c + m, first subsystem
@@ -70,13 +70,6 @@ class Permutation3:
             inv[party] = slot
         return Permutation3(tuple(inv))
 
-    def compose(self, other: "Permutation3") -> "Permutation3":
-        """Permutation equivalent to flipping by ``self`` first, then ``other``."""
-        return Permutation3(tuple(self.image[i] for i in other.image))
-
-    def is_identity(self) -> bool:
-        return self.image == (0, 1, 2)
-
 
 ALL_PERMUTATIONS = tuple(Permutation3(p) for p in itertools.permutations((0, 1, 2)))
 
@@ -138,20 +131,12 @@ def unfold(xi: TriVector, mode: int) -> np.ndarray:
 
     Mode A gives a x (bc), B gives b x (ac), C gives c x (ab); the column
     index runs lexicographically over the remaining subsystems in
-    A-before-B-before-C order: the three-party case of :func:`multi_unfold`.
+    A-before-B-before-C order.  Raises DimMismatch for a mode outside 0..2.
     """
-    return multi_unfold(xi.data, xi.dims.as_tuple(), mode)
-
-
-def refold(mat: np.ndarray, mode: int, dims: TriDims) -> TriVector:
-    """Inverse of :func:`unfold` for the given mode and dimensions."""
-    shape = list(dims.as_tuple())
-    d = shape.pop(mode)
-    mat = np.asarray(mat, dtype=complex)
-    if mat.shape != (d, shape[0] * shape[1]):
-        raise DimMismatch(f"refold: expected shape {(d, shape[0] * shape[1])}, got {mat.shape}")
-    t = mat.reshape([d] + shape)
-    return TriVector(dims, np.moveaxis(t, 0, mode).ravel())
+    if mode not in (MODE_A, MODE_B, MODE_C):
+        raise DimMismatch(f"mode must be 0, 1 or 2, got {mode}")
+    t = xi.as_tensor()
+    return np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1)
 
 
 def flip(x, sigma: Permutation3):
@@ -171,27 +156,3 @@ def flip(x, sigma: Permutation3):
         nd = x.dims.permuted(sigma)
         return TriOperator(nd, t.reshape(nd.total, nd.total))
     raise TypeError(f"flip expects TriVector or TriOperator, got {type(x).__name__}")
-
-
-def transpose_full(rho: TriOperator) -> TriOperator:
-    """Entrywise matrix transpose (all three parties at once)."""
-    return TriOperator(rho.dims, rho.mat.T.copy())
-
-
-def multi_unfold(xi, dims, mode: int) -> np.ndarray:
-    """Mode-k matricization for an n-partite vector, 0-based mode index.
-
-    Returns a ``dims[mode] x prod(other dims)`` matrix whose column index
-    runs lexicographically over the remaining subsystems in their original
-    order.
-    """
-    dims = tuple(int(d) for d in dims)
-    if any(d < 1 for d in dims):
-        raise DimMismatch(f"dimensions must be >= 1, got {dims}")
-    xi = np.asarray(xi, dtype=complex).reshape(-1)
-    if xi.size != int(np.prod(dims)):
-        raise DimMismatch(f"vector length {xi.size} does not match dims {dims}")
-    if not 0 <= mode < len(dims):
-        raise DimMismatch(f"mode must be in [0, {len(dims) - 1}], got {mode}")
-    t = xi.reshape(dims)
-    return np.moveaxis(t, mode, 0).reshape(dims[mode], -1)

@@ -22,7 +22,6 @@ from triwit import (
     kraus_decompose,
     pair,
     permute_dual,
-    transpose_full,
 )
 
 QUBITS = TriDims(2, 2, 2)
@@ -374,5 +373,5 @@ def test_pair_transpose_convention():
     rng = np.random.default_rng(59)
     phi = family_choi(_rand_params(rng))
     rho = TriOperator(QUBITS, _rand_complex(rng, (8, 8)))
-    expected = np.trace(phi.choi.mat @ transpose_full(rho).mat)
+    expected = np.trace(phi.choi.mat @ rho.mat.T)
     assert abs(pair(rho, phi) - expected) <= 1e-12 * abs(expected)

@@ -557,6 +557,26 @@ def test_gen_takes_no_tolerance_flags(capsys):
     assert main(["gen", "--sr", "1,1,1", "--tol-rank", "1e-3"]) == 2
 
 
+def test_gen_terms_and_seed_need_sample(capsys):
+    # both flags only steer the sampler, so without --sample they are input errors
+    for extra in (["--terms", "3"], ["--seed", "7"], ["--terms", "3", "--seed", "7"]):
+        code = main(["gen", "--sr", "1,1,1", *extra])
+        captured = capsys.readouterr()
+        assert code == 2, extra
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert main(["gen", "--sr", "1,1,1", "--sample", "--terms", "3", "--seed", "7"]) == 0
+
+
+def test_import_leaves_scipy_unloaded():
+    # scipy is a test dependency only: importing the package and its CLI must not load it
+    probe = "import sys, triwit, triwit.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": str(SRC)}
+    proc = subprocess.run([sys.executable, "-c", probe], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
 @pytest.mark.parametrize(
     "argv", [["gen", "--sr", "1,1,1", "--dims", "2,2,2"], ["classify", "--s", "1,1,1,1", "--t", "1,1,1,1"]]
 )

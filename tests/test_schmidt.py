@@ -3,7 +3,6 @@ import pytest
 
 from triwit import (
     ALL_PERMUTATIONS,
-    DimMismatch,
     NotAdmissible,
     Permutation3,
     SchmidtRank,
@@ -14,7 +13,6 @@ from triwit import (
     all_admissible,
     construct_state_with_sr,
     flip,
-    multirank,
     product_vector,
     schmidt_rank,
     schmidt_rank_by_definition,
@@ -153,34 +151,6 @@ def test_construct_in_larger_dims():
         xi = construct_state_with_sr(t, dims)
         assert xi.dims == dims
         assert schmidt_rank(xi) == t
-
-
-def test_multirank_bipartite():
-    lam = np.array([0.6, 0.4])
-    xi = np.zeros(4, dtype=complex)
-    xi[0], xi[3] = np.sqrt(lam)
-    assert multirank(xi, (2, 2)) == [2, 2]
-    assert multirank(np.kron(_basis(2, 0), _basis(2, 1)), (2, 2)) == [1, 1]
-
-
-def test_multirank_three_party_consistency():
-    rng = np.random.default_rng(32)
-    for _ in range(50):
-        xi = _rand_vector(rng, TriDims(2, 3, 2))
-        assert tuple(multirank(xi.data, (2, 3, 2))) == tuple(schmidt_rank(xi))
-
-
-def test_multirank_four_party_ghz():
-    xi = np.zeros(16, dtype=complex)
-    xi[0] = xi[15] = 1.0
-    assert multirank(xi, (2, 2, 2, 2)) == [2, 2, 2, 2]
-
-
-def test_multirank_errors():
-    with pytest.raises(ZeroVector):
-        multirank(np.zeros(8), (2, 2, 2))
-    with pytest.raises(DimMismatch):
-        multirank(np.zeros(9), (2, 2, 2))
 
 
 def test_permutation_covariance():

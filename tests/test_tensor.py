@@ -12,10 +12,7 @@ from triwit import (
     TriOperator,
     TriVector,
     flip,
-    multi_unfold,
     product_vector,
-    refold,
-    transpose_full,
     unfold,
 )
 
@@ -70,6 +67,9 @@ def test_unfold_basis_vector_rank_one():
         m = unfold(xi, mode)
         assert m.shape[0] == 2
         assert np.count_nonzero(m) == 1
+    for mode in (3, -1):
+        with pytest.raises(DimMismatch):
+            unfold(xi, mode)
 
 
 def test_unfold_diagonal_sum_explicit():
@@ -81,15 +81,6 @@ def test_unfold_diagonal_sum_explicit():
     for mode in (MODE_A, MODE_B, MODE_C):
         np.testing.assert_allclose(unfold(xi, mode), expected)
         assert np.linalg.matrix_rank(unfold(xi, mode)) == 2
-
-
-def test_unfold_refold_round_trip():
-    rng = np.random.default_rng(11)
-    dims = TriDims(2, 3, 4)
-    xi = _rand_vector(rng, dims)
-    for mode in (MODE_A, MODE_B, MODE_C):
-        back = refold(unfold(xi, mode), mode, dims)
-        np.testing.assert_allclose(back.data, xi.data)
 
 
 def test_flip_identity_is_noop():
@@ -170,72 +161,3 @@ def test_simultaneous_flip_preserves_hs_pairing():
     for sigma in ALL_PERMUTATIONS:
         got = np.trace(flip(x, sigma).mat.conj().T @ flip(y, sigma).mat)
         assert abs(got - ref) <= 1e-12 * abs(ref)
-
-
-def test_transpose_full_of_hermitian_is_conjugate():
-    rng = np.random.default_rng(18)
-    h = _rand_complex(rng, (8, 8))
-    h = (h + h.conj().T) / 2
-    op = TriOperator(QUBITS, h)
-    np.testing.assert_allclose(transpose_full(op).mat, h.conj())
-
-
-def test_transpose_full_involution():
-    rng = np.random.default_rng(19)
-    op = TriOperator(QUBITS, _rand_complex(rng, (8, 8)))
-    np.testing.assert_allclose(transpose_full(transpose_full(op)).mat, op.mat)
-
-
-def test_transpose_full_projector_conjugates_vector():
-    rng = np.random.default_rng(20)
-    xi = _rand_complex(rng, 8)
-    proj = TriOperator(QUBITS, np.outer(xi, xi.conj()))
-    expected = np.outer(xi.conj(), xi)
-    np.testing.assert_allclose(transpose_full(proj).mat, expected)
-
-
-def test_multi_unfold_matches_unfold_for_three_parties():
-    rng = np.random.default_rng(21)
-    dims = TriDims(2, 3, 4)
-    xi = _rand_vector(rng, dims)
-    for mode in (MODE_A, MODE_B, MODE_C):
-        np.testing.assert_allclose(
-            multi_unfold(xi.data, dims.as_tuple(), mode), unfold(xi, mode)
-        )
-
-
-def test_multi_unfold_bipartite_schmidt():
-    # sum_i sqrt(lam_i) e_i x e_i: both unfoldings have singular values sqrt(lam)
-    lam = np.array([0.5, 0.3, 0.2])
-    xi = np.zeros(9, dtype=complex)
-    for i in range(3):
-        xi[i * 3 + i] = np.sqrt(lam[i])
-    for mode in (0, 1):
-        s = np.linalg.svd(multi_unfold(xi, (3, 3), mode), compute_uv=False)
-        np.testing.assert_allclose(np.sort(s)[::-1], np.sqrt(lam), atol=1e-12)
-
-
-def test_multi_unfold_four_party_ghz():
-    xi = np.zeros(16, dtype=complex)
-    xi[0] = xi[15] = 1.0
-    expected = np.zeros((2, 8), dtype=complex)
-    expected[0, 0] = 1.0
-    expected[1, 7] = 1.0
-    for mode in range(4):
-        m = multi_unfold(xi, (2, 2, 2, 2), mode)
-        np.testing.assert_allclose(m, expected)
-        assert np.linalg.matrix_rank(m) == 2
-
-
-def test_multi_unfold_dim_mismatch():
-    with pytest.raises(DimMismatch):
-        multi_unfold(np.zeros(7), (2, 2, 2), 0)
-    with pytest.raises(DimMismatch):
-        multi_unfold(np.zeros(8), (2, 2, 2), 3)
-
-
-def test_permutation_compose_and_apply():
-    sigma = Permutation3((1, 2, 0))
-    assert sigma.apply(("a", "b", "c")) == ("b", "c", "a")
-    assert sigma.compose(sigma.inverse()).is_identity()
-    assert sigma.inverse().compose(sigma).is_identity()

@@ -9,8 +9,8 @@ Exit codes, all returned by ``main(argv)``, which never raises SystemExit:
 error (argparse usage errors too), 3 contract violation (non-Hermitian input
 where Hermitian is required).  ``main`` may be called repeatedly in one
 process; TRIWIT_SEED is read on each call.  Each command takes only the
---tol-* flags it reads and echoes exactly those in its report: sr --tol-rank
-and --tol-psd, classify --tol-ineq, search all three, pair none; gen reads
+--tol-* flags it reads and echoes exactly those in its report: sr
+--tol-rank, classify --tol-ineq, search all three, pair none; gen reads
 --terms and --seed only with --sample, and refuses them without it.
 """
 
@@ -205,7 +205,7 @@ def cmd_sr(args) -> dict:
     dims, data, digest = _read_array(args.vector, dims_flag)
     xi = TriVector(dims, data)
     tol = Tolerance(**_given_tolerances(args))
-    spectra = _mode_spectra(xi, tol)
+    spectra = _mode_spectra(xi)
     rank = SchmidtRank(*(_spectrum_rank(s, tol) for s in spectra))
     sing = {mode: s.tolist() for mode, s in zip(("A", "B", "C"), spectra)}
     results = {
@@ -328,7 +328,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sr", help="Schmidt-rank triplet of a vector file")
     p.add_argument("vector", help="JSON vector file")
     p.add_argument("--dims", default=None, help="a,b,c (overrides the file)")
-    _add_tol_flags(p, "rank_rel", "psd_abs")
+    _add_tol_flags(p, "rank_rel")
     p.set_defaults(func=cmd_sr)
 
     p = sub.add_parser("classify", help="positivity classes of a witness-family member")

@@ -29,13 +29,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Tolerance:
-    """Numerical cutoffs shared across the package.
+    """Numerical cutoffs shared across the package, each relative to the scale of what it tests.
 
     rank_rel: singular values below ``rank_rel * sigma_max`` do not count
         towards a rank; it must be below 1, or not even sigma_max counts.
-    psd_abs: eigenvalue floor; scaled by the matrix norm wherever it is used.
-    ineq_abs: slack for scalar inequality checks, applied on the favorable
-        side so exact boundary cases pass.
+    psd_abs: eigenvalue floor and Hermiticity gate, times the matrix norm;
+        it must be below 1, or the floor drops every eigenvalue.
+    ineq_abs: slack for scalar inequality checks, times the inequality's
+        scale and applied on the favorable side, so exact boundary cases pass.
     """
 
     rank_rel: float = 1e-9
@@ -45,8 +46,8 @@ class Tolerance:
     def __post_init__(self):
         if not all(0 < x < math.inf for x in (self.rank_rel, self.psd_abs, self.ineq_abs)):
             raise ValueError("all tolerances must be positive and finite")
-        if self.rank_rel >= 1:
-            raise ValueError("rank_rel must be below 1")
+        if self.rank_rel >= 1 or self.psd_abs >= 1:
+            raise ValueError("rank_rel and psd_abs must be below 1")
 
 
 DEFAULT_TOL = Tolerance()
@@ -122,33 +123,22 @@ def _whitening(b: np.ndarray, tol: Tolerance) -> np.ndarray:
 
     ``b`` is Hermitian positive semidefinite and read from its lower
     triangle.  Eigenvectors of ``b`` with eigenvalue at most
-    ``psd_abs * ||b||_2`` are projected out.  Raises DegeneratePencil when
-    ``b`` holds a NaN or inf (the eigensolver may fail on it, or return
-    finite values), is numerically zero or has no eigenvalue above that
-    floor.
+    ``psd_abs * ||b||_2`` are projected out, so the rule does not depend on
+    the scale of ``b``.  Raises DegeneratePencil when ``b`` holds a NaN or
+    inf (the eigensolver may fail on it, or return finite values), or has
+    no eigenvalue above that floor, which for ``psd_abs < 1`` means that
+    ``b`` is zero.
     """
     if not np.isfinite(b).all():
         raise DegeneratePencil("right-hand matrix is not finite")
     bw, bv = _eigh(b)
-    spectral = max(abs(bw[0]), abs(bw[-1]))
-    if spectral <= tol.psd_abs:
-        raise DegeneratePencil("right-hand matrix is numerically zero")
-    floor = tol.psd_abs * spectral
+    floor = tol.psd_abs * max(abs(bw[0]), abs(bw[-1]))
     if bw[0] > floor:
         return bv / np.sqrt(bw)
     keep = bw > floor
     if not np.any(keep):
         raise DegeneratePencil("right-hand matrix has no numerically positive eigenvalue")
     return bv[:, keep] / np.sqrt(bw[keep])
-
-
-def _above_floor(g: float, tol: Tolerance) -> bool:
-    """Whether :func:`_whitening` keeps the 1x1 Gram matrix ``[[g]]``, ``g >= 0``; False for NaN.
-
-    Both of its tests apply: ``g`` must exceed ``psd_abs`` (else it is
-    numerically zero) and ``psd_abs * g``, the floor it sets itself.
-    """
-    return g > tol.psd_abs and g > tol.psd_abs * g
 
 
 def min_gen_eig(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL):
@@ -160,7 +150,7 @@ def min_gen_eig(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     the reduced standard problem is solved on the rest.  Returns
     ``(value, x)`` where the minimizer satisfies ``x* b x == 1``.
 
-    Raises DegeneratePencil when ``b`` is numerically zero.
+    Raises DegeneratePencil when ``b`` is zero or not finite.
     """
     a = hermitize(a, tol)
     whiten = _whitening(hermitize(b, tol), tol)

@@ -38,8 +38,8 @@ def triple_leq(s, t) -> bool:
 
 
 def schmidt_rank(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> SchmidtRank:
-    """Rank triplet of a nonzero tri-partite vector via mode-unfolding ranks; ZeroVector for a zero input."""
-    return SchmidtRank(*(_spectrum_rank(s, tol) for s in _mode_spectra(xi, tol)))
+    """Rank triplet of a nonzero tri-partite vector via mode-unfolding ranks; ZeroVector for the zero vector."""
+    return SchmidtRank(*(_spectrum_rank(s, tol) for s in _mode_spectra(xi)))
 
 
 def schmidt_rank_by_definition(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> SchmidtRank:
@@ -50,12 +50,15 @@ def schmidt_rank_by_definition(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> S
     those matrices over a basis of inputs, the second the dimension of the
     join of their supports, the third the join of their ranges.  Slower
     than :func:`schmidt_rank` but structurally independent; the two must
-    agree on every input.
+    agree on every input.  The tensor is divided by its largest modulus
+    first, so that the Gram matrix of the maps neither underflows nor
+    overflows.
     """
-    if xi.norm() <= tol.psd_abs:
+    if not xi.data.any():
         raise ZeroVector("Schmidt rank is undefined for the zero vector")
     a = xi.dims.a
     t = xi.as_tensor()
+    t = t / np.abs(t).max()
     # value of the map on the i-th basis vector of the first party, as a c x b matrix
     maps = [t[i].T for i in range(a)]
 
@@ -83,7 +86,7 @@ def schmidt_rank_by_definition(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> S
 
 def sr_leq(xi: TriVector, t, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the rank triplet of ``xi`` is componentwise at most ``t``."""
-    if xi.norm() <= tol.psd_abs:
+    if not xi.data.any():
         return True  # the zero vector sits in every cone
     return triple_leq(schmidt_rank(xi, tol), t)
 
@@ -161,9 +164,9 @@ def construct_state_with_sr(t, dims: TriDims) -> TriVector:
     return TriVector(dims, tensor.transpose(order.inverse().image).ravel())
 
 
-def _mode_spectra(xi: TriVector, tol: Tolerance) -> list[np.ndarray]:
+def _mode_spectra(xi: TriVector) -> list[np.ndarray]:
     """Descending singular values of the three mode unfoldings, which both :func:`schmidt_rank` and the
-    CLI's ``sr`` report read; ZeroVector for a numerically zero input."""
-    if xi.norm() <= tol.psd_abs:
+    CLI's ``sr`` report read; ZeroVector for the zero vector."""
+    if not xi.data.any():
         raise ZeroVector("unfolding ranks are undefined for the zero vector")
     return [np.linalg.svd(unfold(xi, mode), compute_uv=False) for mode in range(3)]

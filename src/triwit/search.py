@@ -4,10 +4,11 @@ The see-saw minimizes <xi|W|xi> over unit vectors whose rank triplet is
 bounded by a target.  The vector is parameterized by three factor blocks
 and a core; with all other blocks frozen, the vector is linear in the
 free block, so each update is an exact eigenproblem and the objective
-never increases; an update whose pencil is degenerate is a rejected
-step, so a restart draws randomness only at its start.  The factors are
-kept orthonormal, so the core update is a standard eigenproblem, and no
-update builds a Jacobian (see :func:`seesaw_minimize`).  A cut target,
+never increases.  The vector is never zero and the floors are relative,
+so no update's pencil is degenerate, and a restart draws randomness only
+at its start.  The factors are kept orthonormal, so the core update is a
+standard eigenproblem, and no update builds a Jacobian (see
+:func:`seesaw_minimize`).  A cut target,
 such as (1, 2, 2) on qubits (the bi-separable states across one cut),
 runs a dedicated loop: the vector is u (x) c, and each step is one
 product of W, reshaped once per restart, with the outer product of the
@@ -23,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConsistencyError, DegeneratePencil, DimMismatch
-from .linalg import DEFAULT_TOL, Tolerance, _above_floor, _eigh, _whitening, hermitize
+from .errors import ConsistencyError, DimMismatch
+from .linalg import DEFAULT_TOL, Tolerance, _eigh, _whitening, hermitize
 from .linalg import min_gen_eig  # noqa: F401  (the see-saw no longer calls it; bench/selftest reads search.min_gen_eig)
 from .schmidt import PosTriple, sr_leq, triple_leq
 from .tensor import TriDims, TriOperator, TriVector
@@ -66,8 +67,7 @@ class SeesawRun:
     """Outcome of a single restart.
 
     ``objective_trace`` holds the value after each block update, kept or
-    ``rejected``; an update whose pencil is degenerate leaves its block in
-    place and counts as rejected.  ``value`` is the quotient of ``xi``.
+    ``rejected`` by the step guard.  ``value`` is the quotient of ``xi``.
     ``sweeps`` is the number of sweeps run, and ``converged`` is False when
     the run stopped at ``max_sweeps`` with its last sweep still gaining at
     least ``convergence_eps``.
@@ -94,8 +94,7 @@ class _Record:
 
         The exact block minimum never increases the quotient, but the whitening
         floor can clip near-null directions and jitter the eigenvalue, so each
-        loop evaluates the quotient directly on the candidate vector.  A
-        degenerate step has no candidate and passes NaN, which is never kept.
+        loop evaluates the quotient directly on the candidate vector.
         """
         kept = cand_value <= self.value
         if kept:
@@ -200,16 +199,18 @@ def seesaw_minimize(
     read from their lower triangles, which is their exact symmetrization.
     Each step is kept only if the quotient <xi|W|xi>/<xi|xi>, evaluated
     directly on the candidate vector xi, does not increase, so the recorded
-    objective is non-increasing by construction.  A factor step whose pencil
-    is degenerate leaves the factor in place and counts as a rejected step,
-    so ``rng`` is read only for the start.  The trace has one entry per
-    block update, the value is the quotient of the returned vector, and the
-    run counts its sweeps and rejected steps and says whether it converged.
+    objective is non-increasing by construction, and ``rng`` is read only
+    for the start.  The vector is never zero (a kept candidate has a finite
+    quotient) and, the free factors being orthonormal, the rest of the
+    network carries its norm; with ``psd_abs < 1`` no Gram matrix is then
+    degenerate.  The trace has one entry per block update,
+    the value is the quotient of the returned vector, and the run counts its
+    sweeps and rejected steps and says whether it converged.
 
     A cut target, whose one factor narrower than its mode has rank one,
     runs the dedicated loop :func:`_cut_seesaw` instead, chosen from the
     target and dims alone.  It keeps the same draws, entry gate, direct
-    guard on every candidate, floor rule, gauge and counts, and reaches the
+    guard on every candidate, gauge and counts, and reaches the
     same iterates, but each step is one product of a once-reshaped W and
     one eigensolve: no Gram eigensolve, mode products or permuted copies.
     Every other target runs the general loop above.
@@ -230,7 +231,7 @@ def seesaw_minimize(
         else:
             free.append(mode)
     if len(free) == 1 and ranks[free[0]] == 1:
-        return _cut_seesaw(wmat, shape, free[0], factors[free[0]], core, max_sweeps, convergence_eps, tol)
+        return _cut_seesaw(wmat, shape, free[0], factors[free[0]], core, max_sweeps, convergence_eps)
     factors_h = [None] * 3
 
     def set_factor(mode, x) -> None:
@@ -299,11 +300,7 @@ def seesaw_minimize(
         sweeps += 1
         sweep_start = record.value
         for mode in free:
-            try:
-                candidate, new_factor = factor_step(mode)
-            except DegeneratePencil:
-                record.keep(math.nan)
-                continue
+            candidate, new_factor = factor_step(mode)
             if record.keep(quotient(candidate, wfirst[mode])):
                 set_factor(mode, new_factor)
         candidate, new_core = core_step()
@@ -313,7 +310,7 @@ def seesaw_minimize(
     return record.run(assemble(core), sweeps, converged)
 
 
-def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, convergence_eps, tol) -> SeesawRun:
+def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, convergence_eps) -> SeesawRun:
     """The see-saw of :func:`seesaw_minimize` on a cut target, where only ``mode`` is free, at rank one.
 
     In the free mode's first order the vector is u (x) c, u the factor
@@ -323,8 +320,8 @@ def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, convergence_eps, tol) ->
     matrix is one product of one of them with the outer product of the
     other block.  u is kept a unit vector and c carries the norm, so the c
     step is a standard eigenproblem.  The u step's Gram matrix is ||c||^2,
-    floored by :func:`_above_floor`, the rule of :func:`_whitening`; a
-    degenerate u step leaves u in place and counts as rejected.
+    which is never zero, so :func:`_whitening` would keep it at any
+    ``psd_abs < 1``; the step divides c by ||c|| instead.
     """
     d = shape[mode]
     r = wmat.shape[0] // d
@@ -346,15 +343,11 @@ def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, convergence_eps, tol) ->
     while sweeps < max_sweeps and not converged:
         sweeps += 1
         sweep_start = record.value
-        gram = np.vdot(c, c).real
-        if _above_floor(gram, tol):
-            _, vecs = _eigh((w_u @ (c.conj()[:, None] * c).reshape(-1)).reshape(d, d))
-            y = vecs[:, 0]
-            if record.keep(quotient((y[:, None] * c).reshape(-1))):
-                u = y
-                c = c / math.sqrt(gram)
-        else:
-            record.keep(math.nan)
+        _, vecs = _eigh((w_u @ (c.conj()[:, None] * c).reshape(-1)).reshape(d, d))
+        y = vecs[:, 0]
+        if record.keep(quotient((y[:, None] * c).reshape(-1))):
+            u = y
+            c = c / math.sqrt(np.vdot(c, c).real)
         _, vecs = _eigh((w_c @ (u.conj()[:, None] * u).reshape(-1)).reshape(r, r))
         y = vecs[:, 0]
         if record.keep(quotient((u[:, None] * y).reshape(-1))):

@@ -177,14 +177,15 @@ def family_choi(params: QubitWitnessParams) -> BiLinearMap:
 
 def _holds(params: QubitWitnessParams, idx, tol: Tolerance) -> bool:
     """The slack rule behind every closed-form criterion: over the indices
-    ``idx``, the sum of sqrt(s_i t_i) is at least the sum of |u_i|."""
+    ``idx``, the sum of sqrt(s_i t_i) is at least the sum of |u_i|, less
+    ``ineq_abs`` times that sum."""
     rst, au = params.root_st(), params.abs_u()
     lhs, rhs = sum(rst[i] for i in idx), sum(au[i] for i in idx)
     if math.isinf(lhs) or math.isinf(rhs):
         # at most four terms below 2 x the float maximum, so their quarters sum
         # without overflow; |u_i / 4| is finite even where |u_i| is not
-        return sum(rst[i] / 4 for i in idx) >= sum(abs(params.u[i] / 4) for i in idx) - tol.ineq_abs / 4
-    return lhs >= rhs - tol.ineq_abs
+        lhs, rhs = sum(rst[i] / 4 for i in idx), sum(abs(params.u[i] / 4) for i in idx)
+    return lhs >= rhs - tol.ineq_abs * rhs
 
 
 def check_222(params: QubitWitnessParams, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -388,8 +389,8 @@ def check_111(
     the refined grid.  Otherwise the verdict is NumericallySupported, which
     is explicitly not a proof.  Where a term of the slack could overflow,
     the grid and polish run on (s, t, u) scaled down by a power of two,
-    against the tolerance on the same scale, and the evidence is given in
-    the original units.
+    and the evidence is given in the original units.  The tolerance is
+    ``ineq_abs`` times the member's largest entry, on the same scale.
     """
     if _holds(params, range(4), tol):
         return ClassVerdict(Verdict.CERTIFIED, "sum criterion: sum sqrt(s_i t_i) >= sum |u_i|")
@@ -412,7 +413,7 @@ def check_111(
         (log_radius, angle), val = _nelder_mead(objective, (math.log(abs(alpha0)), float(np.angle(alpha0))))
         if val < best_slack:
             best_alpha, best_slack = _polish_alpha(log_radius, angle), val
-    if best_slack < -tol.ineq_abs * scale:
+    if best_slack < -tol.ineq_abs * max(scaled.s + scaled.t + scaled.abs_u()):
         return ClassVerdict(
             Verdict.REFUTED,
             f"inequality fails by {-best_slack / scale:.3e} at alpha = {best_alpha:.6g}",

@@ -410,7 +410,7 @@ def test_reused_parser_gives_identical_reports(tmp_path, capsys):
 
 TOL_FIELDS = {"--tol-rank": "rank_rel", "--tol-psd": "psd_abs", "--tol-ineq": "ineq_abs"}
 # the tolerance flags each report's computation reads; gen writes no report and takes none
-TOL_READ = {"sr": ["--tol-rank", "--tol-psd"], "classify": ["--tol-ineq"], "pair": [], "search": list(TOL_FIELDS)}
+TOL_READ = {"sr": ["--tol-rank"], "classify": ["--tol-ineq"], "pair": [], "search": list(TOL_FIELDS)}
 
 
 def _report_argv(tmp_path, command):
@@ -515,6 +515,11 @@ def test_classify_rejects_non_finite_params(capsys, s):
         ["sr", "VECTOR", "--tol-rank", "1"],
         ["search", "--s", "0,1,1,0", "--t", "0,1,1,0", "--u", "1:0,1:0,1:0,1:0", "--sr", "1,2,2",
          "--tol-rank", "2"],
+        # an eigenvalue floor of 1 or more would drop every eigenvalue
+        ["search", "--s", "0,1,1,0", "--t", "0,1,1,0", "--u", "1:0,1:0,1:0,1:0", "--sr", "1,2,2",
+         "--tol-psd", "1"],
+        # sr reads no eigenvalue floor, so it refuses the flag
+        ["sr", "VECTOR", "--tol-psd", "0.5"],
     ],
 )
 def test_infinite_tolerance_exits_2(tmp_path, capsys, argv):

@@ -10,7 +10,7 @@ from triwit import (
     min_gen_eig,
     svd_rank,
 )
-from triwit.linalg import _above_floor, _whitening, hermitize
+from triwit.linalg import _whitening, hermitize
 
 
 def _rand_complex(rng, shape):
@@ -35,8 +35,9 @@ def test_tolerance_rejects_nonpositive():
 @pytest.mark.parametrize(
     "field,value",
     [pytest.param(f, v, id=f"{v}-{f}") for v in (np.inf, np.nan) for f in ("rank_rel", "psd_abs", "ineq_abs")]
-    # at rank_rel >= 1 not even the largest singular value counts, so every rank is 0
-    + [pytest.param("rank_rel", v, id=f"{v}-rank_rel") for v in (1.0, 2.0)],
+    # at rank_rel >= 1 not even the largest singular value counts, so every rank is 0,
+    # and at psd_abs >= 1 the eigenvalue floor drops every eigenvalue
+    + [pytest.param(f, v, id=f"{v}-{f}") for f, values in (("rank_rel", (1.0, 2.0)), ("psd_abs", (1.0, 1.5))) for v in values],
 )
 def test_tolerance_rejects_non_finite(field, value):
     with pytest.raises(ValueError):
@@ -139,6 +140,32 @@ def test_min_gen_eig_vector_is_b_normalized():
 def test_min_gen_eig_degenerate_pencil():
     with pytest.raises(DegeneratePencil):
         min_gen_eig(np.eye(3), np.zeros((3, 3)))
+
+
+# powers of two scale every float exactly, so a scale-free rule must give identical results
+SCALES = [pytest.param(2.0**e, id=f"2^{e}") for e in (40, -40, 400, -400)]
+
+
+@pytest.mark.parametrize("lam", SCALES)
+def test_min_gen_eig_scales_with_b(lam):
+    # the floor is relative to ||b||_2, so scaling b scales the quotient by
+    # 1/lam and the minimizer by 1/sqrt(lam), also where b is singular
+    rng = np.random.default_rng(14)
+    for rank in (5, 3):
+        a = _rand_hermitian(rng, 5)
+        g = _rand_complex(rng, (5, rank))
+        b = g @ g.conj().T
+        val, x = min_gen_eig(a, b)
+        scaled_val, scaled_x = min_gen_eig(a, lam * b)
+        assert scaled_val == val / lam
+        np.testing.assert_array_equal(scaled_x, x / np.sqrt(lam))
+
+
+def test_min_gen_eig_small_pencil():
+    # b = 1e-9 I is small, not zero: the quotient x*ax / x*bx has minimum 1e9
+    val, x = min_gen_eig(np.diag([1.0, 2.0, 3.0]), 1e-9 * np.eye(3))
+    assert abs(val - 1e9) <= 1e-6
+    assert abs(abs(x[0]) ** 2 * 1e-9 - 1) <= 1e-12
 
 
 def _quotient_descent(a, b, z, iters=500):
@@ -259,20 +286,20 @@ def test_min_gen_eig_matches_pinv_whitening(least):
     assert abs((x.conj() @ a @ x).real - val) <= 1e-10 * np.linalg.norm(a)
 
 
-@pytest.mark.parametrize("psd_abs", [1e-9, 0.5, 1.0])
+@pytest.mark.parametrize("psd_abs", [1e-9, 0.5])
 @pytest.mark.parametrize("g", [0.0, 1e-300, 1e-9, 2e-9, 0.5, 1.0, 1.5, 1e300, np.inf, np.nan])
 def test_scalar_floor_is_the_whitening_rule(g, psd_abs):
-    # the see-saw's cut loop floors its 1x1 Gram matrix with _above_floor
-    # in place of _whitening; the two must keep the same values, neither
-    # keeps a NaN or inf, and _whitening rejects every value it does not
-    # keep as a degenerate pencil, which the see-saw re-draws
-    tol = Tolerance(psd_abs=psd_abs)
+    # the floor is relative, so _whitening keeps a 1x1 Gram matrix exactly
+    # when it is positive and finite, however small or large, and rejects
+    # every other value as a degenerate pencil
     try:
-        _whitening(np.array([[g]], dtype=complex), tol)
+        s = _whitening(np.array([[g]], dtype=complex), Tolerance(psd_abs=psd_abs))
         kept = True
     except DegeneratePencil:
         kept = False
-    assert _above_floor(g, tol) is kept
+    assert kept is (0 < g < np.inf)
+    if kept:
+        assert abs(s[0, 0] ** 2 * g - 1) <= 1e-15
 
 
 @pytest.mark.parametrize(

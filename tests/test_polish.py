@@ -160,7 +160,7 @@ def _scipy_check_111(params: QubitWitnessParams, grid: AlphaGrid = AlphaGrid(), 
         val = float(alpha_slack(params, cand))
         if val < best_slack:
             best_alpha, best_slack = cand, val
-    if best_slack < -tol.ineq_abs:
+    if best_slack < -tol.ineq_abs * max(params.s + params.t + params.abs_u()):
         return ClassVerdict(
             Verdict.REFUTED,
             f"inequality fails by {-best_slack:.3e} at alpha = {best_alpha:.6g}",

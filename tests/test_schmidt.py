@@ -180,3 +180,33 @@ def test_scaling_invariance():
     base = schmidt_rank(xi)
     for lam in (2.0, -0.5, 1e-4 + 3j):
         assert schmidt_rank(TriVector(xi.dims, lam * xi.data)) == base
+
+
+# powers of two scale every float exactly, so a scale-free rule must give identical results
+SCALES = [pytest.param(2.0**e, id=f"2^{e}") for e in (40, -40, 400, -400)]
+
+
+@pytest.mark.parametrize("lam", SCALES)
+def test_rank_triplet_does_not_depend_on_scale(lam):
+    dims = TriDims(3, 3, 3)
+    rng = np.random.default_rng(36)
+    vectors = [construct_state_with_sr(t, dims) for t in all_admissible(dims)]
+    vectors += [_rand_vector(rng, dims) for _ in range(3)] + [_diag_sum(3), product_vector(*(_basis(3, 1),) * 3)]
+    for xi in vectors:
+        scaled = TriVector(dims, lam * xi.data)
+        assert schmidt_rank(scaled) == schmidt_rank(xi)
+        assert schmidt_rank_by_definition(scaled) == schmidt_rank_by_definition(xi)
+        assert [sr_leq(scaled, t) for t in all_admissible(dims)] == [sr_leq(xi, t) for t in all_admissible(dims)]
+
+
+def test_only_the_zero_vector_is_zero():
+    # a GHZ-class vector keeps its triplet however small or large it is scaled
+    xi = construct_state_with_sr((2, 2, 2), QUBITS)
+    for scale in 10.0 ** np.arange(-300, 201, 25):
+        scaled = TriVector(QUBITS, scale * xi.data)
+        assert schmidt_rank(scaled) == schmidt_rank_by_definition(scaled) == SchmidtRank(2, 2, 2), scale
+        assert not sr_leq(scaled, (1, 1, 1))
+    zero = TriVector(QUBITS, np.zeros(8))
+    with pytest.raises(ZeroVector):
+        schmidt_rank_by_definition(zero)
+    assert sr_leq(zero, (1, 1, 1))

@@ -26,7 +26,6 @@ from triwit import (
     sr_leq,
     violation_search,
 )
-from triwit.errors import DegeneratePencil
 from triwit.linalg import Tolerance, min_gen_eig
 from triwit.search import _assemble, _mode_product
 
@@ -239,8 +238,7 @@ def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=SeesawConfig.conv
 
     It draws from ``rng`` in the engine's order, absorbs full-width factors
     into the core, sweeps the narrower factors and then the core, and keeps
-    a step only if the quotient does not increase; a degenerate step is
-    rejected.  Returns the trace.
+    a step only if the quotient does not increase.  Returns the trace.
     """
 
     def draw(shape):
@@ -270,12 +268,7 @@ def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=SeesawConfig.conv
         start = value
         for name in sweep:
             jac = jacobian(name)
-            try:
-                _, z = min_gen_eig(jac.conj().T @ wmat @ jac, jac.conj().T @ jac)
-            except DegeneratePencil:
-                # a degenerate step leaves the block in place: a rejected step
-                trace.append(value)
-                continue
+            _, z = min_gen_eig(jac.conj().T @ wmat @ jac, jac.conj().T @ jac)
             candidate = quotient(jac @ z)
             if candidate <= value:
                 value = candidate
@@ -331,33 +324,6 @@ def test_seesaw_run_reports_sweeps_and_convergence(target):
     assert 0 <= full.rejected <= len(full.objective_trace)
 
 
-def test_seesaw_degenerate_step_leaves_u_unchanged():
-    # psd_abs = 1 puts every eigenvalue of a factor step's Gram matrix at or
-    # below the floor, so each u step is degenerate: it leaves u at its
-    # (normalized) draw and counts as a rejected step with a trace entry.
-    # The core steps then reach the least eigenvalue of W compressed by that
-    # u.  Each cut is checked, so the free factor is in every position once.
-    wmat = _rand_hermitian(np.random.default_rng(351), 8)
-    for target in ((1, 2, 2), (2, 1, 2), (2, 2, 1)):
-        run = seesaw_minimize(wmat, QUBITS, target, np.random.default_rng(3), max_sweeps=4, tol=Tolerance(psd_abs=1.0))
-        assert run.sweeps >= 1
-        assert len(run.objective_trace) == 2 * run.sweeps
-        assert run.rejected >= run.sweeps
-        assert np.all(np.diff(run.objective_trace) <= 0)
-        # replay the draws: u, v, w and the core; u is the rank-one factor's draw
-        rng = np.random.default_rng(3)
-        blocks = [rng.standard_normal((2, k)) + 1j * rng.standard_normal((2, k)) for k in target]
-        mode = target.index(1)
-        u = blocks[mode][:, 0] / np.linalg.norm(blocks[mode])
-        order = [mode] + [m for m in range(3) if m != mode]
-        w4 = wmat.reshape((2,) * 6).transpose(order + [3 + m for m in order]).reshape(2, 4, 2, 4)
-        least = np.linalg.eigvalsh(np.einsum("x,xiyj,y->ij", u.conj(), w4, u))[0]
-        assert abs(run.value - least) <= 1e-12 * np.linalg.norm(wmat)
-        # the returned vector, with the free mode first, is u (x) c for some c
-        m = run.xi.reshape(2, 2, 2).transpose(order).reshape(2, 4)
-        assert np.linalg.norm(m - np.outer(u, u.conj() @ m)) <= 1e-12
-
-
 def _start_draws(rng, dims, target) -> None:
     """Draw from ``rng`` exactly what a see-saw restart draws at its start."""
     for shape in [(d, k) for d, k in zip(dims, target)] + [target]:
@@ -376,7 +342,7 @@ ENGINE_TARGETS = [
 ]
 
 
-@pytest.mark.parametrize("psd_abs", [1e-9, 0.3, 1.0])
+@pytest.mark.parametrize("psd_abs", [1e-9, 0.3, 0.999])
 @pytest.mark.parametrize("dims,target", ENGINE_TARGETS)
 def test_seesaw_value_is_the_quotient_of_xi(dims, target, psd_abs):
     # whatever the floor, the value is that of the returned vector, each
@@ -508,3 +474,30 @@ def test_cut_target_search_matches_grid_oracle(cls):
         assert isinstance(out, NoViolation)
         oracle = _cut_minimum(w.mat, cls.index(1))
         assert abs(out.best_value - oracle) <= 1e-6 * np.linalg.norm(w.mat)
+
+
+@pytest.mark.parametrize("lam", [pytest.param(2.0**e, id=f"2^{e}") for e in (40, -40, 400, -400)])
+def test_violation_search_scales_with_w(lam):
+    # the Hermiticity gate, the whitening floor and the certificate threshold
+    # are relative, so a power-of-two multiple of W gives the same outcome
+    # and vector with the value times lam; the stopping rule convergence_eps
+    # is an absolute gain per sweep, so it is scaled with W
+    rng = np.random.default_rng(380)
+    witnesses = [TriOperator(QUBITS, _rand_hermitian(rng, 8)) for _ in range(2)]
+    witnesses += [family_choi(genuine_witness(1.0)).choi, TriOperator(TriDims(2, 3, 2), _rand_hermitian(rng, 12))]
+    kinds = set()
+    for w in witnesses:
+        scaled = TriOperator(w.dims, lam * w.mat)
+        for target in ((1, 2, 2), (2, 1, 2), (1, 1, 2), (1, 1, 1), (2, 2, 2)):
+            out = violation_search(w, target, SeesawConfig(restarts=3))
+            cfg = SeesawConfig(restarts=3, convergence_eps=lam * SeesawConfig.convergence_eps)
+            scaled_out = violation_search(scaled, target, cfg)
+            assert type(scaled_out) is type(out)
+            if isinstance(out, ViolationCertificate):
+                assert scaled_out.value == lam * out.value
+                np.testing.assert_array_equal(scaled_out.xi.data, out.xi.data)
+            else:
+                assert scaled_out.best_value == lam * out.best_value
+                np.testing.assert_array_equal(scaled_out.best_xi.data, out.best_xi.data)
+            kinds.add(type(out))
+    assert kinds == {ViolationCertificate, NoViolation}

@@ -21,6 +21,7 @@ from triwit import (
     is_completely_positive,
     permute_dual,
 )
+from triwit.search import ViolationCertificate, violation_search
 from triwit.witness import _LOG_HI, PAIR_CLASSES, _scaled_for_slack
 
 
@@ -353,17 +354,22 @@ def test_classify_monotone_consistency():
 
 
 def test_classify_monotone_inside_the_tolerance_band():
-    # each |u_i| exceeds sqrt(s_i t_i) by less than ineq_abs, so (2,2,2) holds
-    # within tolerance while a sum over two or four indices can fail by up to
-    # two or four of those excesses; the certified top class must still
-    # certify every smaller one, and say so where their own sums fail
+    # each |u_i| exceeds sqrt(s_i t_i) by less than ineq_abs times itself, so
+    # (2,2,2) holds within tolerance.  The slack is relative, so in exact
+    # arithmetic every pair sum then holds too; at the band's edge, where
+    # |u_i| = sqrt(s_i t_i) (1 + ineq_abs), rounding alone decides each
+    # inequality, and a pair sum can fail where the singles hold.  The
+    # certified top class must still certify every smaller one, and say so
+    # where their own sums fail
     ineq_abs = 1e-9
     draws = [QubitWitnessParams(s=(1, 1, 1, 1), t=(1, 1, 1, 1), u=(1.0000000009,) * 4)]
     rng = np.random.default_rng(69)
-    for _ in range(40):
+    for excess in [rng.uniform(0.0, 0.9, 4) for _ in range(40)] + [np.ones(4)] * 80:
         s, t = rng.uniform(0.2, 2.0, 4), rng.uniform(0.2, 2.0, 4)
-        mags = np.sqrt(s * t) + rng.uniform(0.0, 0.9, 4) * ineq_abs
-        draws.append(QubitWitnessParams(s=tuple(s), t=tuple(t), u=tuple(mags * np.exp(2j * np.pi * rng.uniform(size=4)))))
+        mags = np.sqrt(s * t) * (1 + excess * ineq_abs)
+        p = QubitWitnessParams(s=tuple(s), t=tuple(t), u=tuple(mags * np.exp(2j * np.pi * rng.uniform(size=4))))
+        if excess[0] < 1 or check_222(p):
+            draws.append(p)
     dominated = 0
     for p in draws:
         rep = classify(p)
@@ -372,8 +378,55 @@ def test_classify_monotone_inside_the_tolerance_band():
             own = check_pair_class(p, cls)
             dominated += not own
             assert rep.classes[cls].evidence.startswith("pair inequalities" if own else "dominated by certified class")
-    # the first draw fails every pair sum, so its pair classes rest on (2,2,2) alone
-    assert dominated >= 3
+    # some edge draws fail a pair sum, so their pair classes rest on (2,2,2) alone
+    assert dominated >= 1
+
+
+def _scaled(p: QubitWitnessParams, lam) -> QubitWitnessParams:
+    return QubitWitnessParams(s=tuple(lam * x for x in p.s), t=tuple(lam * x for x in p.t), u=tuple(lam * z for z in p.u))
+
+
+def _verdicts(rep):
+    return {cls: cv.verdict for cls, cv in rep.classes.items()}, rep.biseparability_witness
+
+
+@pytest.mark.parametrize("lam", [pytest.param(2.0**e, id=f"2^{e}") for e in (40, -40, 400, -400)])
+def test_classify_does_not_depend_on_scale(lam):
+    # every slack is relative and a power of two scales every float exactly,
+    # so the verdicts and the flag are those of the unscaled member
+    rng = np.random.default_rng(76)
+    draws = _tie_params(rng, 30) + [_rand_params(rng, u_scale=rng.uniform(0.2, 2.0)) for _ in range(30)]
+    verdicts = set()
+    for p in draws:
+        want = _verdicts(classify(p))
+        assert _verdicts(classify(_scaled(p, lam))) == want, p
+        verdicts.update(want[0].values())
+    assert verdicts == set(Verdict)
+
+
+def test_small_members_are_not_certified_by_the_slack():
+    # s = t = lam and u = 2 lam fail every class however small lam is; the
+    # Choi matrix is not PSD and the see-saw finds a violating product vector
+    lam = 1e-10
+    p = QubitWitnessParams(s=(lam,) * 4, t=(lam,) * 4, u=(2 * lam,) * 4)
+    rep = classify(p)
+    assert set(_verdicts(rep)[0].values()) == {Verdict.REFUTED}
+    assert not rep.biseparability_witness
+    assert not is_completely_positive(family_choi(p))
+    assert isinstance(violation_search(family_choi(p).choi, (2, 2, 2)), ViolationCertificate)
+    # tie draws keep their (1,1,1) verdict at 1e-12 times their size
+    rng = np.random.default_rng(72)
+    ties = []
+    while len(ties) < 40:
+        q = _tie_params(rng, 1)[0]
+        if check_111(q, AlphaGrid(1, 1)).verdict is not Verdict.CERTIFIED:
+            ties.append(q)
+    for q in ties:
+        assert check_111(_scaled(q, 1e-12)).verdict is check_111(q).verdict is not Verdict.CERTIFIED
+    # exact-boundary members sqrt(s_i t_i) = |u_i| hold (2,2,2) at any size
+    for k in (1e-8, 1e8, 1e12):
+        for a in rng.uniform(0.1, 10.0, (200, 4)):
+            assert check_222(QubitWitnessParams(s=tuple(a * k), t=tuple(k / a), u=(k,) * 4))
 
 
 def test_classify_pair_covariance_under_flip():

@@ -133,8 +133,6 @@ def _whitening(b: np.ndarray, tol: Tolerance) -> np.ndarray:
         raise DegeneratePencil("right-hand matrix is not finite")
     bw, bv = _eigh(b)
     floor = tol.psd_abs * max(abs(bw[0]), abs(bw[-1]))
-    if bw[0] > floor:
-        return bv / np.sqrt(bw)
     keep = bw > floor
     if not np.any(keep):
         raise DegeneratePencil("right-hand matrix has no numerically positive eigenvalue")
@@ -150,7 +148,8 @@ def min_gen_eig(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL):
     the reduced standard problem is solved on the rest.  Returns
     ``(value, x)`` where the minimizer satisfies ``x* b x == 1``.
 
-    Raises DegeneratePencil when ``b`` is zero or not finite.
+    Raises NotHermitian when ``a`` or ``b`` is not Hermitian or not finite
+    (the gate of :func:`hermitize`), and DegeneratePencil when ``b`` is zero.
     """
     a = hermitize(a, tol)
     whiten = _whitening(hermitize(b, tol), tol)

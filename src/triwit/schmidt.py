@@ -32,9 +32,21 @@ class PosTriple(NamedTuple):
     r: int
 
 
+def _triple(t) -> tuple[int, int, int]:
+    """The entries of the triplet ``t`` as three ints; ValueError unless it has exactly three integral entries."""
+    entries = tuple(t)
+    try:
+        ints = tuple(int(x) for x in entries)
+    except (TypeError, ValueError, OverflowError):
+        ints = None
+    if len(entries) != 3 or ints != entries:
+        raise ValueError(f"a rank triplet needs exactly three integral entries, got {entries}")
+    return ints
+
+
 def triple_leq(s, t) -> bool:
     """Componentwise (product) partial order on triplets."""
-    return all(int(x) <= int(y) for x, y in zip(tuple(s), tuple(t)))
+    return all(x <= y for x, y in zip(_triple(s), _triple(t)))
 
 
 def schmidt_rank(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> SchmidtRank:
@@ -86,6 +98,7 @@ def schmidt_rank_by_definition(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> S
 
 def sr_leq(xi: TriVector, t, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the rank triplet of ``xi`` is componentwise at most ``t``."""
+    t = _triple(t)
     if not xi.data.any():
         return True  # the zero vector sits in every cone
     return triple_leq(schmidt_rank(xi, tol), t)
@@ -97,7 +110,7 @@ def admissible(t, dims: TriDims) -> bool:
     Requires 1 <= alpha <= a, 1 <= beta <= b, 1 <= gamma <= c and each
     component at most the product of the other two.
     """
-    al, be, ga = (int(x) for x in tuple(t))
+    al, be, ga = _triple(t)
     a, b, c = dims.as_tuple()
     return (
         1 <= al <= a
@@ -156,7 +169,7 @@ def construct_state_with_sr(t, dims: TriDims) -> TriVector:
     by the inverse order, which is what flipping the sorted vector would
     give.  Raises NotAdmissible outside the admissible region.
     """
-    t = tuple(int(x) for x in tuple(t))
+    t = _triple(t)
     if not admissible(t, dims):
         raise NotAdmissible(f"rank triplet {t} is not admissible in dims {dims.as_tuple()}")
     order = Permutation3(tuple(sorted(range(3), key=t.__getitem__)))

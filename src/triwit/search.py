@@ -8,11 +8,9 @@ never increases.  The vector is never zero and the floors are relative,
 so no update's pencil is degenerate, and a restart draws randomness only
 at its start.  The factors are kept orthonormal, so the core update is a
 standard eigenproblem, and no update builds a Jacobian (see
-:func:`seesaw_minimize`).  A cut target,
-such as (1, 2, 2) on qubits (the bi-separable states across one cut),
-runs a dedicated loop: the vector is u (x) c, and each step is one
-product of W, reshaped once per restart, with the outer product of the
-other block, then one eigensolve.  A negative enough final value yields
+:func:`seesaw_minimize`).  A cut target, such as (1, 2, 2) on qubits (the
+bi-separable states across one cut), runs the dedicated loop
+:func:`_cut_seesaw`.  A negative enough final value yields
 a violation certificate; anything else is reported as "no violation
 found", which is deliberately not a positivity proof.
 """
@@ -27,7 +25,7 @@ import numpy as np
 from .errors import ConsistencyError, DimMismatch
 from .linalg import DEFAULT_TOL, Tolerance, _eigh, _whitening, hermitize
 from .linalg import min_gen_eig  # noqa: F401  (the see-saw no longer calls it; bench/selftest reads search.min_gen_eig)
-from .schmidt import PosTriple, sr_leq, triple_leq
+from .schmidt import PosTriple, _triple, sr_leq, triple_leq
 from .tensor import TriDims, TriOperator, TriVector
 
 
@@ -125,8 +123,9 @@ def _assemble(u, v, w, core) -> np.ndarray:
 
 
 def _fit_target(target, dims: TriDims) -> PosTriple:
-    """The target rank triplet as integers; DimMismatch unless 1 <= target <= dims."""
-    t = PosTriple(*(int(x) for x in tuple(target)))
+    """The target rank triplet as integers: ValueError unless it has three
+    integral entries, DimMismatch unless 1 <= target <= dims."""
+    t = PosTriple(*_triple(target))
     if min(t) < 1 or not triple_leq(t, dims.as_tuple()):
         raise DimMismatch(f"target {tuple(target)} does not fit in dims {dims.as_tuple()}")
     return t
@@ -208,12 +207,8 @@ def seesaw_minimize(
     sweeps and rejected steps and says whether it converged.
 
     A cut target, whose one factor narrower than its mode has rank one,
-    runs the dedicated loop :func:`_cut_seesaw` instead, chosen from the
-    target and dims alone.  It keeps the same draws, entry gate, direct
-    guard on every candidate, gauge and counts, and reaches the
-    same iterates, but each step is one product of a once-reshaped W and
-    one eigensolve: no Gram eigensolve, mode products or permuted copies.
-    Every other target runs the general loop above.
+    runs :func:`_cut_seesaw` instead, chosen from the target and dims
+    alone; every other target runs the general loop above.
     """
     wmat = hermitize(wmat, tol)
     shape = dims.as_tuple()
@@ -232,19 +227,12 @@ def seesaw_minimize(
             free.append(mode)
     if len(free) == 1 and ranks[free[0]] == 1:
         return _cut_seesaw(wmat, shape, free[0], factors[free[0]], core, max_sweeps, convergence_eps)
-    factors_h = [None] * 3
 
     def set_factor(mode, x) -> None:
         """Store ``x = q r`` as its orthonormal ``q`` and push ``r`` into the core; xi is unchanged."""
         nonlocal core
-        if x.shape[1] == 1:
-            norm = math.sqrt(np.vdot(x, x).real)
-            factors[mode] = x / norm
-            core = core * norm
-        else:
-            factors[mode], r = np.linalg.qr(x)
-            core = _mode_product(r, core, mode)
-        factors_h[mode] = factors[mode].conj().T
+        factors[mode], r = np.linalg.qr(x)
+        core = _mode_product(r, core, mode)
 
     for mode in free:
         set_factor(mode, factors[mode])
@@ -286,10 +274,10 @@ def seesaw_minimize(
         """Minimize over the core; returns the candidate and the new core."""
         t = wmat.reshape(shape + (n,))
         for mode in free:
-            t = _mode_product(factors_h[mode], t, mode)
+            t = _mode_product(factors[mode].conj().T, t, mode)
         t = t.reshape(m, n).conj().T.reshape(shape + (m,))
         for mode in free:
-            t = _mode_product(factors_h[mode], t, mode)
+            t = _mode_product(factors[mode].conj().T, t, mode)
         _, vecs = _eigh(t.reshape(m, m))
         y = vecs[:, 0].reshape(ranks)
         return assemble(y), y
@@ -316,12 +304,16 @@ def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, convergence_eps) -> Sees
     In the free mode's first order the vector is u (x) c, u the factor
     ``u`` of that mode and c the flattened ``core`` (the other two modes,
     absorbed).  W, with the free mode first on both sides, is reshaped once
-    into ``w_u`` (d^2 x r^2) and ``w_c`` (r^2 x d^2), so a step's reduced
-    matrix is one product of one of them with the outer product of the
-    other block.  u is kept a unit vector and c carries the norm, so the c
-    step is a standard eigenproblem.  The u step's Gram matrix is ||c||^2,
-    which is never zero, so :func:`_whitening` would keep it at any
-    ``psd_abs < 1``; the step divides c by ||c|| instead.
+    per restart into ``w_u`` (d^2 x r^2) and ``w_c`` (r^2 x d^2), so a
+    step's reduced matrix is one product of one of them with the outer
+    product of the other block, then one eigensolve: no Gram eigensolve,
+    mode products or permuted copies.  u is kept a unit vector and c
+    carries the norm, so the c step is a standard eigenproblem.  The u
+    step's Gram matrix is ||c||^2, which is never zero, so
+    :func:`_whitening` would keep it at any ``psd_abs < 1``; the step
+    divides c by ||c|| instead.  The loop keeps the general loop's draws,
+    entry gate, direct guard on every candidate, gauge and counts, and
+    reaches the same iterates.
     """
     d = shape[mode]
     r = wmat.shape[0] // d

@@ -9,15 +9,10 @@ admissible region for qubits has an exact closed-form criterion except
 grid-plus-descent search over a complex parameter.
 
 The descent is ``_nelder_mead``, scipy's non-adaptive Nelder-Mead
-unrolled in plain Python for exactly two variables (coefficients rho = 1,
-chi = 2, psi = sigma = 0.5; start simplex 1.05 x_k, or 0.00025 where
-x_k = 0; at most POLISH_MAXITER - 1 = 399 iterations; stop when the simplex
-spans at most POLISH_XATOL = 1e-12 and its values at most POLISH_FATOL =
-1e-14).  Its three vertices live in locals, each step is written per
-coordinate, and ``_ordered`` re-sorts them as numpy's argsort orders three
-values: ascending, ties kept in place, NaN last.  Given the same objective
-it evaluates it at scipy's points in scipy's order and returns scipy's
-point bit for bit, so the package imports no scipy.
+unrolled in plain Python for exactly two variables; its docstring and the
+constants it reads give its coefficients and stopping rule.  Given the
+same objective it returns scipy's point bit for bit, so the package
+imports no scipy.
 """
 
 from __future__ import annotations
@@ -82,12 +77,13 @@ class QubitWitnessParams:
         object.__setattr__(self, "u", u)
 
     def root_st(self) -> tuple[float, float, float, float]:
-        """sqrt(s_i t_i); split into sqrt(s_i) sqrt(t_i) where s_i t_i overflows."""
+        """sqrt(s_i t_i), finite for every member: split into sqrt(s_i) sqrt(t_i) where s_i t_i overflows."""
         return tuple(_root_product(si, ti) for si, ti in zip(self.s, self.t))
 
     def abs_u(self) -> tuple[float, float, float, float]:
-        """|u_i|; inf where the modulus of finite parts exceeds the float range."""
-        return tuple(_modulus(ui) for ui in self.u)
+        """|u_i|, taken where it is finite, on the member scaled by :func:`_scaled_for_slack`, and scaled back."""
+        scaled, c = _scaled_for_slack(self)
+        return tuple(abs(ui) / c for ui in scaled.u)
 
 
 def _root_product(a: float, b: float) -> float:
@@ -108,13 +104,6 @@ def _root_products(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     if finite.all():
         return np.sqrt(ab)
     return np.where(finite, np.sqrt(ab), np.where((a == 0) | (b == 0), 0.0, np.sqrt(a) * np.sqrt(b)))
-
-
-def _modulus(z: complex) -> float:
-    try:
-        return abs(z)
-    except OverflowError:
-        return math.inf
 
 
 class Verdict(enum.Enum):
@@ -148,10 +137,9 @@ class AlphaGrid:
     ``radii`` radii, log-spaced over the fixed range RADIUS_MIN = 1e-3 to
     RADIUS_MAX = 1e3 so both small and large parameters are covered, times
     ``angles`` equally spaced angles; the REFINE = 4 grid points of least
-    slack get a local derivative-free polish: ``_nelder_mead`` in
-    (log radius, angle), capped at POLISH_MAXITER = 400 with POLISH_XATOL =
-    1e-12 and POLISH_FATOL = 1e-14, the radius clamped to three e-folds
-    beyond the grid's range.
+    slack get a local derivative-free polish, :func:`_nelder_mead` in
+    (log radius, angle), the radius clamped to three e-folds beyond the
+    grid's range.
     """
 
     radii: int = 64
@@ -178,13 +166,11 @@ def family_choi(params: QubitWitnessParams) -> BiLinearMap:
 def _holds(params: QubitWitnessParams, idx, tol: Tolerance) -> bool:
     """The slack rule behind every closed-form criterion: over the indices
     ``idx``, the sum of sqrt(s_i t_i) is at least the sum of |u_i|, less
-    ``ineq_abs`` times that sum."""
-    rst, au = params.root_st(), params.abs_u()
-    lhs, rhs = sum(rst[i] for i in idx), sum(au[i] for i in idx)
-    if math.isinf(lhs) or math.isinf(rhs):
-        # at most four terms below 2 x the float maximum, so their quarters sum
-        # without overflow; |u_i / 4| is finite even where |u_i| is not
-        lhs, rhs = sum(rst[i] / 4 for i in idx), sum(abs(params.u[i] / 4) for i in idx)
+    ``ineq_abs`` times that sum, both taken where they are finite: on the
+    member scaled by :func:`_scaled_for_slack`'s exact power of two."""
+    scaled, _ = _scaled_for_slack(params)
+    rst = scaled.root_st()
+    lhs, rhs = sum(rst[i] for i in idx), sum(abs(scaled.u[i]) for i in idx)
     return lhs >= rhs - tol.ineq_abs * rhs
 
 
@@ -240,7 +226,8 @@ def _scaled_for_slack(params: QubitWitnessParams) -> tuple[QubitWitnessParams, f
     scale is exact, so the slack at c (s, t, u) is c times the slack at
     (s, t, u) wherever no term overflows or leaves the normal range.
     Where no term can overflow unscaled, c = 1 and ``params`` come back as
-    they are.
+    they are.  The closed-form sums of :func:`_holds` are taken at this
+    scale too.
     """
     e = max(
         math.frexp(max(params.s))[1],

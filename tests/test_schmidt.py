@@ -17,6 +17,7 @@ from triwit import (
     schmidt_rank,
     schmidt_rank_by_definition,
     sr_leq,
+    triple_leq,
 )
 from triwit.schmidt import _construct_ascending
 
@@ -94,6 +95,27 @@ def test_sr_leq_ghz():
     ghz = TriVector(QUBITS, _basis(8, 0) + _basis(8, 7))
     assert not sr_leq(ghz, (1, 2, 2))
     assert sr_leq(ghz, (2, 2, 2))
+
+
+@pytest.mark.parametrize("t", [(1.5, 2, 2), (2.9, 1, 1), (2, 2), (2, 2, 2, 1), ("2", 2, 2)])
+def test_triplets_need_three_integral_entries(t):
+    # a fractional entry is not truncated, and a missing or extra one is not dropped
+    ghz = TriVector(QUBITS, _basis(8, 0) + _basis(8, 7))
+    with pytest.raises(ValueError):
+        admissible(t, QUBITS)
+    with pytest.raises(ValueError):
+        construct_state_with_sr(t, QUBITS)
+    with pytest.raises(ValueError):
+        triple_leq(t, (2, 1, 1))
+    with pytest.raises(ValueError):
+        triple_leq((1, 1, 1), t)
+    for xi in (ghz, TriVector(QUBITS, np.zeros(8, dtype=complex))):
+        with pytest.raises(ValueError):
+            sr_leq(xi, t)
+    # integral floats and numpy integers still count
+    exact = (2.0, np.int64(2), 2)
+    assert admissible(exact, QUBITS) and triple_leq((1, 2, 2), exact) and sr_leq(ghz, exact)
+    assert schmidt_rank(construct_state_with_sr((1.0, np.int32(2), 2), QUBITS)) == SchmidtRank(1, 2, 2)
 
 
 def test_admissible_examples():

@@ -92,6 +92,24 @@ def test_seesaw_minimize_rejects_target_outside_dims(target):
         seesaw_minimize(wmat, QUBITS, target, np.random.default_rng(0), max_sweeps=2)
 
 
+@pytest.mark.parametrize("target", [(1.9, 2, 2), (2, 2), (1, 2, 2, 2)])
+def test_targets_need_three_integral_entries(target):
+    # (1.9, 2, 2) is not searched as (1, 2, 2), and a missing or extra entry is a ValueError too
+    w = _witness_matrix()
+    with pytest.raises(ValueError):
+        violation_search(w, target, SeesawConfig(restarts=1, max_sweeps=2))
+    with pytest.raises(ValueError):
+        seesaw_minimize(w.mat, QUBITS, target, np.random.default_rng(0), max_sweeps=2)
+    with pytest.raises(ValueError):
+        sample_sr_vector(QUBITS, target, np.random.default_rng(0))
+    # integral floats and numpy integers still count
+    exact = (1.0, np.int64(2), 2)
+    xi = sample_sr_vector(QUBITS, exact, np.random.default_rng(0))
+    assert schmidt_rank(xi) == SchmidtRank(1, 2, 2)
+    run = seesaw_minimize(w.mat, QUBITS, exact, np.random.default_rng(0), max_sweeps=2)
+    assert sr_leq(TriVector(QUBITS, run.xi), (1, 2, 2))
+
+
 def test_sample_state_pure_product():
     rng = np.random.default_rng(74)
     rho = sample_state(QUBITS, (1, 1, 1), 1, rng)
@@ -294,6 +312,9 @@ def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=SeesawConfig.conv
         # not cuts: one free mode of rank 2, two free modes
         ((3, 3, 3), (2, 3, 3), 200),
         ((2, 2, 2), (1, 1, 2), 200),
+        # three free modes of rank one, each factor gauged by QR
+        ((2, 2, 2), (1, 1, 1), 200),
+        ((2, 3, 4), (1, 1, 1), 200),
     ],
 )
 def test_seesaw_matches_jacobian_reference(dims, target, max_sweeps):

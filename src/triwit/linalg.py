@@ -4,7 +4,8 @@ Matrices are plain numpy arrays with dtype complex128.  Every tolerance
 gate in this module scales by the Frobenius norm of its input, except the
 eigenvalue floors which scale by the spectral norm (available for free
 once the spectrum is computed).  Every Hermitian eigenproblem is solved by
-LAPACK's ``zheevd``, through the one helper ``_eigh``.
+LAPACK's ``zheevd``, through the one helper ``_eigh``, and every QR
+factorization by ``zgeqrf``, through the one helper ``_qr``.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
+from numpy.linalg._linalg import _raise_linalgerror_qr
 
 from .errors import DegeneratePencil, NotHermitian
 
@@ -54,7 +56,7 @@ DEFAULT_TOL = Tolerance()
 
 
 def hermitize(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
-    """Check that ``m`` is Hermitian within tolerance and return (m + m*)/2.
+    """Check that ``m`` is Hermitian within tolerance and return (m + m*)/2, C-contiguous.
 
     Symmetrizing after the gate removes round-off asymmetry deterministically.
     Raises NotHermitian when the defect exceeds ``psd_abs * ||m||_F``, and
@@ -67,14 +69,20 @@ def hermitize(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     scale = math.sqrt(np.vdot(m, m).real)
     if not scale < math.inf:
         raise NotHermitian(f"matrix norm is not finite: ||m|| = {scale}")
-    mh = m.conj().T
+    mh = m.T.copy()  # m*, C-contiguous, so that no later pass reads m transposed
+    np.conjugate(mh, out=mh)
     diff = m - mh
     defect = math.sqrt(np.vdot(diff, diff).real)
     if not defect <= tol.psd_abs * scale:
         raise NotHermitian(
             f"Hermiticity defect {defect:.3e} exceeds {tol.psd_abs:.1e} * ||m|| = {tol.psd_abs * scale:.3e}"
         )
-    return (m + mh) / 2.0
+    # (m + m*) / 2.0 bit for bit: numpy halves a + bi as ((a + b*0) / 2, (b - a*0) / 2)
+    mh += m
+    mh *= complex(1.0, -0.0)
+    half = mh.view(np.float64)
+    half *= 0.5
+    return mh
 
 
 def _eigh(m: np.ndarray):
@@ -91,6 +99,22 @@ def _eigh(m: np.ndarray):
     if w.size and math.isnan(w[0]):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return w, v
+
+
+def _qr(a: np.ndarray):
+    """The reduced q and r of ``numpy.linalg.qr(a)``, bit for bit, from its gufuncs, as :func:`_eigh` does.
+
+    ``qr_r_raw`` (LAPACK ``zgeqrf``) overwrites its operand, a copy, with r
+    on and above the diagonal.  A failure raises LinAlgError, as in numpy.
+    """
+    a = np.array(a, dtype=complex)
+    with np.errstate(call=_raise_linalgerror_qr, invalid="call"):
+        tau = _umath_linalg.qr_r_raw(a)
+        q = _umath_linalg.qr_reduced(a, tau)
+    r = a[: min(a.shape)]
+    for row in range(1, r.shape[0]):
+        r[row, :row] = 0
+    return q, r
 
 
 def hermitian_eig(m: np.ndarray, tol: Tolerance = DEFAULT_TOL):

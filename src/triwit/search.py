@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DimMismatch
-from .linalg import DEFAULT_TOL, Tolerance, _eigh, _whitening, hermitize
+from .linalg import DEFAULT_TOL, Tolerance, _eigh, _qr, _whitening, hermitize
 from .linalg import min_gen_eig  # noqa: F401  (the see-saw no longer calls it; bench/selftest reads search.min_gen_eig)
 from .schmidt import PosTriple, _triple, sr_leq, triple_leq
 from .tensor import TriDims, TriOperator, TriVector
@@ -84,16 +84,19 @@ class _Record:
 
     __slots__ = ("value", "trace", "rejected")
 
-    def __init__(self, value: float):
-        self.value, self.trace, self.rejected = value, [], 0
+    def __init__(self, wmat: np.ndarray, xi: np.ndarray):
+        self.value = float(np.vdot(xi, wmat @ xi).real / np.vdot(xi, xi).real)
+        self.trace, self.rejected = [], 0
 
-    def keep(self, cand_value: float) -> bool:
-        """Record a step; keep it only if its quotient ``cand_value`` does not go up.
+    def keep(self, x: np.ndarray, reduced: np.ndarray, norm_sq: float) -> bool:
+        """Record a step; keep it only if its candidate xi's quotient Re(x* R x) / ||xi||^2 does not go up.
 
-        The exact block minimum never increases the quotient, but the whitening
-        floor can clip near-null directions and jitter the eigenvalue, so each
-        loop evaluates the quotient directly on the candidate vector.
+        R is a ``reduced`` matrix the step holds, with x* R x = <xi|W|xi>,
+        and ``norm_sq`` = ||xi||^2 is taken from xi itself.  The whitening
+        floor can clip near-null directions and jitter the eigenvalue, so the
+        guard is the candidate's own quotient, never an eigenvalue.
         """
+        cand_value = float(np.vdot(x, reduced @ x).real / norm_sq)
         kept = cand_value <= self.value
         if kept:
             self.value = cand_value
@@ -114,8 +117,7 @@ def _draw_complex(rng: np.random.Generator, shape) -> np.ndarray:
 
 
 def _orthonormal_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    q, _ = np.linalg.qr(_draw_complex(rng, (n, k)))
-    return q[:, :k]
+    return _qr(_draw_complex(rng, (n, k)))[0]
 
 
 def _assemble(u, v, w, core) -> np.ndarray:
@@ -196,15 +198,16 @@ def seesaw_minimize(
     matrix is the identity times a k x k block, whitened under the rule of
     :func:`min_gen_eig`.  No Jacobian is built.  Both reduced matrices are
     read from their lower triangles, which is their exact symmetrization.
-    Each step is kept only if the quotient <xi|W|xi>/<xi|xi>, evaluated
-    directly on the candidate vector xi, does not increase, so the recorded
-    objective is non-increasing by construction, and ``rng`` is read only
-    for the start.  The vector is never zero (a kept candidate has a finite
+    Each step is kept only if the candidate xi's quotient <xi|W|xi>/<xi|xi>
+    does not increase.  It is read from the reduced matrix the step solved
+    (:meth:`_Record.keep`), as Re(y* R y) / ||xi||^2, R the factor step's
+    (d k) x (d k) matrix or the core step's J* W J, y its eigenvector and
+    the norm that of xi itself, so no step multiplies by W.  The objective
+    is non-increasing by construction, and ``rng`` is read only for the
+    start.  The vector is never zero (a kept candidate has a finite
     quotient) and, the free factors being orthonormal, the rest of the
     network carries its norm; with ``psd_abs < 1`` no Gram matrix is then
-    degenerate.  The trace has one entry per block update,
-    the value is the quotient of the returned vector, and the run counts its
-    sweeps and rejected steps and says whether it converged.
+    degenerate.  The value is the quotient of the returned vector.
 
     A cut target, whose one factor narrower than its mode has rank one,
     runs :func:`_cut_seesaw` instead, chosen from the target and dims
@@ -231,28 +234,24 @@ def seesaw_minimize(
     def set_factor(mode, x) -> None:
         """Store ``x = q r`` as its orthonormal ``q`` and push ``r`` into the core; xi is unchanged."""
         nonlocal core
-        factors[mode], r = np.linalg.qr(x)
+        factors[mode], r = _qr(x)
         core = _mode_product(r, core, mode)
 
-    for mode in free:
-        set_factor(mode, factors[mode])
-    # each free mode's axis order with that mode first, and W permuted to it on both sides
+    # gauge each free factor; its axis order with its mode first, and W permuted to it on both sides
     orders, wfirst = {}, {}
     for mode in free:
+        set_factor(mode, factors[mode])
         orders[mode] = [mode] + [other for other in range(3) if other != mode]
         axes = orders[mode] + [3 + other for other in orders[mode]]
         wfirst[mode] = wmat.reshape(shape * 2).transpose(axes).reshape(n, n)
-
-    def quotient(xi, wm) -> float:
-        return float(np.vdot(xi, wm @ xi).real / np.vdot(xi, xi).real)
 
     def assemble(t):
         for mode in free:
             t = _mode_product(factors[mode], t, mode)
         return t.reshape(-1)
 
-    def factor_step(mode):
-        """Minimize over factor ``mode``; returns the candidate (in W's mode-first order) and the new factor."""
+    def factor_step(mode) -> None:
+        """Minimize over factor ``mode`` and keep the step under the step rule."""
         d = shape[mode]
         order = orders[mode]
         rest = core.transpose(order)
@@ -266,34 +265,35 @@ def seesaw_minimize(
         t = mt.T @ s
         k = t.shape[1]
         reduced = t.conj().T @ (wfirst[mode].reshape(-1, n // d) @ t).reshape(d, n // d, d * k)
-        _, vecs = _eigh(reduced.reshape(d * k, d * k))
-        y = vecs[:, 0].reshape(d, k)
-        return (y @ t.T).reshape(-1), y @ s.T
+        reduced = reduced.reshape(d * k, d * k)
+        y = _eigh(reduced)[1][:, 0]
+        xi = y.reshape(d, k) @ t.T
+        if record.keep(y, reduced, np.vdot(xi, xi).real):
+            set_factor(mode, y.reshape(d, k) @ s.T)
 
-    def core_step():
-        """Minimize over the core; returns the candidate and the new core."""
+    def core_step() -> None:
+        """Minimize over the core and keep the step under the step rule."""
+        nonlocal core
         t = wmat.reshape(shape + (n,))
         for mode in free:
             t = _mode_product(factors[mode].conj().T, t, mode)
         t = t.reshape(m, n).conj().T.reshape(shape + (m,))
         for mode in free:
             t = _mode_product(factors[mode].conj().T, t, mode)
-        _, vecs = _eigh(t.reshape(m, m))
-        y = vecs[:, 0].reshape(ranks)
-        return assemble(y), y
+        reduced = t.reshape(m, m)
+        y = _eigh(reduced)[1][:, 0]
+        xi = assemble(y.reshape(ranks))
+        if record.keep(y, reduced, np.vdot(xi, xi).real):
+            core = y.reshape(ranks)
 
-    record = _Record(quotient(assemble(core), wmat))
+    record = _Record(wmat, assemble(core))
     sweeps, converged = 0, False
     while sweeps < max_sweeps and not converged:
         sweeps += 1
         sweep_start = record.value
         for mode in free:
-            candidate, new_factor = factor_step(mode)
-            if record.keep(quotient(candidate, wfirst[mode])):
-                set_factor(mode, new_factor)
-        candidate, new_core = core_step()
-        if record.keep(quotient(candidate, wmat)):
-            core = new_core
+            factor_step(mode)
+        core_step()
         converged = sweep_start - record.value < convergence_eps
     return record.run(assemble(core), sweeps, converged)
 
@@ -311,38 +311,37 @@ def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, convergence_eps) -> Sees
     carries the norm, so the c step is a standard eigenproblem.  The u
     step's Gram matrix is ||c||^2, which is never zero, so
     :func:`_whitening` would keep it at any ``psd_abs < 1``; the step
-    divides c by ||c|| instead.  The loop keeps the general loop's draws,
-    entry gate, direct guard on every candidate, gauge and counts, and
-    reaches the same iterates.
+    divides c by ||c|| instead.  The u candidate y (x) c is valued as
+    Re(c* M c) / (||y||^2 ||c||^2) through M = (y (x) I)* W (y (x) I), the
+    matrix the next c step solves if the u step is kept, and the c candidate
+    through the M its step solved: a sweep builds two reduced matrices and
+    runs two eigensolves.  The loop keeps the general loop's draws, entry
+    gate, step guard, gauge and counts, and reaches the same iterates.
     """
     d = shape[mode]
     r = wmat.shape[0] // d
     order = [mode] + [other for other in range(3) if other != mode]
     w4 = wmat.reshape(shape * 2).transpose(order + [3 + other for other in order]).reshape(d, r, d, r)
-    wfirst = w4.reshape(d * r, d * r)
     w_u = w4.transpose(0, 2, 1, 3).reshape(d * d, r * r)
     w_c = w4.transpose(1, 3, 0, 2).reshape(r * r, d * d)
-
-    def quotient(xi) -> float:
-        return float(np.vdot(xi, wfirst @ xi).real / np.vdot(xi, xi).real)
 
     # u is stored as a unit vector and its norm pushed into c; xi is unchanged
     u = u.reshape(d)
     norm = math.sqrt(np.vdot(u, u).real)
     u, c = u / norm, core.reshape(r) * norm
-    record = _Record(quotient((u[:, None] * c).reshape(-1)))
+    record = _Record(w4.reshape(d * r, d * r), (u[:, None] * c).reshape(-1))
+    reduced = (w_c @ (u.conj()[:, None] * u).reshape(-1)).reshape(r, r)
     sweeps, converged = 0, False
     while sweeps < max_sweeps and not converged:
         sweeps += 1
         sweep_start = record.value
-        _, vecs = _eigh((w_u @ (c.conj()[:, None] * c).reshape(-1)).reshape(d, d))
-        y = vecs[:, 0]
-        if record.keep(quotient((y[:, None] * c).reshape(-1))):
-            u = y
-            c = c / math.sqrt(np.vdot(c, c).real)
-        _, vecs = _eigh((w_c @ (u.conj()[:, None] * u).reshape(-1)).reshape(r, r))
-        y = vecs[:, 0]
-        if record.keep(quotient((u[:, None] * y).reshape(-1))):
+        y = _eigh((w_u @ (c.conj()[:, None] * c).reshape(-1)).reshape(d, d))[1][:, 0]
+        cand = (w_c @ (y.conj()[:, None] * y).reshape(-1)).reshape(r, r)
+        c_sq = np.vdot(c, c).real
+        if record.keep(c, cand, np.vdot(y, y).real * c_sq):
+            u, reduced, c = y, cand, c / math.sqrt(c_sq)
+        y = _eigh(reduced)[1][:, 0]
+        if record.keep(y, reduced, np.vdot(u, u).real * np.vdot(y, y).real):
             c = y
         converged = sweep_start - record.value < convergence_eps
     rest = tuple(shape[other] for other in order[1:])

@@ -10,7 +10,7 @@ from triwit import (
     min_gen_eig,
     svd_rank,
 )
-from triwit.linalg import _whitening, hermitize
+from triwit.linalg import _qr, _whitening, hermitize
 
 
 def _rand_complex(rng, shape):
@@ -263,6 +263,61 @@ def test_hermitize_gate_threshold(side, accepted):
     else:
         with pytest.raises(NotHermitian):
             hermitize(m)
+
+
+def _signed_zeros(rng, n):
+    # a Hermitian matrix of 0, 1 and 1/2 entries whose every zero component
+    # carries an independent random sign, so m + m* holds each signed-zero sum
+    h = rng.choice([0.0, 0.5, 1.0], (n, n)) + 1j * rng.choice([0.0, 0.5, 1.0], (n, n))
+    h = np.tril(h, -1) + np.tril(h, -1).conj().T + np.diag(np.diag(h).real)
+    parts = h.view(np.float64)
+    parts[parts == 0] = np.copysign(0.0, rng.choice([-1.0, 1.0], np.count_nonzero(parts == 0)))
+    return h
+
+
+def _subnormal(rng, n):
+    # a unit diagonal under non-Hermitian entries of -3..3 times the least
+    # subnormal: their sums are odd or even multiples of it, of either sign
+    k = rng.integers(-3, 4, (n, n)) + 1j * rng.integers(-3, 4, (n, n))
+    return np.eye(n) + k * 5e-324
+
+
+HALVED_SUM_CASES = {
+    "random": lambda rng, n: _rand_hermitian(rng, n) + 1e-12 * _rand_complex(rng, (n, n)),
+    "2^400": lambda rng, n: 2.0**400 * (_rand_hermitian(rng, n) + 1e-12 * _rand_complex(rng, (n, n))),
+    "2^-400": lambda rng, n: 2.0**-400 * (_rand_hermitian(rng, n) + 1e-12 * _rand_complex(rng, (n, n))),
+    "signed-zeros": _signed_zeros,
+    "subnormal": _subnormal,
+}
+
+
+@pytest.mark.parametrize("n", [1, 8, 216])
+@pytest.mark.parametrize("case", list(HALVED_SUM_CASES))
+def test_hermitize_is_the_halved_sum_bit_for_bit(case, n):
+    # the same bits as numpy's complex division of the sum by 2.0, signed
+    # zeros and rounded subnormal halves included, in a C-contiguous array
+    for seed in range(3):
+        m = HALVED_SUM_CASES[case](np.random.default_rng([14, seed]), n)
+        want = (m + m.conj().T) / 2.0
+        got = hermitize(m)
+        assert got.flags.c_contiguous
+        np.testing.assert_array_equal(got.view(np.uint64), want.view(np.uint64))
+        # a transposed view of m* gives the same sums, added the other way round
+        np.testing.assert_array_equal(hermitize(m.T.conj()).view(np.uint64), want.view(np.uint64))
+
+
+@pytest.mark.parametrize("d", range(1, 7))
+def test_qr_matches_numpy_bit_for_bit(d):
+    rng = np.random.default_rng(15 + d)
+    for k in range(1, d + 1):
+        x = _rand_complex(rng, (d, k))
+        before = x.copy()
+        q, r = _qr(x)
+        q0, r0 = np.linalg.qr(x)
+        assert q.shape == q0.shape == (d, k) and r.shape == r0.shape == (k, k)
+        np.testing.assert_array_equal(q.view(np.uint64), q0.view(np.uint64))
+        np.testing.assert_array_equal(r.view(np.uint64), r0.view(np.uint64))
+        np.testing.assert_array_equal(x, before)
 
 
 def _pinv_whitening_min(a, b, tol=DEFAULT_TOL):

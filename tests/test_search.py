@@ -383,6 +383,33 @@ def test_seesaw_value_is_the_quotient_of_xi(dims, target, psd_abs):
         assert rng.bit_generator.state == replay.bit_generator.state
 
 
+# sweeps run by three seeded restarts, each on its own random Hermitian, as
+# the see-saw ran them when every candidate was valued by a product with W
+GUARD_PINS = {
+    ((2, 2, 2), (1, 2, 2)): (15, 14, 15),
+    ((2, 3, 4), (2, 1, 4)): (17, 17, 33),
+    ((3, 3, 3), (2, 3, 3)): (19, 33, 23),
+    ((2, 2, 2), (1, 1, 2)): (12, 32, 20),
+    ((2, 2, 2), (1, 1, 1)): (16, 36, 11),
+    ((6, 6, 6), (3, 3, 3)): (173, 186, 92),
+}
+
+
+@pytest.mark.parametrize("dims,target", list(GUARD_PINS))
+def test_guard_from_the_reduced_matrix_keeps_the_sweeps(dims, target):
+    # the guard reads each candidate's quotient from a reduced matrix its
+    # step holds: each restart runs the sweeps it ran when the guard
+    # multiplied by W, and the value is still the quotient of the returned vector
+    n = int(np.prod(dims))
+    free = sum(k < d for d, k in zip(dims, target))
+    for seed, sweeps in enumerate(GUARD_PINS[dims, target]):
+        wmat = _rand_hermitian(np.random.default_rng([16, seed]), n)
+        run = seesaw_minimize(wmat, TriDims(*dims), target, np.random.default_rng(seed))
+        assert run.converged and run.sweeps == sweeps
+        assert len(run.objective_trace) == (free + 1) * sweeps
+        assert abs(np.vdot(run.xi, wmat @ run.xi).real - run.value) <= 1e-13 * np.linalg.norm(wmat)
+
+
 @pytest.mark.parametrize("index,value", [((0, 0), np.nan), ((1, 1), np.inf), ((0, 3), 1.0)], ids=["nan", "inf", "asymmetric"])
 def test_seesaw_minimize_gates_wmat_at_entry(index, value):
     wmat = _rand_hermitian(np.random.default_rng(352), 8)

@@ -38,7 +38,8 @@ class Tolerance:
     psd_abs: eigenvalue floor and Hermiticity gate, times the matrix norm;
         it must be below 1, or the floor drops every eigenvalue.
     ineq_abs: slack for scalar inequality checks, times the inequality's
-        scale and applied on the favorable side, so exact boundary cases pass.
+        scale and applied on the favorable side, so exact boundary cases
+        pass; it must be below 1, or every inequality check holds.
     """
 
     rank_rel: float = 1e-9
@@ -48,11 +49,20 @@ class Tolerance:
     def __post_init__(self):
         if not all(0 < x < math.inf for x in (self.rank_rel, self.psd_abs, self.ineq_abs)):
             raise ValueError("all tolerances must be positive and finite")
-        if self.rank_rel >= 1 or self.psd_abs >= 1:
-            raise ValueError("rank_rel and psd_abs must be below 1")
+        if max(self.rank_rel, self.psd_abs, self.ineq_abs) >= 1:
+            raise ValueError("rank_rel, psd_abs and ineq_abs must be below 1")
 
 
 DEFAULT_TOL = Tolerance()
+
+
+def _frobenius(m: np.ndarray) -> float:
+    """||m||_F; where the plain sum of squares overflows, taken on m times 2**-600, an exact scale."""
+    norm = math.sqrt(np.vdot(m, m).real)
+    if norm < math.inf or not np.isfinite(m).all():
+        return norm
+    small = m * 2.0**-600
+    return math.sqrt(np.vdot(small, small).real) * 2.0**600
 
 
 def hermitize(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
@@ -60,19 +70,21 @@ def hermitize(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
 
     Symmetrizing after the gate removes round-off asymmetry deterministically.
     Raises NotHermitian when the defect exceeds ``psd_abs * ||m||_F``, and
-    when ``m`` holds a NaN or an infinity (its norm is then not finite).
+    when that norm is not below 2**1023, half the float range: also when
+    ``m`` holds a NaN or an infinity.
     """
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
-    # both tests are negated comparisons so that NaN fails them
-    scale = math.sqrt(np.vdot(m, m).real)
-    if not scale < math.inf:
-        raise NotHermitian(f"matrix norm is not finite: ||m|| = {scale}")
+    # both tests are negated comparisons so that NaN fails them; a norm
+    # below 2**1023 bounds every part of m, so that m + m* cannot overflow
+    scale = _frobenius(m)
+    if not scale < 2.0**1023:
+        raise NotHermitian(f"matrix norm is not below 2**1023: ||m|| = {scale}")
     mh = m.T.copy()  # m*, C-contiguous, so that no later pass reads m transposed
     np.conjugate(mh, out=mh)
     diff = m - mh
-    defect = math.sqrt(np.vdot(diff, diff).real)
+    defect = _frobenius(diff)
     if not defect <= tol.psd_abs * scale:
         raise NotHermitian(
             f"Hermiticity defect {defect:.3e} exceeds {tol.psd_abs:.1e} * ||m|| = {tol.psd_abs * scale:.3e}"

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DimMismatch
-from .linalg import DEFAULT_TOL, Tolerance, _eigh, _qr, _whitening, hermitize
+from .linalg import DEFAULT_TOL, Tolerance, _eigh, _frobenius, _qr, _whitening, hermitize
 from .linalg import min_gen_eig  # noqa: F401  (the see-saw no longer calls it; bench/selftest reads search.min_gen_eig)
 from .schmidt import PosTriple, _triple, sr_leq, triple_leq
 from .tensor import TriDims, TriOperator, TriVector
@@ -368,7 +368,7 @@ def violation_search(
     """
     target = _fit_target(target, w.dims)
     wmat = hermitize(w.mat, tol)
-    scale = np.linalg.norm(wmat)
+    scale = _frobenius(wmat)
     restarts = 1 if target == w.dims.as_tuple() else cfg.restarts
     best: SeesawRun | None = None
     for restart in range(restarts):

@@ -6,7 +6,9 @@ Family members are 8 x 8 Hermitian Choi matrices with diagonal
 lexicographic qubit basis.  For this family every positivity class in the
 admissible region for qubits has an exact closed-form criterion except
 (1, 1, 1), which is certified by sufficient conditions or refuted by a
-grid-plus-descent search over a complex parameter.
+grid-plus-descent search over a complex parameter.  Every closed-form
+datum of a member comes from one record, ``_closed_form``, taken on the
+member scaled once by an exact power of two.
 
 The descent is ``_nelder_mead``, scipy's non-adaptive Nelder-Mead
 unrolled in plain Python for exactly two variables; its docstring and the
@@ -163,20 +165,9 @@ def family_choi(params: QubitWitnessParams) -> BiLinearMap:
     return from_choi(m, QUBIT_DIMS)
 
 
-def _holds(params: QubitWitnessParams, idx, tol: Tolerance) -> bool:
-    """The slack rule behind every closed-form criterion: over the indices
-    ``idx``, the sum of sqrt(s_i t_i) is at least the sum of |u_i|, less
-    ``ineq_abs`` times that sum, both taken where they are finite: on the
-    member scaled by :func:`_scaled_for_slack`'s exact power of two."""
-    scaled, _ = _scaled_for_slack(params)
-    rst = scaled.root_st()
-    lhs, rhs = sum(rst[i] for i in idx), sum(abs(scaled.u[i]) for i in idx)
-    return lhs >= rhs - tol.ineq_abs * rhs
-
-
 def check_222(params: QubitWitnessParams, tol: Tolerance = DEFAULT_TOL) -> bool:
     """Exact criterion for the top class: sqrt(s_i t_i) >= |u_i| for each i."""
-    return all(_holds(params, (i,), tol) for i in range(4))
+    return _closed_form(params, tol).certifies((2, 2, 2))
 
 
 def check_pair_class(params: QubitWitnessParams, cls, tol: Tolerance = DEFAULT_TOL) -> bool:
@@ -184,7 +175,7 @@ def check_pair_class(params: QubitWitnessParams, cls, tol: Tolerance = DEFAULT_T
     cls = tuple(cls)
     if cls not in PAIR_CLASSES:
         raise ValueError(f"not a pair class: {cls}")
-    return all(_holds(params, p, tol) for p in PAIR_CLASSES[cls])
+    return _closed_form(params, tol).certifies(cls)
 
 
 def alpha_slack(params: QubitWitnessParams, alpha) -> np.ndarray:
@@ -226,8 +217,7 @@ def _scaled_for_slack(params: QubitWitnessParams) -> tuple[QubitWitnessParams, f
     scale is exact, so the slack at c (s, t, u) is c times the slack at
     (s, t, u) wherever no term overflows or leaves the normal range.
     Where no term can overflow unscaled, c = 1 and ``params`` come back as
-    they are.  The closed-form sums of :func:`_holds` are taken at this
-    scale too.
+    they are.
     """
     e = max(
         math.frexp(max(params.s))[1],
@@ -242,6 +232,45 @@ def _scaled_for_slack(params: QubitWitnessParams) -> tuple[QubitWitnessParams, f
         t=tuple(x * c for x in params.t),
         u=tuple(complex(z.real * c, z.imag * c) for z in params.u),
     ), c
+
+
+# the index sets of the closed-form sums: the four singles, the six pairs and all four
+_INDEX_SETS = (*((i,) for i in range(4)), *itertools.combinations(range(4), 2), (0, 1, 2, 3))
+# the index sets whose inequalities decide each class with an exact criterion
+_CRITERIA = {(2, 2, 2): _INDEX_SETS[:4], **PAIR_CLASSES}
+
+
+@dataclass(frozen=True)
+class _ClosedForm:
+    """One member's closed-form record, as :func:`_closed_form` makes it."""
+
+    scaled: QubitWitnessParams  # the member times the power of two ``scale``
+    scale: float
+    holds: dict[tuple[int, ...], bool]  # the slack rule on each index set of ``_INDEX_SETS``
+    root_st: tuple[float, ...]  # the member's own sqrt(s_i t_i) and |u_i|, as the evidence prints them
+    abs_u: tuple[float, ...]
+    refute_below: float  # minus ineq_abs times the scaled member's largest entry
+
+    def certifies(self, cls) -> bool:
+        """The exact criterion of (2, 2, 2) or of a pair class."""
+        return all(self.holds[idx] for idx in _CRITERIA[cls])
+
+
+def _closed_form(params: QubitWitnessParams, tol: Tolerance) -> _ClosedForm:
+    """Every closed-form datum of ``params``, from one :func:`_scaled_for_slack` call.
+
+    The slack rule of every closed-form criterion: over an index set, the
+    sum of sqrt(s_i t_i) is at least the sum of |u_i|, less ``ineq_abs``
+    times that sum, both taken where they are finite, on the scaled member.
+    """
+    scaled, c = _scaled_for_slack(params)
+    rst, au = scaled.root_st(), tuple(abs(z) for z in scaled.u)
+    holds = {}
+    for idx in _INDEX_SETS:
+        lhs, rhs = sum(rst[i] for i in idx), sum(au[i] for i in idx)
+        holds[idx] = lhs >= rhs - tol.ineq_abs * rhs
+    refute_below = -tol.ineq_abs * max(scaled.s + scaled.t + au)
+    return _ClosedForm(scaled, c, holds, params.root_st(), tuple(a / c for a in au), refute_below)
 
 
 def _polish_alpha(log_radius: float, angle: float) -> complex:
@@ -366,6 +395,8 @@ def check_111(
     params: QubitWitnessParams,
     grid: AlphaGrid = AlphaGrid(),
     tol: Tolerance = DEFAULT_TOL,
+    *,
+    closed_form: _ClosedForm | None = None,
 ) -> ClassVerdict:
     """One-sided test of the bottom class.
 
@@ -374,36 +405,36 @@ def check_111(
     grow, so a bigger class implies the bottom one).  Refuted with a
     witnessing alpha when the inequality fails beyond tolerance somewhere on
     the refined grid.  Otherwise the verdict is NumericallySupported, which
-    is explicitly not a proof.  Where a term of the slack could overflow,
-    the grid and polish run on (s, t, u) scaled down by a power of two,
-    and the evidence is given in the original units.  The tolerance is
-    ``ineq_abs`` times the member's largest entry, on the same scale.
+    is explicitly not a proof.  All of these read ``closed_form``, the
+    member's record under ``tol`` (made here unless :func:`classify` passes
+    its own): where a term of the slack could overflow, the grid and polish
+    run on (s, t, u) scaled down by a power of two, and the evidence is
+    given in the original units.  The tolerance is ``ineq_abs`` times the
+    member's largest entry, on the same scale.
     """
-    if _holds(params, range(4), tol):
+    cf = _closed_form(params, tol) if closed_form is None else closed_form
+    if cf.holds[(0, 1, 2, 3)]:
         return ClassVerdict(Verdict.CERTIFIED, "sum criterion: sum sqrt(s_i t_i) >= sum |u_i|")
-    if check_222(params, tol):
-        return ClassVerdict(Verdict.CERTIFIED, "dominated by certified class (2, 2, 2)")
-    for cls in PAIR_CLASSES:
-        if check_pair_class(params, cls, tol):
+    for cls in _CRITERIA:
+        if cf.certifies(cls):
             return ClassVerdict(Verdict.CERTIFIED, f"dominated by certified class {cls}")
 
     radii = np.geomspace(RADIUS_MIN, RADIUS_MAX, grid.radii)
     angles = np.linspace(0.0, 2.0 * np.pi, grid.angles, endpoint=False)
     alphas = radii[:, None] * np.exp(1j * angles[None, :])
-    scaled, scale = _scaled_for_slack(params)
-    slack = alpha_slack(scaled, alphas)
+    slack = alpha_slack(cf.scaled, alphas)
 
-    objective = _polish_objective(scaled)
+    objective = _polish_objective(cf.scaled)
     best_alpha, best_slack = None, np.inf
     for idx in np.argsort(slack, axis=None)[:REFINE]:
         alpha0 = alphas.ravel()[idx]
         (log_radius, angle), val = _nelder_mead(objective, (math.log(abs(alpha0)), float(np.angle(alpha0))))
         if val < best_slack:
             best_alpha, best_slack = _polish_alpha(log_radius, angle), val
-    if best_slack < -tol.ineq_abs * max(scaled.s + scaled.t + scaled.abs_u()):
+    if best_slack < cf.refute_below:
         return ClassVerdict(
             Verdict.REFUTED,
-            f"inequality fails by {-best_slack / scale:.3e} at alpha = {best_alpha:.6g}",
+            f"inequality fails by {-best_slack / cf.scale:.3e} at alpha = {best_alpha:.6g}",
             alpha=complex(best_alpha),
         )
     return ClassVerdict(
@@ -419,14 +450,16 @@ def classify(
 ) -> PositivityReport:
     """Verdicts for all five classes plus the bi-separability-witness flag.
 
+    Every verdict, its evidence and the flag read one closed-form record.
     The exact criteria are chained through the class order (a certified
     bigger class certifies every smaller one) so the report is monotone by
     construction even at tolerance boundaries.
     """
-    rst, au = params.root_st(), params.abs_u()
+    cf = _closed_form(params, tol)
+    rst, au = cf.root_st, cf.abs_u
     classes: dict[tuple[int, int, int], ClassVerdict] = {}
 
-    top = check_222(params, tol)
+    top = cf.certifies((2, 2, 2))
     if top:
         margin = min(r - a for r, a in zip(rst, au))
         classes[(2, 2, 2)] = ClassVerdict(
@@ -439,20 +472,20 @@ def classify(
         )
 
     for cls, pairs in PAIR_CLASSES.items():
-        if check_pair_class(params, cls, tol):
+        if cf.certifies(cls):
             classes[cls] = ClassVerdict(Verdict.CERTIFIED, f"pair inequalities {pairs} hold")
         elif top:
             classes[cls] = ClassVerdict(Verdict.CERTIFIED, "dominated by certified class (2, 2, 2)")
         else:
-            i, j = next(p for p in pairs if not _holds(params, p, tol))
+            i, j = next(p for p in pairs if not cf.holds[p])
             classes[cls] = ClassVerdict(
                 Verdict.REFUTED,
                 f"pair ({i + 1},{j + 1}): {rst[i]:.6g} + {rst[j]:.6g} < {au[i]:.6g} + {au[j]:.6g}",
             )
 
-    classes[(1, 1, 1)] = check_111(params, grid, tol)
+    classes[(1, 1, 1)] = check_111(params, grid, tol, closed_form=cf)
 
-    all_pairs = all(_holds(params, p, tol) for p in itertools.combinations(range(4), 2))
+    all_pairs = all(cf.holds[p] for p in itertools.combinations(range(4), 2))
     return PositivityReport(classes=classes, biseparability_witness=all_pairs)
 
 

@@ -520,6 +520,11 @@ def test_classify_rejects_non_finite_params(capsys, s):
          "--tol-psd", "1"],
         # sr reads no eigenvalue floor, so it refuses the flag
         ["sr", "VECTOR", "--tol-psd", "0.5"],
+        # an inequality slack of 1 or more would make every inequality hold: this
+        # member's Choi matrix is indefinite, and no search value could certify
+        ["classify", "--s", "0,0,0,0", "--t", "0,0,0,0", "--u", "1:0,0:0,0:0,0:0", "--tol-ineq", "1"],
+        ["search", "--s", "0,1,1,0", "--t", "0,1,1,0", "--u", "1:0,1:0,1:0,1:0", "--sr", "1,2,2",
+         "--tol-ineq", "1"],
     ],
 )
 def test_infinite_tolerance_exits_2(tmp_path, capsys, argv):

@@ -36,8 +36,13 @@ def test_tolerance_rejects_nonpositive():
     "field,value",
     [pytest.param(f, v, id=f"{v}-{f}") for v in (np.inf, np.nan) for f in ("rank_rel", "psd_abs", "ineq_abs")]
     # at rank_rel >= 1 not even the largest singular value counts, so every rank is 0,
-    # and at psd_abs >= 1 the eigenvalue floor drops every eigenvalue
-    + [pytest.param(f, v, id=f"{v}-{f}") for f, values in (("rank_rel", (1.0, 2.0)), ("psd_abs", (1.0, 1.5))) for v in values],
+    # at psd_abs >= 1 the eigenvalue floor drops every eigenvalue, and at
+    # ineq_abs >= 1 every inequality check holds
+    + [
+        pytest.param(f, v, id=f"{v}-{f}")
+        for f, values in (("rank_rel", (1.0, 2.0)), ("psd_abs", (1.0, 1.5)), ("ineq_abs", (1.0, 2.0)))
+        for v in values
+    ],
 )
 def test_tolerance_rejects_non_finite(field, value):
     with pytest.raises(ValueError):
@@ -245,8 +250,7 @@ def test_min_gen_eig_rejects_non_finite(index, value):
         min_gen_eig(a, _with_entry(np.eye(3), index, value))
 
 
-@pytest.mark.parametrize("side,accepted", [(1 - 1e-5, True), (1 + 1e-5, False)], ids=["below", "above"])
-def test_hermitize_gate_threshold(side, accepted):
+def _near_the_gate(side):
     # m = h + t k with h Hermitian and k anti-Hermitian: the defect is 2 t ||k||
     # and ||m||^2 = ||h||^2 + t^2 ||k||^2, so t can be solved for a ratio
     rng = np.random.default_rng(12)
@@ -256,13 +260,41 @@ def test_hermitize_gate_threshold(side, accepted):
     ratio = side * DEFAULT_TOL.psd_abs
     nh, nk = np.linalg.norm(h), np.linalg.norm(k)
     t = ratio * nh / (nk * np.sqrt(4 - ratio**2))
-    m = h + t * k
+    return h + t * k
+
+
+@pytest.mark.parametrize("side,accepted", [(1 - 1e-5, True), (1 + 1e-5, False)], ids=["below", "above"])
+def test_hermitize_gate_threshold(side, accepted):
+    m = _near_the_gate(side)
     assert (np.linalg.norm(m - m.conj().T) <= DEFAULT_TOL.psd_abs * np.linalg.norm(m)) == accepted
     if accepted:
         np.testing.assert_array_equal(hermitize(m), (m + m.conj().T) / 2.0)
     else:
         with pytest.raises(NotHermitian):
             hermitize(m)
+
+
+def test_hermitize_where_the_sum_of_squares_overflows():
+    # at 2^600 the entries' sum of squares overflows, though the norm does not;
+    # the gate takes the norm and the defect on m times an exact power of two,
+    # so it decides as at scale 1, and the output is scaled bit for bit
+    lam = 2.0**600
+    h = _rand_hermitian(np.random.default_rng(13), 4)
+    want = lam * hermitize(h)
+    np.testing.assert_array_equal(hermitize(lam * h).view(np.uint64), want.view(np.uint64))
+    for side, accepted in ((1 - 1e-5, True), (1 + 1e-5, False)):
+        m = lam * _near_the_gate(side)
+        if accepted:
+            np.testing.assert_array_equal(hermitize(m), lam * hermitize(m / lam))
+        else:
+            with pytest.raises(NotHermitian):
+                hermitize(m)
+    for case in NON_FINITE:
+        with pytest.raises(NotHermitian):
+            hermitize(_with_entry(lam * h, *case.values))
+    # a norm of 2^1023 or more is refused, since m + m* could overflow
+    with pytest.raises(NotHermitian):
+        hermitize(np.full((2, 2), 2.0**1022))
 
 
 def _signed_zeros(rng, n):
@@ -286,6 +318,7 @@ HALVED_SUM_CASES = {
     "random": lambda rng, n: _rand_hermitian(rng, n) + 1e-12 * _rand_complex(rng, (n, n)),
     "2^400": lambda rng, n: 2.0**400 * (_rand_hermitian(rng, n) + 1e-12 * _rand_complex(rng, (n, n))),
     "2^-400": lambda rng, n: 2.0**-400 * (_rand_hermitian(rng, n) + 1e-12 * _rand_complex(rng, (n, n))),
+    "2^600": lambda rng, n: 2.0**600 * (_rand_hermitian(rng, n) + 1e-12 * _rand_complex(rng, (n, n))),
     "signed-zeros": _signed_zeros,
     "subnormal": _subnormal,
 }

@@ -549,3 +549,17 @@ def test_violation_search_scales_with_w(lam):
                 np.testing.assert_array_equal(scaled_out.best_xi.data, out.best_xi.data)
             kinds.add(type(out))
     assert kinds == {ViolationCertificate, NoViolation}
+
+
+def test_violation_search_certifies_where_the_sum_of_squares_overflows():
+    # at 2^600 the sum of squares of W's entries overflows, though its norm
+    # does not; the gate and the certificate threshold take the norm on W
+    # scaled back by an exact power of two, so the outcomes are those at scale 1
+    w = family_choi(genuine_witness(1.0)).choi
+    big = TriOperator(w.dims, 2.0**600 * w.mat)
+    cert = violation_search(big, (2, 2, 2))
+    assert isinstance(cert, ViolationCertificate)
+    assert cert.value == pytest.approx(-(2.0**600), rel=1e-12)
+    for target in ((1, 1, 1), (1, 2, 2)):
+        cfg = SeesawConfig(restarts=3)
+        assert type(violation_search(big, target, cfg)) is type(violation_search(w, target, cfg)) is NoViolation

@@ -21,6 +21,7 @@ from triwit import (
     is_completely_positive,
     permute_dual,
 )
+from triwit import witness
 from triwit.search import ViolationCertificate, violation_search
 from triwit.witness import _LOG_HI, PAIR_CLASSES, _scaled_for_slack
 
@@ -380,6 +381,96 @@ def test_classify_monotone_inside_the_tolerance_band():
             assert rep.classes[cls].evidence.startswith("pair inequalities" if own else "dominated by certified class")
     # some edge draws fail a pair sum, so their pair classes rest on (2,2,2) alone
     assert dominated >= 1
+
+
+@pytest.mark.parametrize(
+    "s, t, u",
+    [
+        ((0, 1, 1, 2), (0, 1, 1, 2), (1, 1, 1, 1)),
+        ((1, 1, 1, 1), (1, 1, 1, 1), (1.2, 0.9, 0.9, 1.2)),
+        ((0, 0, 0, 0), (0, 0, 0, 0), (1, 0, 0, 0)),
+        ((1, 1, 1, 1), (1, 1, 1, 1), (0.5, 0.5, 0.5, 0.5)),
+    ],
+)
+def test_classify_scales_the_member_once(monkeypatch, s, t, u):
+    # every closed-form verdict, the evidence, the flag and the (1,1,1) grid
+    # read one record, made from one power-of-two scaling of the member
+    calls = []
+    scale = witness._scaled_for_slack
+
+    def counted(p):
+        calls.append(p)
+        return scale(p)
+
+    monkeypatch.setattr(witness, "_scaled_for_slack", counted)
+    classify(QubitWitnessParams(s=s, t=t, u=u))
+    assert len(calls) == 1
+
+
+def _reference_draws():
+    """Random, integer-tie and boundary draws at five scales, plus members whose sums or slack terms overflow.
+
+    A boundary draw has |u_i| = sqrt(s_i t_i) (1 + d_i) with |d_i| <= 3e-9, on
+    both sides of the 1e-9 tolerance band; half of them swap two |u_i|, so a
+    pair sum sits on its boundary.
+    """
+    rng = np.random.default_rng(1515)
+    base = [_rand_params(rng, u_scale=rng.uniform(0.2, 2.0)) for _ in range(30)] + _tie_params(rng, 30)
+    for _ in range(40):
+        s, t = rng.uniform(0.2, 2.0, 4), rng.uniform(0.2, 2.0, 4)
+        mags = np.sqrt(s * t) * (1 + rng.uniform(-3e-9, 3e-9, 4))
+        if rng.uniform() < 0.5:
+            i, j = rng.choice(4, 2, replace=False)
+            mags[i], mags[j] = mags[j], mags[i]
+        base.append(QubitWitnessParams(s=tuple(s), t=tuple(t), u=tuple(mags * np.exp(2j * np.pi * rng.uniform(size=4)))))
+    draws = [_scaled(p, lam) for lam in (1.0, 1e-150, 1e150, 1e200, 1e300) for p in base]
+    big = np.finfo(float).max
+    draws += [p for p, _, _ in SLACK_TERM_OVERFLOWS.values()] + [
+        QubitWitnessParams(s=(1e200,) * 4, t=(1e200,) * 4, u=(1e300,) * 4),
+        QubitWitnessParams(s=(1.6e308,) * 4, t=(1.6e308,) * 4, u=(1.7e308,) * 4),
+        QubitWitnessParams(s=(1.7e308,) * 4, t=(1.7e308,) * 4, u=(1.6e308,) * 4),
+        QubitWitnessParams(s=(1.7e308,) * 4, t=(1.7e308,) * 4, u=(1.5e308 + 1.5e308j, 0, 0, 0)),
+        QubitWitnessParams(s=(big,) * 4, t=(big,) * 4, u=(complex(big, -big),) * 4),
+    ]
+    return draws
+
+
+def test_classify_matches_the_closed_form_rules_written_out():
+    # each closed-form verdict, the failing pair named in the evidence and the
+    # flag follow the slack rule on the power-of-two-scaled member, summed in
+    # index order; the rule is written out here, independently of classify
+    draws = _reference_draws()
+    assert len(draws) >= 400
+
+    def holds(p, idx):
+        q, _ = _scaled_for_slack(p)
+        lhs, rhs = sum(q.root_st()[i] for i in idx), sum(abs(q.u[i]) for i in idx)
+        return lhs >= rhs - 1e-9 * rhs
+
+    seen = set()
+    for p in draws:
+        with np.errstate(over="ignore", invalid="ignore"):
+            rep = classify(p, grid=AlphaGrid(4, 4))
+        top = all(holds(p, (i,)) for i in range(4))
+        assert rep.certified((2, 2, 2)) == top, p
+        own = {cls: all(holds(p, ij) for ij in pairs) for cls, pairs in PAIR_CLASSES.items()}
+        for cls, pairs in PAIR_CLASSES.items():
+            evidence = rep.classes[cls].evidence
+            if own[cls]:
+                assert evidence.startswith("pair inequalities"), p
+            elif top:
+                assert evidence.startswith("dominated by certified class (2, 2, 2)"), p
+            else:
+                i, j = next(ij for ij in pairs if not holds(p, ij))
+                assert rep.classes[cls].verdict is Verdict.REFUTED, p
+                assert evidence.startswith(f"pair ({i + 1},{j + 1}):"), p
+        whole = holds(p, range(4))
+        assert rep.certified((1, 1, 1)) == (whole or top or any(own.values())), p
+        assert rep.classes[(1, 1, 1)].evidence.startswith("sum criterion") == whole, p
+        assert rep.biseparability_witness == all(own.values()), p
+        seen.add((top, tuple(own.values()), whole))
+    # the draws reach many combinations of the rules, not one or two
+    assert len(seen) >= 10
 
 
 def _scaled(p: QubitWitnessParams, lam) -> QubitWitnessParams:

@@ -39,6 +39,10 @@ from .witness import AlphaGrid, QubitWitnessParams, classify, family_choi
 # the JSON costs about 420 bytes an entry (2**20 entries peak at 515 MB RSS
 # on CPython 3.11, x86-64), so this bound keeps gen well under a gigabyte.
 GEN_MAX_ENTRIES = 2**20
+# largest alpha grid, radii x angles, that classify runs: peak RSS grows by
+# about 70 bytes a point (34 MB at 64 x 64, 102 MB at 1000 x 1000 on CPython
+# 3.11, x86-64), so this bound keeps classify near 100 MB
+GRID_MAX_POINTS = 2**20
 GEN_SAMPLE_TERMS = 5  # projectors in a state sampled by gen --sample without --terms
 
 _TOL_FLAGS = {
@@ -219,6 +223,8 @@ def cmd_sr(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
+    if args.grid_radii * args.grid_angles > GRID_MAX_POINTS:
+        raise TriwitError(f"an alpha grid of {args.grid_radii} x {args.grid_angles} points exceeds {GRID_MAX_POINTS}")
     params, payload = _family_params(args)
     tol = Tolerance(**_given_tolerances(args))
     grid = AlphaGrid(radii=args.grid_radii, angles=args.grid_angles)

@@ -6,13 +6,13 @@ and a core; with all other blocks frozen, the vector is linear in the
 free block, so each update is an exact eigenproblem and the objective
 never increases.  The vector is never zero and the floors are relative,
 so no update's pencil is degenerate, and a restart draws randomness only
-at its start.  The factors are kept orthonormal, so the core update is a
-standard eigenproblem, and no update builds a Jacobian (see
-:func:`seesaw_minimize`).  A cut target, such as (1, 2, 2) on qubits (the
-bi-separable states across one cut), runs the dedicated loop
-:func:`_cut_seesaw`.  A negative enough final value yields
-a violation certificate; anything else is reported as "no violation
-found", which is deliberately not a positivity proof.
+at its start; it stops on a gain relative to W.  The factors are kept
+orthonormal, so the core update is a standard eigenproblem, and no
+update builds a Jacobian (see :func:`seesaw_minimize`).  A cut target,
+such as (1, 2, 2) on qubits (the bi-separable states across one cut),
+runs the dedicated loop :func:`_cut_seesaw`.  A negative enough final
+value yields a violation certificate; anything else is reported as "no
+violation found", which is deliberately not a positivity proof.
 """
 
 from __future__ import annotations
@@ -33,14 +33,11 @@ from .tensor import TriDims, TriOperator, TriVector
 class SeesawConfig:
     restarts: int = 20
     max_sweeps: int = 200
-    convergence_eps: float = 1e-10
     seed: int = 0
 
     def __post_init__(self):
         if self.restarts < 1 or self.max_sweeps < 1:
             raise ValueError("restarts and max_sweeps must be >= 1")
-        if not self.convergence_eps > 0:
-            raise ValueError("convergence_eps must be positive")
 
 
 @dataclass(frozen=True)
@@ -68,7 +65,7 @@ class SeesawRun:
     ``rejected`` by the step guard.  ``value`` is the quotient of ``xi``.
     ``sweeps`` is the number of sweeps run, and ``converged`` is False when
     the run stopped at ``max_sweeps`` with its last sweep still gaining at
-    least ``convergence_eps``.
+    least the threshold relative to ||W||_F of :func:`seesaw_minimize`.
     """
 
     value: float
@@ -174,7 +171,7 @@ def seesaw_minimize(
     target,
     rng: np.random.Generator,
     max_sweeps: int = SeesawConfig.max_sweeps,
-    convergence_eps: float = SeesawConfig.convergence_eps,
+    convergence_eps: float = 1e-10,
     tol: Tolerance = DEFAULT_TOL,
 ) -> SeesawRun:
     """One see-saw descent from a random start.
@@ -211,9 +208,14 @@ def seesaw_minimize(
 
     A cut target, whose one factor narrower than its mode has rank one,
     runs :func:`_cut_seesaw` instead, chosen from the target and dims
-    alone; every other target runs the general loop above.
+    alone; every other target runs the general loop above.  Both stop after
+    the first sweep that gains less than ``convergence_eps`` times the least
+    power of two above ||W||_F, so a power-of-two multiple of W runs the
+    same sweeps to the same vector.  ``convergence_eps`` is a parameter only
+    because ``bench/tracing.py`` reads it by name.
     """
     wmat = hermitize(wmat, tol)
+    threshold = math.ldexp(convergence_eps, math.frexp(_frobenius(wmat))[1])
     shape = dims.as_tuple()
     ranks = _fit_target(target, dims)
     n, m = dims.total, math.prod(ranks)
@@ -229,7 +231,7 @@ def seesaw_minimize(
         else:
             free.append(mode)
     if len(free) == 1 and ranks[free[0]] == 1:
-        return _cut_seesaw(wmat, shape, free[0], factors[free[0]], core, max_sweeps, convergence_eps)
+        return _cut_seesaw(wmat, shape, free[0], factors[free[0]], core, max_sweeps, threshold)
 
     def set_factor(mode, x) -> None:
         """Store ``x = q r`` as its orthonormal ``q`` and push ``r`` into the core; xi is unchanged."""
@@ -294,11 +296,11 @@ def seesaw_minimize(
         for mode in free:
             factor_step(mode)
         core_step()
-        converged = sweep_start - record.value < convergence_eps
+        converged = sweep_start - record.value < threshold
     return record.run(assemble(core), sweeps, converged)
 
 
-def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, convergence_eps) -> SeesawRun:
+def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, threshold) -> SeesawRun:
     """The see-saw of :func:`seesaw_minimize` on a cut target, where only ``mode`` is free, at rank one.
 
     In the free mode's first order the vector is u (x) c, u the factor
@@ -343,7 +345,7 @@ def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, convergence_eps) -> Sees
         y = _eigh(reduced)[1][:, 0]
         if record.keep(y, reduced, np.vdot(u, u).real * np.vdot(y, y).real):
             c = y
-        converged = sweep_start - record.value < convergence_eps
+        converged = sweep_start - record.value < threshold
     rest = tuple(shape[other] for other in order[1:])
     xi = (u[:, None] * c).reshape((d,) + rest).transpose(np.argsort(order)).reshape(-1)
     return record.run(xi, sweeps, converged)
@@ -373,9 +375,7 @@ def violation_search(
     best: SeesawRun | None = None
     for restart in range(restarts):
         rng = np.random.default_rng(cfg.seed + restart)
-        run = seesaw_minimize(
-            wmat, w.dims, target, rng, cfg.max_sweeps, cfg.convergence_eps, tol
-        )
+        run = seesaw_minimize(wmat, w.dims, target, rng, cfg.max_sweeps, tol=tol)
         if best is None or run.value < best.value:
             best = run
     xi = TriVector(w.dims, best.xi)

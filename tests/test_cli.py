@@ -563,6 +563,20 @@ def test_gen_size_limit_counts_entries(capsys, monkeypatch):
     assert main(["gen", "--sample", "--sr", "1,1,1", "--dims", "3,1,1"]) == 2
 
 
+@pytest.mark.parametrize(
+    "member",
+    [["--s", "1,1,1,1", "--t", "1,1,1,1"], ["--s", "1,1,1,1", "--t", "1,1,1,1", "--u", "1.2:0,0.9:0,0.9:0,1.2:0"]],
+    ids=["certified-by-sum", "refuted-on-the-grid"],
+)
+def test_classify_grid_limit_counts_points(capsys, monkeypatch, member):
+    # an oversized alpha grid is refused before it is allocated, whether or
+    # not the member's (1,1,1) verdict would need the grid
+    monkeypatch.setattr(cli, "GRID_MAX_POINTS", 16)
+    assert main(["classify", *member, "--grid-radii", "4", "--grid-angles", "4"]) == 0
+    assert main(["classify", *member, "--grid-radii", "4", "--grid-angles", "5"]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_gen_takes_no_tolerance_flags(capsys):
     assert main(["gen", "--sr", "1,1,1", "--tol-rank", "1e-3"]) == 2
 

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.optimize import minimize
@@ -26,7 +28,7 @@ from triwit import (
     sr_leq,
     violation_search,
 )
-from triwit.linalg import Tolerance, min_gen_eig
+from triwit.linalg import Tolerance, _frobenius, min_gen_eig
 from triwit.search import _assemble, _mode_product
 
 QUBITS = TriDims(2, 2, 2)
@@ -45,7 +47,7 @@ def test_seesaw_config_validation():
     with pytest.raises(ValueError):
         SeesawConfig(restarts=0)
     with pytest.raises(ValueError):
-        SeesawConfig(convergence_eps=0.0)
+        SeesawConfig(max_sweeps=0)
 
 
 def test_sample_product_vector():
@@ -251,13 +253,16 @@ def test_block_jacobian_matches_eye_products(dims, target):
         np.testing.assert_allclose(_eye_product_jacobian(name, *blocks) @ block.reshape(-1), xi, rtol=0, atol=atol)
 
 
-def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=SeesawConfig.convergence_eps):
+def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=1e-10):
     """Reference: the see-saw with explicit Jacobians and generalized eigenproblems.
 
     It draws from ``rng`` in the engine's order, absorbs full-width factors
     into the core, sweeps the narrower factors and then the core, and keeps
-    a step only if the quotient does not increase.  Returns the trace.
+    a step only if the quotient does not increase.  It stops after the first
+    sweep that gains less than ``eps`` times the least power of two above
+    ||W||_F.  Returns the trace.
     """
+    threshold = eps * 2.0 ** math.frexp(np.linalg.norm(wmat))[1]
 
     def draw(shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -292,7 +297,7 @@ def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=SeesawConfig.conv
                 value = candidate
                 blocks[name] = (z / np.linalg.norm(z)).reshape(blocks[name].shape)
             trace.append(value)
-        if start - value < eps:
+        if start - value < threshold:
             break
     return trace
 
@@ -383,8 +388,10 @@ def test_seesaw_value_is_the_quotient_of_xi(dims, target, psd_abs):
         assert rng.bit_generator.state == replay.bit_generator.state
 
 
-# sweeps run by three seeded restarts, each on its own random Hermitian, as
+# sweeps run by three seeded restarts, each on its own random Hermitian: as
 # the see-saw ran them when every candidate was valued by a product with W
+# and a run stopped on an absolute gain of 1e-10 a sweep, and under the
+# default rule, a gain of 1e-10 times the least power of two above ||W||_F
 GUARD_PINS = {
     ((2, 2, 2), (1, 2, 2)): (15, 14, 15),
     ((2, 3, 4), (2, 1, 4)): (17, 17, 33),
@@ -393,21 +400,36 @@ GUARD_PINS = {
     ((2, 2, 2), (1, 1, 1)): (16, 36, 11),
     ((6, 6, 6), (3, 3, 3)): (173, 186, 92),
 }
+DEFAULT_RULE_SWEEPS = {
+    ((2, 2, 2), (1, 2, 2)): (14, 13, 13),
+    ((2, 3, 4), (2, 1, 4)): (14, 13, 27),
+    ((3, 3, 3), (2, 3, 3)): (17, 31, 19),
+    ((2, 2, 2), (1, 1, 2)): (11, 29, 19),
+    ((2, 2, 2), (1, 1, 1)): (15, 33, 10),
+    ((6, 6, 6), (3, 3, 3)): (145, 145, 69),
+}
 
 
 @pytest.mark.parametrize("dims,target", list(GUARD_PINS))
 def test_guard_from_the_reduced_matrix_keeps_the_sweeps(dims, target):
     # the guard reads each candidate's quotient from a reduced matrix its
     # step holds: each restart runs the sweeps it ran when the guard
-    # multiplied by W, and the value is still the quotient of the returned vector
+    # multiplied by W, and the value is still the quotient of the returned
+    # vector.  convergence_eps divided by the power of two that the rule
+    # multiplies it by gives the absolute threshold 1e-10 those runs stopped on
     n = int(np.prod(dims))
     free = sum(k < d for d, k in zip(dims, target))
-    for seed, sweeps in enumerate(GUARD_PINS[dims, target]):
+    for seed, (sweeps, default_sweeps) in enumerate(zip(GUARD_PINS[dims, target], DEFAULT_RULE_SWEEPS[dims, target])):
         wmat = _rand_hermitian(np.random.default_rng([16, seed]), n)
-        run = seesaw_minimize(wmat, TriDims(*dims), target, np.random.default_rng(seed))
+        eps = 1e-10 * 2.0 ** -math.frexp(_frobenius(wmat))[1]
+        run = seesaw_minimize(wmat, TriDims(*dims), target, np.random.default_rng(seed), convergence_eps=eps)
         assert run.converged and run.sweeps == sweeps
         assert len(run.objective_trace) == (free + 1) * sweeps
         assert abs(np.vdot(run.xi, wmat @ run.xi).real - run.value) <= 1e-13 * np.linalg.norm(wmat)
+        # the default rule takes the same steps and stops no later
+        default = seesaw_minimize(wmat, TriDims(*dims), target, np.random.default_rng(seed))
+        assert default.converged and default.sweeps == default_sweeps
+        assert default.objective_trace == run.objective_trace[: len(default.objective_trace)]
 
 
 @pytest.mark.parametrize("index,value", [((0, 0), np.nan), ((1, 1), np.inf), ((0, 3), 1.0)], ids=["nan", "inf", "asymmetric"])
@@ -526,10 +548,10 @@ def test_cut_target_search_matches_grid_oracle(cls):
 
 @pytest.mark.parametrize("lam", [pytest.param(2.0**e, id=f"2^{e}") for e in (40, -40, 400, -400)])
 def test_violation_search_scales_with_w(lam):
-    # the Hermiticity gate, the whitening floor and the certificate threshold
-    # are relative, so a power-of-two multiple of W gives the same outcome
-    # and vector with the value times lam; the stopping rule convergence_eps
-    # is an absolute gain per sweep, so it is scaled with W
+    # the Hermiticity gate, the whitening floor, the certificate threshold
+    # and the stopping threshold are relative, so under one config a
+    # power-of-two multiple of W gives the same outcome and vector with the
+    # value times lam
     rng = np.random.default_rng(380)
     witnesses = [TriOperator(QUBITS, _rand_hermitian(rng, 8)) for _ in range(2)]
     witnesses += [family_choi(genuine_witness(1.0)).choi, TriOperator(TriDims(2, 3, 2), _rand_hermitian(rng, 12))]
@@ -537,8 +559,8 @@ def test_violation_search_scales_with_w(lam):
     for w in witnesses:
         scaled = TriOperator(w.dims, lam * w.mat)
         for target in ((1, 2, 2), (2, 1, 2), (1, 1, 2), (1, 1, 1), (2, 2, 2)):
-            out = violation_search(w, target, SeesawConfig(restarts=3))
-            cfg = SeesawConfig(restarts=3, convergence_eps=lam * SeesawConfig.convergence_eps)
+            cfg = SeesawConfig(restarts=3)
+            out = violation_search(w, target, cfg)
             scaled_out = violation_search(scaled, target, cfg)
             assert type(scaled_out) is type(out)
             if isinstance(out, ViolationCertificate):
@@ -549,6 +571,26 @@ def test_violation_search_scales_with_w(lam):
                 np.testing.assert_array_equal(scaled_out.best_xi.data, out.best_xi.data)
             kinds.add(type(out))
     assert kinds == {ViolationCertificate, NoViolation}
+
+
+def test_seesaw_stops_after_the_same_sweeps_at_any_scale():
+    # on the genuine witness the 20 seeded (1,1,1) restarts run the same
+    # sweeps to the same vectors at 2^-40, 1 and 2^40; under an absolute
+    # stopping gain they ran 1.00, 4.90 and 5.45 sweeps on average, and the
+    # best value at 2^-40 was 0.0092 lam, not 0
+    wmat = _witness_matrix().mat
+    runs = {
+        lam: [seesaw_minimize(lam * wmat, QUBITS, (1, 1, 1), np.random.default_rng(seed)) for seed in range(20)]
+        for lam in (2.0**-40, 1.0, 2.0**40)
+    }
+    base = runs[1.0]
+    assert sum(run.sweeps for run in base) == 97
+    assert min(run.value for run in base) == 0.0
+    for lam, scaled in runs.items():
+        assert [run.sweeps for run in scaled] == [run.sweeps for run in base]
+        for run, ref in zip(scaled, base):
+            assert run.value == lam * ref.value
+            np.testing.assert_array_equal(run.xi, ref.xi)
 
 
 def test_violation_search_certifies_where_the_sum_of_squares_overflows():

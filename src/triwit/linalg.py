@@ -4,8 +4,9 @@ Matrices are plain numpy arrays with dtype complex128.  Every tolerance
 gate in this module scales by the Frobenius norm of its input, except the
 eigenvalue floors which scale by the spectral norm (available for free
 once the spectrum is computed).  Every Hermitian eigenproblem is solved by
-LAPACK's ``zheevd``, through the one helper ``_eigh``, and every QR
-factorization by ``zgeqrf``, through the one helper ``_qr``.
+LAPACK's ``zheevd``, through the one helper ``_eigh``, except the cut
+see-saw's 2x2 one, which ``_least_2x2`` solves in closed form; every QR
+factorization goes through ``zgeqrf``, in the one helper ``_qr``.
 """
 
 from __future__ import annotations
@@ -111,6 +112,35 @@ def _eigh(m: np.ndarray):
     if w.size and math.isnan(w[0]):
         raise np.linalg.LinAlgError("Eigenvalues did not converge")
     return w, v
+
+
+def _least_2x2(m00: complex, m10: complex, m11: complex):
+    """The least eigenvector y of the Hermitian 2x2 matrix M read, as by :func:`_eigh`, from its lower triangle.
+
+    Takes the entries as Python scalars and returns y as a unit vector, with
+    its quotient Re(y* M y) / ||y||^2 as a float.  With h = (m00 - m11) / 2
+    and rho = hypot(h, |m10|), y is (conj(m10), -(h + rho)) for h >= 0 and
+    (h - rho, m10) otherwise, neither of which cancels; e1 when rho is 0.
+    The entries are halved before they are subtracted and every norm is a
+    hypot, so nothing overflows while ||M||_F is below 2**1023.  Raises
+    LinAlgError on a NaN or infinite entry.
+    """
+    a, e = m00.real, m11.real
+    h = a / 2 - e / 2
+    rho = math.hypot(h, m10.real, m10.imag)
+    if not math.isfinite(h + rho):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    if rho == 0.0:
+        y0, y1 = 1.0, 0.0
+    elif h >= 0.0:
+        y0, y1 = m10.conjugate(), -(h + rho)
+    else:
+        y0, y1 = h - rho, m10
+    norm = math.hypot(y0.real, y0.imag, y1.real, y1.imag)
+    y0, y1 = y0 / norm, y1 / norm
+    p0, p1 = y0.real * y0.real + y0.imag * y0.imag, y1.real * y1.real + y1.imag * y1.imag
+    value = (a * p0 + e * p1 + 2.0 * (y1.conjugate() * m10 * y0).real) / (p0 + p1)
+    return np.array((y0, y1), dtype=complex), value
 
 
 def _qr(a: np.ndarray):

@@ -10,9 +10,10 @@ at its start; it stops on a gain relative to W.  The factors are kept
 orthonormal, so the core update is a standard eigenproblem, and no
 update builds a Jacobian (see :func:`seesaw_minimize`).  A cut target,
 such as (1, 2, 2) on qubits (the bi-separable states across one cut),
-runs the dedicated loop :func:`_cut_seesaw`.  A negative enough final
-value yields a violation certificate; anything else is reported as "no
-violation found", which is deliberately not a positivity proof.
+runs the dedicated loop :func:`_cut_seesaw`, which solves a qubit factor
+step in closed form.  A negative enough final value yields a violation
+certificate; anything else is reported as "no violation found", which is
+deliberately not a positivity proof.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DimMismatch
-from .linalg import DEFAULT_TOL, Tolerance, _eigh, _frobenius, _qr, _whitening, hermitize
+from .linalg import DEFAULT_TOL, Tolerance, _eigh, _frobenius, _least_2x2, _qr, _whitening, hermitize
 from .linalg import min_gen_eig  # noqa: F401  (the see-saw no longer calls it; bench/selftest reads search.min_gen_eig)
 from .schmidt import PosTriple, _triple, sr_leq, triple_leq
 from .tensor import TriDims, TriOperator, TriVector
@@ -85,15 +86,8 @@ class _Record:
         self.value = float(np.vdot(xi, wmat @ xi).real / np.vdot(xi, xi).real)
         self.trace, self.rejected = [], 0
 
-    def keep(self, x: np.ndarray, reduced: np.ndarray, norm_sq: float) -> bool:
-        """Record a step; keep it only if its candidate xi's quotient Re(x* R x) / ||xi||^2 does not go up.
-
-        R is a ``reduced`` matrix the step holds, with x* R x = <xi|W|xi>,
-        and ``norm_sq`` = ||xi||^2 is taken from xi itself.  The whitening
-        floor can clip near-null directions and jitter the eigenvalue, so the
-        guard is the candidate's own quotient, never an eigenvalue.
-        """
-        cand_value = float(np.vdot(x, reduced @ x).real / norm_sq)
+    def keep(self, cand_value: float) -> bool:
+        """Record a step; keep it only if its candidate's quotient ``cand_value`` does not go up."""
         kept = cand_value <= self.value
         if kept:
             self.value = cand_value
@@ -107,6 +101,16 @@ class _Record:
             value=self.value, xi=xi / np.linalg.norm(xi), objective_trace=self.trace,
             sweeps=sweeps, converged=converged, rejected=self.rejected,
         )
+
+
+def _quotient(x: np.ndarray, reduced: np.ndarray, norm_sq: float) -> float:
+    """A candidate xi's quotient <xi|W|xi> / ||xi||^2, read as Re(x* R x) / ``norm_sq``.
+
+    R is a ``reduced`` matrix the step solved, with x* R x = <xi|W|xi>, and
+    ``norm_sq`` is ||xi||^2 from xi itself: the guard never reads an
+    eigenvalue, which the whitening floor can jitter.
+    """
+    return float(np.vdot(x, reduced @ x).real / norm_sq)
 
 
 def _draw_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -196,12 +200,11 @@ def seesaw_minimize(
     :func:`min_gen_eig`.  No Jacobian is built.  Both reduced matrices are
     read from their lower triangles, which is their exact symmetrization.
     Each step is kept only if the candidate xi's quotient <xi|W|xi>/<xi|xi>
-    does not increase.  It is read from the reduced matrix the step solved
-    (:meth:`_Record.keep`), as Re(y* R y) / ||xi||^2, R the factor step's
-    (d k) x (d k) matrix or the core step's J* W J, y its eigenvector and
-    the norm that of xi itself, so no step multiplies by W.  The objective
-    is non-increasing by construction, and ``rng`` is read only for the
-    start.  The vector is never zero (a kept candidate has a finite
+    does not increase, read by :func:`_quotient` from the reduced matrix
+    the step solved (the factor step's (d k) x (d k) matrix or the core
+    step's J* W J) and xi's own norm, so no step multiplies by W.  The
+    objective is non-increasing by construction, and ``rng`` is read only
+    for the start.  The vector is never zero (a kept candidate has a finite
     quotient) and, the free factors being orthonormal, the rest of the
     network carries its norm; with ``psd_abs < 1`` no Gram matrix is then
     degenerate.  The value is the quotient of the returned vector.
@@ -270,7 +273,7 @@ def seesaw_minimize(
         reduced = reduced.reshape(d * k, d * k)
         y = _eigh(reduced)[1][:, 0]
         xi = y.reshape(d, k) @ t.T
-        if record.keep(y, reduced, np.vdot(xi, xi).real):
+        if record.keep(_quotient(y, reduced, np.vdot(xi, xi).real)):
             set_factor(mode, y.reshape(d, k) @ s.T)
 
     def core_step() -> None:
@@ -285,7 +288,7 @@ def seesaw_minimize(
         reduced = t.reshape(m, m)
         y = _eigh(reduced)[1][:, 0]
         xi = assemble(y.reshape(ranks))
-        if record.keep(y, reduced, np.vdot(xi, xi).real):
+        if record.keep(_quotient(y, reduced, np.vdot(xi, xi).real)):
             core = y.reshape(ranks)
 
     record = _Record(wmat, assemble(core))
@@ -305,49 +308,51 @@ def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, threshold) -> SeesawRun:
 
     In the free mode's first order the vector is u (x) c, u the factor
     ``u`` of that mode and c the flattened ``core`` (the other two modes,
-    absorbed).  W, with the free mode first on both sides, is reshaped once
-    per restart into ``w_u`` (d^2 x r^2) and ``w_c`` (r^2 x d^2), so a
-    step's reduced matrix is one product of one of them with the outer
-    product of the other block, then one eigensolve: no Gram eigensolve,
-    mode products or permuted copies.  u is kept a unit vector and c
-    carries the norm, so the c step is a standard eigenproblem.  The u
-    step's Gram matrix is ||c||^2, which is never zero, so
-    :func:`_whitening` would keep it at any ``psd_abs < 1``; the step
-    divides c by ||c|| instead.  The u candidate y (x) c is valued as
-    Re(c* M c) / (||y||^2 ||c||^2) through M = (y (x) I)* W (y (x) I), the
-    matrix the next c step solves if the u step is kept, and the c candidate
-    through the M its step solved: a sweep builds two reduced matrices and
-    runs two eigensolves.  The loop keeps the general loop's draws, entry
-    gate, step guard, gauge and counts, and reaches the same iterates.
+    absorbed).  W, with the free mode first on both sides, is permuted once
+    per restart into ``w_u`` (d x d x r x r) and ``w_c`` (r x r x d x d),
+    so a step's reduced matrix, M_u(c) = (I (x) c)* W (I (x) c) or M_c(u),
+    is two matrix-vector products: no Gram eigensolve, mode products or
+    permuted copies.  u and c start as unit vectors and each step swaps one
+    for a unit eigenvector, so no reduced matrix exceeds ||W|| and each step
+    is a standard eigenproblem (its Gram matrix, 1 within rounding, is one
+    :func:`_whitening` keeps at any ``psd_abs < 1``).  For d = 2 the u step
+    is solved in closed form (:func:`_least_2x2`).  Each candidate is valued
+    on the matrix its step solved, y (x) c as Re(y* M_u y) / (||y||^2 ||c||^2),
+    and M_c is built once a sweep, for the u the u step leaves.  The loop
+    keeps the general loop's draws, entry gate, step guard and counts, and
+    reaches its iterates up to rounding and the phase of u.
     """
     d = shape[mode]
     r = wmat.shape[0] // d
     order = [mode] + [other for other in range(3) if other != mode]
     w4 = wmat.reshape(shape * 2).transpose(order + [3 + other for other in order]).reshape(d, r, d, r)
-    w_u = w4.transpose(0, 2, 1, 3).reshape(d * d, r * r)
-    w_c = w4.transpose(1, 3, 0, 2).reshape(r * r, d * d)
+    w_u = w4.transpose(0, 2, 1, 3).copy()
+    w_c = w4.transpose(1, 3, 0, 2).copy()
 
-    # u is stored as a unit vector and its norm pushed into c; xi is unchanged
-    u = u.reshape(d)
-    norm = math.sqrt(np.vdot(u, u).real)
-    u, c = u / norm, core.reshape(r) * norm
+    u = u.reshape(d) / math.sqrt(np.vdot(u, u).real)
+    c = core.reshape(r) / math.sqrt(np.vdot(core, core).real)
     record = _Record(w4.reshape(d * r, d * r), (u[:, None] * c).reshape(-1))
-    reduced = (w_c @ (u.conj()[:, None] * u).reshape(-1)).reshape(r, r)
     sweeps, converged = 0, False
     while sweeps < max_sweeps and not converged:
         sweeps += 1
         sweep_start = record.value
-        y = _eigh((w_u @ (c.conj()[:, None] * c).reshape(-1)).reshape(d, d))[1][:, 0]
-        cand = (w_c @ (y.conj()[:, None] * y).reshape(-1)).reshape(r, r)
-        c_sq = np.vdot(c, c).real
-        if record.keep(c, cand, np.vdot(y, y).real * c_sq):
-            u, reduced, c = y, cand, c / math.sqrt(c_sq)
+        m_u = (w_u @ c) @ c.conj()
+        if d == 2:
+            (m00, _), (m10, m11) = m_u.tolist()
+            y, value = _least_2x2(m00, m10, m11)
+        else:
+            y = _eigh(m_u)[1][:, 0]
+            value = _quotient(y, m_u, np.vdot(y, y).real)
+        c_sq = float(np.vdot(c, c).real)
+        if record.keep(value / c_sq):
+            u = y
+        reduced = (w_c @ u) @ u.conj()
         y = _eigh(reduced)[1][:, 0]
-        if record.keep(y, reduced, np.vdot(u, u).real * np.vdot(y, y).real):
+        if record.keep(_quotient(y, reduced, np.vdot(u, u).real * np.vdot(y, y).real)):
             c = y
         converged = sweep_start - record.value < threshold
     rest = tuple(shape[other] for other in order[1:])
-    xi = (u[:, None] * c).reshape((d,) + rest).transpose(np.argsort(order)).reshape(-1)
+    xi = (u[:, None] * c).reshape((d,) + rest).transpose([order.index(axis) for axis in range(3)]).reshape(-1)
     return record.run(xi, sweeps, converged)
 
 

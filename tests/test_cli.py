@@ -280,6 +280,17 @@ def test_search_certified_class_reports_no_violation(tmp_path, capsys):
     assert res["no_violation"]["best_value"] >= -1e-6
 
 
+def test_search_cut_target_on_a_witness_with_entries_near_1e307(tmp_path, capsys):
+    # ||W||_F is 2.8e307, inside the Hermiticity gate; every reduced matrix of
+    # the cut loop is bounded by ||W||, so no step overflows, and the outcome
+    # is the one at scale 1, scaled
+    w = family_choi(genuine_witness(1.0)).choi
+    path = _write(tmp_path / "w.json", operator_to_json(TriOperator(w.dims, 1e307 * w.mat)))
+    code, out = _run(capsys, ["search", path, "--sr", "1,2,2", "--seed", "5"])
+    assert code == 0
+    assert abs(json.loads(out)["results"]["no_violation"]["best_value"]) <= 1e-6 * 1e307
+
+
 def test_search_family_flags(capsys):
     code, out = _run(
         capsys,

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from triwit import (
     min_gen_eig,
     svd_rank,
 )
-from triwit.linalg import _qr, _whitening, hermitize
+from triwit.linalg import _eigh, _least_2x2, _qr, _whitening, hermitize
 
 
 def _rand_complex(rng, shape):
@@ -405,3 +407,51 @@ def test_whitening_rejects_a_non_finite_gram(b):
     # with NaN columns on others; either way the pencil is degenerate
     with pytest.raises(DegeneratePencil):
         _whitening(np.array(b, dtype=complex), DEFAULT_TOL)
+
+
+def _least_2x2_cases():
+    rng = np.random.default_rng(20)
+    cases = [pytest.param(_rand_hermitian(rng, 2), id=f"random-{i}") for i in range(12)]
+    cases += [
+        pytest.param(np.diag([1.0, 3.0]), id="diagonal-ascending"),
+        pytest.param(np.diag([3.0, -1.0]), id="diagonal-descending"),
+        pytest.param(np.array([[1.0, 3e-13 - 4e-13j], [3e-13 + 4e-13j, 1.0 + 1e-12]]), id="gap-1e-12"),
+        pytest.param(np.array([[1.0 + 1e-12, 1e-12j], [-1e-12j, 1.0]]), id="gap-1e-12-descending"),
+    ]
+    cases += [pytest.param(2.0**e * _rand_hermitian(rng, 2), id=f"scale-2^{e}") for e in (500, -500)]
+    # the largest entry is 1e307, and the Frobenius norm stays below 2**1023
+    cases += [pytest.param(1e307 * m / np.abs(m).max(), id=f"entries-1e307-{i}") for i, m in enumerate(
+        [_rand_hermitian(rng, 2), np.array([[1.0, 1 - 1j], [1 + 1j, -1.0]]), np.array([[-1.0, 0.7j], [-0.7j, -1.0]])]
+    )]
+    return cases
+
+
+@pytest.mark.parametrize("m", _least_2x2_cases())
+def test_least_2x2_matches_eigh(m):
+    # the closed form reads the lower triangle, as the eigensolver does: the
+    # upper triangle is overwritten with junk that neither may read
+    m = np.array(m, dtype=complex)
+    m[0, 1] = 7.0 - 5.0j
+    (m00, _), (m10, m11) = m.tolist()
+    y, value = _least_2x2(m00, m10, m11)
+    w, v = _eigh(m)
+    norm = math.hypot(m00.real, m10.real, m10.imag, m10.real, m10.imag, m11.real)  # ||m||_F, read as Hermitian
+    assert abs(value - w[0]) <= 4 * np.finfo(float).eps * norm
+    assert abs(np.linalg.norm(y) - 1.0) <= 4 * np.finfo(float).eps
+    assert abs(np.vdot(y, v[:, 0])) >= 1 - 1e-12
+
+
+def test_least_2x2_of_a_multiple_of_the_identity_is_e1():
+    y, value = _least_2x2(2.5, 0j, 2.5)
+    np.testing.assert_array_equal(y, [1.0, 0.0])
+    assert value == 2.5
+
+
+@pytest.mark.parametrize(
+    "m00,m10,m11",
+    [(np.nan, 0j, 1.0), (1.0, complex(np.nan, 0), 1.0), (1.0, complex(0, np.inf), 1.0),
+     (1.0, 0j, np.inf), (-np.inf, 0j, 1.0), (np.inf, 0j, np.inf)],
+)
+def test_least_2x2_rejects_non_finite(m00, m10, m11):
+    with pytest.raises(np.linalg.LinAlgError):
+        _least_2x2(m00, m10, m11)

@@ -505,6 +505,44 @@ def test_seesaw_cut_target_updates_two_blocks_a_sweep(target):
     assert len(full.objective_trace) % 2 == 0
 
 
+@pytest.mark.parametrize("target", [(1, 2, 2), (2, 1, 2), (2, 2, 1)])
+def test_cut_u_step_is_valued_on_its_own_matrix(target, monkeypatch):
+    # each u candidate y (x) c is valued on the 2 x 2 matrix its step solved;
+    # a kept step records the quotient <xi|W|xi>/||xi||^2 of xi = y (x) c
+    # itself.  c is read from the vector a run stopped one sweep earlier
+    # returns, which is u (x) c up to scale and phase
+    import triwit.search as search
+    from triwit.linalg import _least_2x2
+
+    mode = target.index(1)
+    kept = 0
+    for seed in range(3):
+        wmat = _rand_hermitian(np.random.default_rng([19, seed]), 8)
+        scale = np.linalg.norm(wmat)
+        candidates = []
+
+        def recorded(*args):
+            y, value = _least_2x2(*args)
+            candidates.append(y)
+            return y, value
+
+        monkeypatch.setattr(search, "_least_2x2", recorded)
+        run = seesaw_minimize(wmat, QUBITS, target, np.random.default_rng(seed))
+        monkeypatch.undo()
+        assert len(candidates) == run.sweeps
+        for sweep, y in enumerate(candidates):
+            before = seesaw_minimize(wmat, QUBITS, target, np.random.default_rng(seed), max_sweeps=sweep)
+            x = np.moveaxis(before.xi.reshape(2, 2, 2), mode, 0).reshape(2, 4)
+            c = x[np.argmax(np.linalg.norm(x, axis=1))]
+            xi = np.moveaxis(np.outer(y, c).reshape(2, 2, 2), 0, mode).reshape(-1)
+            direct = np.vdot(xi, wmat @ xi).real / np.vdot(xi, xi).real
+            value = run.objective_trace[2 * sweep]
+            if value != before.value or direct <= value:
+                kept += 1
+                assert abs(value - direct) <= 1e-13 * scale
+    assert kept >= 9
+
+
 def _certified_params(rng, cls) -> QubitWitnessParams:
     """A random family member certified for ``cls``, shrunk towards the class boundary."""
     roots = tuple(rng.uniform(0.2, 1.5, 4))

@@ -4,8 +4,9 @@ Matrices are plain numpy arrays with dtype complex128.  Every tolerance
 gate in this module scales by the Frobenius norm of its input, except the
 eigenvalue floors which scale by the spectral norm (available for free
 once the spectrum is computed).  Every Hermitian eigenproblem is solved by
-LAPACK's ``zheevd``, through the one helper ``_eigh``, except the cut
-see-saw's 2x2 one, which ``_least_2x2`` solves in closed form; every QR
+LAPACK's ``zheevd``, through the one helper ``_eigh``, except a 2x2 least
+eigenpair, which ``_least_2x2`` solves in closed form; one ``_least``
+serves every see-saw step, choosing between the two by size.  Every QR
 factorization goes through ``zgeqrf``, in the one helper ``_qr``.
 """
 
@@ -141,6 +142,22 @@ def _least_2x2(m00: complex, m10: complex, m11: complex):
     p0, p1 = y0.real * y0.real + y0.imag * y0.imag, y1.real * y1.real + y1.imag * y1.imag
     value = (a * p0 + e * p1 + 2.0 * (y1.conjugate() * m10 * y0).real) / (p0 + p1)
     return np.array((y0, y1), dtype=complex), value
+
+
+def _least(m: np.ndarray):
+    """The least eigenvector y of the Hermitian matrix ``m``, read from its lower triangle, with its value.
+
+    The one solver of every see-saw step.  A 2x2 ``m`` is solved in closed
+    form by :func:`_least_2x2`, whose value is the quotient
+    Re(y* m y) / ||y||^2; any other size by :func:`_eigh`, whose least
+    eigenvalue is that quotient within the solver's backward error.
+    Raises LinAlgError on a failed solve or a non-finite 2x2 entry.
+    """
+    if m.shape == (2, 2):
+        (m00, _), (m10, m11) = m.tolist()
+        return _least_2x2(m00, m10, m11)
+    w, v = _eigh(m)
+    return v[:, 0], float(w[0])
 
 
 def _qr(a: np.ndarray):

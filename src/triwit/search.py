@@ -4,11 +4,12 @@ The see-saw minimizes <xi|W|xi> over unit vectors whose rank triplet is
 bounded by a target.  The vector is parameterized by three factor blocks
 and a core; with all other blocks frozen, the vector is linear in the
 free block, so each update is an exact eigenproblem and the objective
-never increases.  The vector is never zero and the floors are relative,
-so no update's pencil is degenerate, and a restart draws randomness only
-at its start; it stops on a gain relative to W.  The factors are kept
-orthonormal, so the core update is a standard eigenproblem, and no
-update builds a Jacobian (see :func:`seesaw_minimize`).  A cut target,
+never increases.  The factors are kept orthonormal, and a factor update
+QR-gauges the core first, so the rest of the network around the block
+being solved is orthonormal and every update is a standard eigenproblem,
+solved by :func:`linalg._least`: no update whitens a Gram matrix or
+builds a Jacobian (see :func:`seesaw_minimize`).  A restart draws
+randomness only at its start, and stops on a gain relative to W.  A cut target,
 such as (1, 2, 2) on qubits (the bi-separable states across one cut),
 runs the dedicated loop :func:`_cut_seesaw`, which solves a qubit factor
 step in closed form.  A negative enough final value yields a violation
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DimMismatch
-from .linalg import DEFAULT_TOL, Tolerance, _eigh, _frobenius, _least_2x2, _qr, _whitening, hermitize
+from .linalg import DEFAULT_TOL, Tolerance, _frobenius, _least, _qr, hermitize
 from .linalg import min_gen_eig  # noqa: F401  (the see-saw no longer calls it; bench/selftest reads search.min_gen_eig)
 from .schmidt import PosTriple, _triple, sr_leq, triple_leq
 from .tensor import TriDims, TriOperator, TriVector
@@ -101,16 +102,6 @@ class _Record:
             value=self.value, xi=xi / np.linalg.norm(xi), objective_trace=self.trace,
             sweeps=sweeps, converged=converged, rejected=self.rejected,
         )
-
-
-def _quotient(x: np.ndarray, reduced: np.ndarray, norm_sq: float) -> float:
-    """A candidate xi's quotient <xi|W|xi> / ||xi||^2, read as Re(x* R x) / ``norm_sq``.
-
-    R is a ``reduced`` matrix the step solved, with x* R x = <xi|W|xi>, and
-    ``norm_sq`` is ||xi||^2 from xi itself: the guard never reads an
-    eigenvalue, which the whitening floor can jitter.
-    """
-    return float(np.vdot(x, reduced @ x).real / norm_sq)
 
 
 def _draw_complex(rng: np.random.Generator, shape) -> np.ndarray:
@@ -192,22 +183,25 @@ def seesaw_minimize(
 
     The free factors are kept orthonormal: after every accepted factor step
     the factor's QR triangle is pushed into the core, which leaves the
-    vector as it is.  The core step is then one standard eigenproblem of
-    J* W J, J the product of the factors with orthonormal columns.  A factor
-    step contracts W, permuted so that the factor's mode comes first, with
-    the rest of the network (the core times the other factors); its Gram
-    matrix is the identity times a k x k block, whitened under the rule of
-    :func:`min_gen_eig`.  No Jacobian is built.  Both reduced matrices are
-    read from their lower triangles, which is their exact symmetrization.
-    Each step is kept only if the candidate xi's quotient <xi|W|xi>/<xi|xi>
-    does not increase, read by :func:`_quotient` from the reduced matrix
-    the step solved (the factor step's (d k) x (d k) matrix or the core
-    step's J* W J) and xi's own norm, so no step multiplies by W.  The
-    objective is non-increasing by construction, and ``rng`` is read only
-    for the start.  The vector is never zero (a kept candidate has a finite
-    quotient) and, the free factors being orthonormal, the rest of the
-    network carries its norm; with ``psd_abs < 1`` no Gram matrix is then
-    degenerate.  The value is the quotient of the returned vector.
+    vector as it is; the start core is scaled to a unit vector.  The core
+    step is then one standard eigenproblem of J* W J, J the product of the
+    factors with orthonormal columns.  A factor step first QR-gauges the
+    core, the mirror image of that push: the core's unfolding at the
+    factor's mode is r.T q.T, and q.T, with orthonormal rows, stands in for
+    the core, r.T going into the factor that the step solves for anyway.
+    The rest of the network (the gauged core times the other factors) then
+    has orthonormal rows, so the step is one standard eigenproblem of W,
+    permuted so that the factor's mode comes first, contracted with the
+    rest.  A factor of rank above the product of the other two ranks
+    narrows to that product, which bounds every vector's rank at its mode
+    anyway.  Each step solves its reduced matrix, read from its lower
+    triangle, with :func:`linalg._least`, and is kept only if the candidate
+    xi's quotient <xi|W|xi>/<xi|xi> does not increase: every other block
+    being orthonormal, that quotient is the reduced matrix's least value,
+    so no step multiplies by W or assembles xi.  The objective is
+    non-increasing by construction, ``rng`` is read only for the start and
+    ``tol`` only by the entry gate.  The value is the quotient of the
+    returned vector.
 
     A cut target, whose one factor narrower than its mode has rank one,
     runs :func:`_cut_seesaw` instead, chosen from the target and dims
@@ -221,7 +215,7 @@ def seesaw_minimize(
     threshold = math.ldexp(convergence_eps, math.frexp(_frobenius(wmat))[1])
     shape = dims.as_tuple()
     ranks = _fit_target(target, dims)
-    n, m = dims.total, math.prod(ranks)
+    n = dims.total
     factors = [_draw_complex(rng, (d, k)) for d, k in zip(shape, ranks)]
     core = _draw_complex(rng, tuple(ranks))
     # a factor as wide as its mode spans it: absorb it into the core and hold
@@ -249,6 +243,7 @@ def seesaw_minimize(
         orders[mode] = [mode] + [other for other in range(3) if other != mode]
         axes = orders[mode] + [3 + other for other in orders[mode]]
         wfirst[mode] = wmat.reshape(shape * 2).transpose(axes).reshape(n, n)
+    core = core / math.sqrt(np.vdot(core, core).real)
 
     def assemble(t):
         for mode in free:
@@ -256,40 +251,41 @@ def seesaw_minimize(
         return t.reshape(-1)
 
     def factor_step(mode) -> None:
-        """Minimize over factor ``mode`` and keep the step under the step rule."""
+        """Minimize over factor ``mode`` in the QR gauge of the core and keep the step under the step rule."""
+        nonlocal core
         d = shape[mode]
         order = orders[mode]
-        rest = core.transpose(order)
+        first = np.moveaxis(core, mode, 0)
+        # the unfolding is r.T q.T and q.T the gauged core; r.T is never
+        # stored, since a kept step replaces the factor and a rejected one
+        # leaves the core and the factor as they were
+        q = _qr(first.reshape(first.shape[0], -1).T)[0]
+        gauged = q.T.reshape((q.shape[1],) + first.shape[1:])
+        rest = gauged
         for axis in (1, 2):
             if factors[order[axis]] is not None:
                 rest = _mode_product(factors[order[axis]], rest, axis)
-        mt = rest.reshape(ranks[mode], n // d)
-        # the vector is new_factor @ mt in mode-first order, so the Gram
-        # matrix is the identity times conj(mt) @ mt.T
-        s = _whitening(mt.conj() @ mt.T, tol)
-        t = mt.T @ s
-        k = t.shape[1]
+        k = rest.shape[0]
+        t = rest.reshape(k, n // d).T
         reduced = t.conj().T @ (wfirst[mode].reshape(-1, n // d) @ t).reshape(d, n // d, d * k)
-        reduced = reduced.reshape(d * k, d * k)
-        y = _eigh(reduced)[1][:, 0]
-        xi = y.reshape(d, k) @ t.T
-        if record.keep(_quotient(y, reduced, np.vdot(xi, xi).real)):
-            set_factor(mode, y.reshape(d, k) @ s.T)
+        y, value = _least(reduced.reshape(d * k, d * k))
+        if record.keep(value):
+            core = np.moveaxis(gauged, 0, mode)
+            set_factor(mode, y.reshape(d, k))
 
     def core_step() -> None:
         """Minimize over the core and keep the step under the step rule."""
         nonlocal core
+        m = core.size
         t = wmat.reshape(shape + (n,))
         for mode in free:
             t = _mode_product(factors[mode].conj().T, t, mode)
         t = t.reshape(m, n).conj().T.reshape(shape + (m,))
         for mode in free:
             t = _mode_product(factors[mode].conj().T, t, mode)
-        reduced = t.reshape(m, m)
-        y = _eigh(reduced)[1][:, 0]
-        xi = assemble(y.reshape(ranks))
-        if record.keep(_quotient(y, reduced, np.vdot(xi, xi).real)):
-            core = y.reshape(ranks)
+        y, value = _least(t.reshape(m, m))
+        if record.keep(value):
+            core = y.reshape(core.shape)
 
     record = _Record(wmat, assemble(core))
     sweeps, converged = 0, False
@@ -311,14 +307,13 @@ def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, threshold) -> SeesawRun:
     absorbed).  W, with the free mode first on both sides, is permuted once
     per restart into ``w_u`` (d x d x r x r) and ``w_c`` (r x r x d x d),
     so a step's reduced matrix, M_u(c) = (I (x) c)* W (I (x) c) or M_c(u),
-    is two matrix-vector products: no Gram eigensolve, mode products or
-    permuted copies.  u and c start as unit vectors and each step swaps one
-    for a unit eigenvector, so no reduced matrix exceeds ||W|| and each step
-    is a standard eigenproblem (its Gram matrix, 1 within rounding, is one
-    :func:`_whitening` keeps at any ``psd_abs < 1``).  For d = 2 the u step
-    is solved in closed form (:func:`_least_2x2`).  Each candidate is valued
-    on the matrix its step solved, y (x) c as Re(y* M_u y) / (||y||^2 ||c||^2),
-    and M_c is built once a sweep, for the u the u step leaves.  The loop
+    is two matrix-vector products: no mode products or permuted copies.
+    u and c start as unit vectors and each step swaps one for a unit
+    eigenvector, so no reduced matrix exceeds ||W||, and each step is the
+    standard eigenproblem that :func:`linalg._least` solves (a qubit u step,
+    d = 2, in closed form).  Each candidate is valued on the matrix its step
+    solved, y (x) c as the least value of M_u(c) over ||c||^2, and M_c is
+    built once a sweep, for the u the u step leaves.  The loop
     keeps the general loop's draws, entry gate, step guard and counts, and
     reaches its iterates up to rounding and the phase of u.
     """
@@ -336,19 +331,11 @@ def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, threshold) -> SeesawRun:
     while sweeps < max_sweeps and not converged:
         sweeps += 1
         sweep_start = record.value
-        m_u = (w_u @ c) @ c.conj()
-        if d == 2:
-            (m00, _), (m10, m11) = m_u.tolist()
-            y, value = _least_2x2(m00, m10, m11)
-        else:
-            y = _eigh(m_u)[1][:, 0]
-            value = _quotient(y, m_u, np.vdot(y, y).real)
-        c_sq = float(np.vdot(c, c).real)
-        if record.keep(value / c_sq):
+        y, value = _least((w_u @ c) @ c.conj())
+        if record.keep(value / float(np.vdot(c, c).real)):
             u = y
-        reduced = (w_c @ u) @ u.conj()
-        y = _eigh(reduced)[1][:, 0]
-        if record.keep(_quotient(y, reduced, np.vdot(u, u).real * np.vdot(y, y).real)):
+        y, value = _least((w_c @ u) @ u.conj())
+        if record.keep(value / float(np.vdot(u, u).real)):
             c = y
         converged = sweep_start - record.value < threshold
     rest = tuple(shape[other] for other in order[1:])

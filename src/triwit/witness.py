@@ -82,11 +82,6 @@ class QubitWitnessParams:
         """sqrt(s_i t_i), finite for every member: split into sqrt(s_i) sqrt(t_i) where s_i t_i overflows."""
         return tuple(_root_product(si, ti) for si, ti in zip(self.s, self.t))
 
-    def abs_u(self) -> tuple[float, float, float, float]:
-        """|u_i|, taken where it is finite, on the member scaled by :func:`_scaled_for_slack`, and scaled back."""
-        scaled, c = _scaled_for_slack(self)
-        return tuple(abs(ui) / c for ui in scaled.u)
-
 
 def _root_product(a: float, b: float) -> float:
     """sqrt(a b) for nonnegative floats, also where a b is not finite.

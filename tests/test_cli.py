@@ -291,6 +291,16 @@ def test_search_cut_target_on_a_witness_with_entries_near_1e307(tmp_path, capsys
     assert abs(json.loads(out)["results"]["no_violation"]["best_value"]) <= 1e-6 * 1e307
 
 
+def test_search_general_target_on_a_witness_with_entries_near_1e307(tmp_path, capsys):
+    # the general loop starts from a unit vector, so the start value is
+    # finite and the (2, 2, 2) certificate is the one at scale 1, scaled
+    w = family_choi(genuine_witness(1.0)).choi
+    path = _write(tmp_path / "w.json", operator_to_json(TriOperator(w.dims, 1e307 * w.mat)))
+    code, out = _run(capsys, ["search", path, "--sr", "2,2,2", "--seed", "0"])
+    assert code == 0
+    assert abs(json.loads(out)["results"]["violation"]["value"] + 1e307) <= 1e-6 * 1e307
+
+
 def test_search_family_flags(capsys):
     code, out = _run(
         capsys,

@@ -12,7 +12,7 @@ from triwit import (
     min_gen_eig,
     svd_rank,
 )
-from triwit.linalg import _eigh, _least_2x2, _qr, _whitening, hermitize
+from triwit.linalg import _eigh, _least, _least_2x2, _qr, _whitening, hermitize
 
 
 def _rand_complex(rng, shape):
@@ -423,20 +423,33 @@ def _least_2x2_cases():
     cases += [pytest.param(1e307 * m / np.abs(m).max(), id=f"entries-1e307-{i}") for i, m in enumerate(
         [_rand_hermitian(rng, 2), np.array([[1.0, 1 - 1j], [1 + 1j, -1.0]]), np.array([[-1.0, 0.7j], [-0.7j, -1.0]])]
     )]
+    # sizes that _least hands to the eigensolver
+    cases += [pytest.param(_rand_hermitian(rng, n), id=f"random-{n}x{n}") for n in (1, 4, 8)]
     return cases
 
 
 @pytest.mark.parametrize("m", _least_2x2_cases())
 def test_least_2x2_matches_eigh(m):
-    # the closed form reads the lower triangle, as the eigensolver does: the
-    # upper triangle is overwritten with junk that neither may read
+    # the closed form and _least read the lower triangle, as the eigensolver
+    # does: the upper triangle is overwritten with junk that none may read.
+    # A 2 x 2 goes through _least as through the closed form, bit for bit
     m = np.array(m, dtype=complex)
-    m[0, 1] = 7.0 - 5.0j
-    (m00, _), (m10, m11) = m.tolist()
-    y, value = _least_2x2(m00, m10, m11)
+    n = m.shape[0]
+    m[np.triu_indices(n, 1)] = 7.0 - 5.0j
+    y, value = _least(m)
+    if n == 2:
+        (m00, _), (m10, m11) = m.tolist()
+        y2, value2 = _least_2x2(m00, m10, m11)
+        assert value == value2
+        np.testing.assert_array_equal(y, y2)
     w, v = _eigh(m)
-    norm = math.hypot(m00.real, m10.real, m10.imag, m10.real, m10.imag, m11.real)  # ||m||_F, read as Hermitian
+    lower = m[np.tril_indices(n, -1)]
+    # ||m||_F, read as Hermitian
+    norm = math.hypot(*m.diagonal().real, *lower.real, *lower.imag, *lower.real, *lower.imag)
+    herm = np.tril(m) + np.tril(m, -1).conj().T
+    quotient = np.vdot(y, herm @ y).real / np.vdot(y, y).real
     assert abs(value - w[0]) <= 4 * np.finfo(float).eps * norm
+    assert abs(value - quotient) <= 4 * n * np.finfo(float).eps * norm  # the quotient's own rounding grows with n
     assert abs(np.linalg.norm(y) - 1.0) <= 4 * np.finfo(float).eps
     assert abs(np.vdot(y, v[:, 0])) >= 1 - 1e-12
 

@@ -24,6 +24,7 @@ from triwit.witness import (
     RADIUS_MIN,
     REFINE,
     _nelder_mead,
+    _closed_form,
     _ordered,
     _polish_alpha,
     _polish_objective,
@@ -160,7 +161,7 @@ def _scipy_check_111(params: QubitWitnessParams, grid: AlphaGrid = AlphaGrid(), 
         val = float(alpha_slack(params, cand))
         if val < best_slack:
             best_alpha, best_slack = cand, val
-    if best_slack < -tol.ineq_abs * max(params.s + params.t + params.abs_u()):
+    if best_slack < -tol.ineq_abs * max(params.s + params.t + _closed_form(params, tol).abs_u):
         return ClassVerdict(
             Verdict.REFUTED,
             f"inequality fails by {-best_slack:.3e} at alpha = {best_alpha:.6g}",

@@ -388,6 +388,24 @@ def test_seesaw_value_is_the_quotient_of_xi(dims, target, psd_abs):
         assert rng.bit_generator.state == replay.bit_generator.state
 
 
+@pytest.mark.parametrize("dims,target", [((3, 3, 3), (2, 3, 3)), ((6, 6, 6), (3, 3, 3)), ((2, 3, 4), (2, 2, 3))])
+def test_psd_abs_does_not_steer_the_search(dims, target):
+    # every step solves a standard eigenproblem, the rest of the network kept
+    # orthonormal, so no floor drops a direction: psd_abs reaches the search
+    # only through the Hermiticity gate, which an exactly Hermitian W passes
+    n = int(np.prod(dims))
+    for seed in range(3):
+        wmat = _rand_hermitian(np.random.default_rng([20, seed]), n)
+        runs = [
+            seesaw_minimize(
+                wmat, TriDims(*dims), target, np.random.default_rng(seed), max_sweeps=20, tol=Tolerance(psd_abs=psd_abs)
+            )
+            for psd_abs in (1e-9, 0.5)
+        ]
+        assert runs[0].objective_trace == runs[1].objective_trace
+        np.testing.assert_array_equal(runs[0].xi, runs[1].xi)
+
+
 # sweeps run by three seeded restarts, each on its own random Hermitian: as
 # the see-saw ran them when every candidate was valued by a product with W
 # and a run stopped on an absolute gain of 1e-10 a sweep, and under the
@@ -511,7 +529,7 @@ def test_cut_u_step_is_valued_on_its_own_matrix(target, monkeypatch):
     # a kept step records the quotient <xi|W|xi>/||xi||^2 of xi = y (x) c
     # itself.  c is read from the vector a run stopped one sweep earlier
     # returns, which is u (x) c up to scale and phase
-    import triwit.search as search
+    import triwit.linalg as linalg
     from triwit.linalg import _least_2x2
 
     mode = target.index(1)
@@ -526,7 +544,7 @@ def test_cut_u_step_is_valued_on_its_own_matrix(target, monkeypatch):
             candidates.append(y)
             return y, value
 
-        monkeypatch.setattr(search, "_least_2x2", recorded)
+        monkeypatch.setattr(linalg, "_least_2x2", recorded)
         run = seesaw_minimize(wmat, QUBITS, target, np.random.default_rng(seed))
         monkeypatch.undo()
         assert len(candidates) == run.sweeps
@@ -586,8 +604,8 @@ def test_cut_target_search_matches_grid_oracle(cls):
 
 @pytest.mark.parametrize("lam", [pytest.param(2.0**e, id=f"2^{e}") for e in (40, -40, 400, -400)])
 def test_violation_search_scales_with_w(lam):
-    # the Hermiticity gate, the whitening floor, the certificate threshold
-    # and the stopping threshold are relative, so under one config a
+    # the Hermiticity gate, the certificate threshold and the stopping
+    # threshold are relative, so under one config a
     # power-of-two multiple of W gives the same outcome and vector with the
     # value times lam
     rng = np.random.default_rng(380)

@@ -23,7 +23,8 @@ from triwit import (
 )
 from triwit import witness
 from triwit.search import ViolationCertificate, violation_search
-from triwit.witness import _LOG_HI, PAIR_CLASSES, _scaled_for_slack
+from triwit.linalg import DEFAULT_TOL
+from triwit.witness import _LOG_HI, PAIR_CLASSES, _closed_form, _scaled_for_slack
 
 
 def _rand_params(rng, u_scale=1.0):
@@ -281,7 +282,7 @@ def test_modulus_beyond_the_float_range():
     u = (1.5e308 + 1.5e308j, 0, 0, 0)
     # sqrt(s_i t_i) = 1.7e308 < |u_1|, but every pair and the sum make up for it
     p = QubitWitnessParams(s=(1.7e308,) * 4, t=(1.7e308,) * 4, u=u)
-    assert p.abs_u() == (math.inf, 0.0, 0.0, 0.0)
+    assert _closed_form(p, DEFAULT_TOL).abs_u == (math.inf, 0.0, 0.0, 0.0)
     rep = classify(p)
     assert rep.classes[(2, 2, 2)].verdict is Verdict.REFUTED
     assert all(rep.certified(cls) for cls in [*PAIR_CLASSES, (1, 1, 1)])
@@ -342,7 +343,8 @@ def test_classify_monotone_consistency():
         assert rep.biseparability_witness == all(check_pair_class(p, cls) for cls in PAIR_CLASSES)
     # tie draws hold small integers, so every sum is exact and a tie must hold
     for p in ties:
-        rst, au = p.root_st(), p.abs_u()
+        cf = _closed_form(p, DEFAULT_TOL)
+        rst, au = cf.root_st, cf.abs_u
 
         def holds(idx):
             return sum(rst[i] for i in idx) >= sum(au[i] for i in idx)
@@ -549,7 +551,8 @@ def test_genuine_witness_properties():
     rep = classify(p)
     assert rep.biseparability_witness
     assert not check_222(p)
-    rst, au = p.root_st(), p.abs_u()
+    cf = _closed_form(p, DEFAULT_TOL)
+    rst, au = cf.root_st, cf.abs_u
     for j in range(1, 4):  # pairs containing the first index hold with equality
         assert rst[0] + rst[j] == au[0] + au[j] == 1.0
 

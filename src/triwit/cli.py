@@ -47,7 +47,7 @@ GEN_SAMPLE_TERMS = 5  # projectors in a state sampled by gen --sample without --
 
 _TOL_FLAGS = {
     "rank_rel": ("--tol-rank", "relative singular-value cutoff"),
-    "psd_abs": ("--tol-psd", "eigenvalue floor (norm-scaled)"),
+    "psd_abs": ("--tol-psd", "Hermiticity gate on W: largest ||W - W*||_F over ||W||_F"),
     "ineq_abs": ("--tol-ineq", "inequality slack"),
 }
 

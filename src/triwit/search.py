@@ -9,12 +9,12 @@ QR-gauges the core first, so the rest of the network around the block
 being solved is orthonormal and every update is a standard eigenproblem,
 solved by :func:`linalg._least`: no update whitens a Gram matrix or
 builds a Jacobian (see :func:`seesaw_minimize`).  A restart draws
-randomness only at its start, and stops on a gain relative to W.  A cut target,
-such as (1, 2, 2) on qubits (the bi-separable states across one cut),
-runs the dedicated loop :func:`_cut_seesaw`, which solves a qubit factor
-step in closed form.  A negative enough final value yields a violation
-certificate; anything else is reported as "no violation found", which is
-deliberately not a positivity proof.
+randomness only at its start, and stops on a gain relative to W.  A cut
+target, such as (1, 2, 2) on qubits (the bi-separable states across one
+cut), runs :func:`_cut_seesaw`, which holds W flat in 2-D for BLAS and
+solves a qubit factor step in closed form.  A negative enough final value
+yields a violation certificate; anything else is reported as "no violation
+found", which is deliberately not a positivity proof.
 """
 
 from __future__ import annotations
@@ -302,27 +302,27 @@ def seesaw_minimize(
 def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, threshold) -> SeesawRun:
     """The see-saw of :func:`seesaw_minimize` on a cut target, where only ``mode`` is free, at rank one.
 
-    In the free mode's first order the vector is u (x) c, u the factor
-    ``u`` of that mode and c the flattened ``core`` (the other two modes,
-    absorbed).  W, with the free mode first on both sides, is permuted once
-    per restart into ``w_u`` (d x d x r x r) and ``w_c`` (r x r x d x d),
-    so a step's reduced matrix, M_u(c) = (I (x) c)* W (I (x) c) or M_c(u),
-    is two matrix-vector products: no mode products or permuted copies.
-    u and c start as unit vectors and each step swaps one for a unit
-    eigenvector, so no reduced matrix exceeds ||W||, and each step is the
-    standard eigenproblem that :func:`linalg._least` solves (a qubit u step,
-    d = 2, in closed form).  Each candidate is valued on the matrix its step
-    solved, y (x) c as the least value of M_u(c) over ||c||^2, and M_c is
-    built once a sweep, for the u the u step leaves.  The loop
-    keeps the general loop's draws, entry gate, step guard and counts, and
-    reaches its iterates up to rounding and the phase of u.
+    In the free mode's first order the vector is u (x) c, u the factor ``u``
+    of that mode and c the flattened ``core`` (the other two modes,
+    absorbed).  W, with the free mode first on both sides, is copied once per
+    restart into the 2-D ``w_u`` (d d r x r) and ``w_c`` (r r d x d), so a
+    step's reduced matrix, M_u(c) = (I (x) c)* W (I (x) c) or M_c(u), is two
+    BLAS matrix-vector calls, where 4-D blocks cost a numpy loop over d d (or
+    r r) tiny products.  u and c start as unit vectors and each step swaps one
+    for a unit eigenvector, so no reduced matrix exceeds ||W||, and each step
+    is the standard eigenproblem that :func:`linalg._least` solves (a qubit u
+    step, d = 2, in closed form).  Each candidate is valued on the matrix its
+    step solved, y (x) c as the least value of M_u(c) over ||c||^2, and M_c
+    is built once a sweep, for the u the u step leaves.  The loop keeps the
+    general loop's draws, entry gate, step guard and counts, and reaches its
+    iterates up to rounding and the phase of u.
     """
     d = shape[mode]
     r = wmat.shape[0] // d
     order = [mode] + [other for other in range(3) if other != mode]
     w4 = wmat.reshape(shape * 2).transpose(order + [3 + other for other in order]).reshape(d, r, d, r)
-    w_u = w4.transpose(0, 2, 1, 3).copy()
-    w_c = w4.transpose(1, 3, 0, 2).copy()
+    w_u = w4.transpose(0, 2, 1, 3).reshape(d * d * r, r)
+    w_c = w4.transpose(1, 3, 0, 2).reshape(r * r * d, d)
 
     u = u.reshape(d) / math.sqrt(np.vdot(u, u).real)
     c = core.reshape(r) / math.sqrt(np.vdot(core, core).real)
@@ -331,10 +331,10 @@ def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, threshold) -> SeesawRun:
     while sweeps < max_sweeps and not converged:
         sweeps += 1
         sweep_start = record.value
-        y, value = _least((w_u @ c) @ c.conj())
+        y, value = _least(w_u.dot(c).reshape(d * d, r).dot(c.conj()).reshape(d, d))
         if record.keep(value / float(np.vdot(c, c).real)):
             u = y
-        y, value = _least((w_c @ u) @ u.conj())
+        y, value = _least(w_c.dot(u).reshape(r * r, d).dot(u.conj()).reshape(r, r))
         if record.keep(value / float(np.vdot(u, u).real)):
             c = y
         converged = sweep_start - record.value < threshold

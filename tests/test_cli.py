@@ -536,10 +536,10 @@ def test_classify_rejects_non_finite_params(capsys, s):
         ["sr", "VECTOR", "--tol-rank", "1"],
         ["search", "--s", "0,1,1,0", "--t", "0,1,1,0", "--u", "1:0,1:0,1:0,1:0", "--sr", "1,2,2",
          "--tol-rank", "2"],
-        # an eigenvalue floor of 1 or more would drop every eigenvalue
+        # a Hermiticity gate of 1 or more would pass a defect as large as W itself
         ["search", "--s", "0,1,1,0", "--t", "0,1,1,0", "--u", "1:0,1:0,1:0,1:0", "--sr", "1,2,2",
          "--tol-psd", "1"],
-        # sr reads no eigenvalue floor, so it refuses the flag
+        # sr reads no Hermiticity gate, so it refuses the flag
         ["sr", "VECTOR", "--tol-psd", "0.5"],
         # an inequality slack of 1 or more would make every inequality hold: this
         # member's Choi matrix is indefinite, and no search value could certify

@@ -358,13 +358,15 @@ def _start_draws(rng, dims, target) -> None:
 
 
 # cut targets (one free factor of rank one) and general ones (a free factor
-# of rank two, two free factors, three free factors)
+# of rank two, two free factors, three free factors), then a cut target with
+# its free mode last on unequal dims, d = 4 and r = 6, whose u step runs _eigh
 ENGINE_TARGETS = [
     ((2, 2, 2), (1, 2, 2)),
     ((2, 3, 4), (2, 1, 4)),
     ((3, 3, 3), (2, 3, 3)),
     ((2, 2, 2), (1, 1, 2)),
     ((2, 2, 2), (1, 1, 1)),
+    ((2, 3, 4), (2, 3, 1)),
 ]
 
 
@@ -410,6 +412,7 @@ def test_psd_abs_does_not_steer_the_search(dims, target):
 # the see-saw ran them when every candidate was valued by a product with W
 # and a run stopped on an absolute gain of 1e-10 a sweep, and under the
 # default rule, a gain of 1e-10 times the least power of two above ||W||_F
+# (the last target's, as the cut loop ran them on 4-D blocks of W)
 GUARD_PINS = {
     ((2, 2, 2), (1, 2, 2)): (15, 14, 15),
     ((2, 3, 4), (2, 1, 4)): (17, 17, 33),
@@ -417,6 +420,7 @@ GUARD_PINS = {
     ((2, 2, 2), (1, 1, 2)): (12, 32, 20),
     ((2, 2, 2), (1, 1, 1)): (16, 36, 11),
     ((6, 6, 6), (3, 3, 3)): (173, 186, 92),
+    ((2, 3, 4), (2, 3, 1)): (160, 18, 50),
 }
 DEFAULT_RULE_SWEEPS = {
     ((2, 2, 2), (1, 2, 2)): (14, 13, 13),
@@ -425,6 +429,7 @@ DEFAULT_RULE_SWEEPS = {
     ((2, 2, 2), (1, 1, 2)): (11, 29, 19),
     ((2, 2, 2), (1, 1, 1)): (15, 33, 10),
     ((6, 6, 6), (3, 3, 3)): (145, 145, 69),
+    ((2, 3, 4), (2, 3, 1)): (157, 15, 45),
 }
 
 

@@ -7,10 +7,7 @@ once the spectrum is computed).  Every Hermitian eigenproblem is solved by
 LAPACK's ``zheevd``, through the one helper ``_eigh``, except a 2x2 least
 eigenpair, which ``_least_2x2`` solves in closed form; one ``_least``
 serves every see-saw step, choosing between the two by size.  Every QR
-factorization goes through ``zgeqrf``, in the one helper ``_qr``.  Both
-helpers call numpy's private gufuncs where this numpy has them, and
-``numpy.linalg.eigh`` and ``numpy.linalg.qr``, the same gufuncs behind
-checks and so the same bits, otherwise; no other module touches them.
+factorization goes through ``zgeqrf``, in the one helper ``_qr``.
 """
 
 from __future__ import annotations
@@ -19,17 +16,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.linalg import _umath_linalg
+from numpy.linalg._linalg import _raise_linalgerror_qr
 
 from .errors import DegeneratePencil, NotHermitian
-
-# probed once: numpy 1.x has no numpy.linalg._linalg, and the gufuncs' names are private
-try:
-    from numpy.linalg import _umath_linalg
-    from numpy.linalg._linalg import _raise_linalgerror_qr
-
-    _PRIVATE_GUFUNCS = all(hasattr(_umath_linalg, name) for name in ("eigh_lo", "qr_r_raw", "qr_reduced"))
-except ImportError:
-    _PRIVATE_GUFUNCS = False
 
 __all__ = [
     "Tolerance",
@@ -184,15 +174,6 @@ def _qr(a: np.ndarray):
     for row in range(1, r.shape[0]):
         r[row, :row] = 0
     return q, r
-
-
-if not _PRIVATE_GUFUNCS:
-    # the public wrappers of the same gufuncs, bound once so that _eigh has no per-call branch
-    def _eigh(m: np.ndarray):  # noqa: F811
-        return np.linalg.eigh(m, UPLO="L")
-
-    def _qr(a: np.ndarray):  # noqa: F811
-        return np.linalg.qr(np.asarray(a, dtype=complex))
 
 
 def hermitian_eig(m: np.ndarray, tol: Tolerance = DEFAULT_TOL):

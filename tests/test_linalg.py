@@ -1,9 +1,4 @@
-import inspect
 import math
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,7 +12,6 @@ from triwit import (
     min_gen_eig,
     svd_rank,
 )
-import triwit.linalg
 from triwit.linalg import _eigh, _least, _least_2x2, _qr, _whitening, hermitize
 
 
@@ -359,104 +353,6 @@ def test_qr_matches_numpy_bit_for_bit(d):
         np.testing.assert_array_equal(q.view(np.uint64), q0.view(np.uint64))
         np.testing.assert_array_equal(r.view(np.uint64), r0.view(np.uint64))
         np.testing.assert_array_equal(x, before)
-
-
-def _fallback_sample() -> dict:
-    """Seeded outputs of _eigh, _qr and violation_search, the last on a cut and on a general target.
-
-    Self-contained, so that a subprocess can run its source after hiding a name from numpy.
-    """
-    import numpy as np
-
-    import triwit
-    from triwit.linalg import _eigh, _qr
-
-    rng = np.random.default_rng(23)
-    out = {}
-    for n in (1, 4, 8):
-        m = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-        out[f"eigh_w{n}"], out[f"eigh_v{n}"] = _eigh(m)
-    for shape in ((6, 3), (3, 6), (4, 4)):
-        out[f"qr_q{shape}"], out[f"qr_r{shape}"] = _qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    genuine = triwit.family_choi(triwit.genuine_witness(1.3)).choi
-    a = rng.standard_normal((24, 24)) + 1j * rng.standard_normal((24, 24))
-    wide = triwit.TriOperator(triwit.TriDims(2, 3, 4), a + a.conj().T)
-    cfg = triwit.SeesawConfig(restarts=2, max_sweeps=30, seed=5)
-    for key, w, target in (("cut", genuine, (1, 2, 2)), ("general", wide, (2, 2, 3))):
-        found = triwit.violation_search(w, target, cfg)
-        if isinstance(found, triwit.ViolationCertificate):
-            out[f"search_{key}"] = np.append(found.xi.data, found.value)
-        else:
-            out[f"search_{key}"] = np.append(found.best_xi.data, found.best_value)
-    return out
-
-
-# run after the source of _fallback_sample, in a fresh interpreter: import the
-# package with one private name hidden from numpy and save _fallback_sample();
-# then hide each other name in turn, re-import linalg alone, and print whether
-# linalg found its private gufuncs
-_HIDDEN_NAME_RUN = """
-import importlib, sys, types
-
-import numpy as np
-
-NAMES = [
-    ("numpy.linalg._umath_linalg", "eigh_lo"),
-    ("numpy.linalg._umath_linalg", "qr_r_raw"),
-    ("numpy.linalg._umath_linalg", "qr_reduced"),
-    ("numpy.linalg._linalg", "_raise_linalgerror_qr"),
-]
-
-
-def put(modname, module):
-    sys.modules[modname] = module
-    parent, _, child = modname.rpartition(".")
-    setattr(sys.modules[parent], child, module)
-
-
-def hide(modname, name):
-    real = importlib.import_module(modname)
-    stub = types.ModuleType(modname)
-    stub.__dict__.update((key, value) for key, value in vars(real).items() if key != name)
-    put(modname, stub)
-    return real
-
-
-real = hide(*NAMES[0])
-import triwit.linalg
-
-np.savez(sys.argv[1], **_fallback_sample())
-found = [triwit.linalg._PRIVATE_GUFUNCS]
-put(NAMES[0][0], real)
-for modname, name in NAMES[1:]:
-    real = hide(modname, name)
-    found.append(importlib.reload(triwit.linalg)._PRIVATE_GUFUNCS)
-    put(modname, real)
-found.append(importlib.reload(triwit.linalg)._PRIVATE_GUFUNCS)
-print(found)
-"""
-
-
-def test_public_fallback_gives_the_private_gufuncs_bits(tmp_path):
-    # where numpy lacks any one private name (numpy 1.x has no
-    # numpy.linalg._linalg), _eigh and _qr call numpy.linalg.eigh and
-    # numpy.linalg.qr, the same gufuncs behind the public checks: the package
-    # imports, and the solvers and a seeded search give the private path's bits
-    if not triwit.linalg._PRIVATE_GUFUNCS:
-        pytest.skip("this numpy has no private gufuncs to compare with")
-    out = tmp_path / "fallback.npz"
-    code = inspect.getsource(_fallback_sample) + _HIDDEN_NAME_RUN
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run([sys.executable, "-c", code, str(out)], capture_output=True, text=True, env=env, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    # each hidden name alone selects the fallback; with none hidden, the private path is back
-    assert proc.stdout.strip() == "[False, False, False, False, True]"
-    want = _fallback_sample()
-    with np.load(out) as got:
-        assert sorted(got.files) == sorted(want)
-        for key, value in want.items():
-            np.testing.assert_array_equal(got[key].view(np.uint64), np.asarray(value).view(np.uint64), err_msg=key)
 
 
 def _pinv_whitening_min(a, b, tol=DEFAULT_TOL):

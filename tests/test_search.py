@@ -412,7 +412,6 @@ def test_psd_abs_does_not_steer_the_search(dims, target):
 # the see-saw ran them when every candidate was valued by a product with W
 # and a run stopped on an absolute gain of 1e-10 a sweep, and under the
 # default rule, a gain of 1e-10 times the least power of two above ||W||_F
-# (the last target's, as the cut loop ran them on 4-D blocks of W)
 GUARD_PINS = {
     ((2, 2, 2), (1, 2, 2)): (15, 14, 15),
     ((2, 3, 4), (2, 1, 4)): (17, 17, 33),

@@ -119,7 +119,7 @@ def _least_2x2(m00: complex, m10: complex, m11: complex):
     """The least eigenvector y of the Hermitian 2x2 matrix M read, as by :func:`_eigh`, from its lower triangle.
 
     Takes the entries as Python scalars and returns y as a unit vector, with
-    its quotient Re(y* M y) / ||y||^2 as a float.  With h = (m00 - m11) / 2
+    its value Re(y* M y) as a float.  With h = (m00 - m11) / 2
     and rho = hypot(h, |m10|), y is (conj(m10), -(h + rho)) for h >= 0 and
     (h - rho, m10) otherwise, neither of which cancels; e1 when rho is 0.
     The entries are halved before they are subtracted and every norm is a
@@ -140,7 +140,7 @@ def _least_2x2(m00: complex, m10: complex, m11: complex):
     norm = math.hypot(y0.real, y0.imag, y1.real, y1.imag)
     y0, y1 = y0 / norm, y1 / norm
     p0, p1 = y0.real * y0.real + y0.imag * y0.imag, y1.real * y1.real + y1.imag * y1.imag
-    value = (a * p0 + e * p1 + 2.0 * (y1.conjugate() * m10 * y0).real) / (p0 + p1)
+    value = a * p0 + e * p1 + 2.0 * (y1.conjugate() * m10 * y0).real
     return np.array((y0, y1), dtype=complex), value
 
 
@@ -148,9 +148,9 @@ def _least(m: np.ndarray):
     """The least eigenvector y of the Hermitian matrix ``m``, read from its lower triangle, with its value.
 
     The one solver of every see-saw step.  A 2x2 ``m`` is solved in closed
-    form by :func:`_least_2x2`, whose value is the quotient
-    Re(y* m y) / ||y||^2; any other size by :func:`_eigh`, whose least
-    eigenvalue is that quotient within the solver's backward error.
+    form by :func:`_least_2x2`, whose value is Re(y* m y) for its unit y;
+    any other size by :func:`_eigh`, whose least eigenvalue is that value
+    within the solver's backward error.
     Raises LinAlgError on a failed solve or a non-finite 2x2 entry.
     """
     if m.shape == (2, 2):

@@ -64,10 +64,11 @@ class SeesawRun:
     """Outcome of a single restart.
 
     ``objective_trace`` holds the value after each block update, kept or
-    ``rejected`` by the step guard.  ``value`` is the quotient of ``xi``.
-    ``sweeps`` is the number of sweeps run, and ``converged`` is False when
-    the run stopped at ``max_sweeps`` with its last sweep still gaining at
-    least the threshold relative to ||W||_F of :func:`seesaw_minimize`.
+    ``rejected`` by the step guard.  ``xi`` is unit by construction and is
+    not renormalised, and ``value`` is <xi|W|xi>.  ``sweeps`` is the number
+    of sweeps run, and ``converged`` is False when the run stopped at
+    ``max_sweeps`` with its last sweep still gaining at least the threshold
+    relative to ||W||_F of :func:`seesaw_minimize`.
     """
 
     value: float
@@ -79,16 +80,17 @@ class SeesawRun:
 
 
 class _Record:
-    """A restart's value, trace and rejected steps, under the step rule both see-saw loops share."""
+    """A restart's value, trace and rejected steps under the step rule both see-saw loops share;
+    xi is unit by construction and is not renormalised."""
 
     __slots__ = ("value", "trace", "rejected")
 
     def __init__(self, wmat: np.ndarray, xi: np.ndarray):
-        self.value = float(np.vdot(xi, wmat @ xi).real / np.vdot(xi, xi).real)
+        self.value = float(np.vdot(xi, wmat @ xi).real)
         self.trace, self.rejected = [], 0
 
     def keep(self, cand_value: float) -> bool:
-        """Record a step; keep it only if its candidate's quotient ``cand_value`` does not go up."""
+        """Record a step; keep it only if its candidate's value ``cand_value`` does not go up."""
         kept = cand_value <= self.value
         if kept:
             self.value = cand_value
@@ -99,7 +101,7 @@ class _Record:
 
     def run(self, xi: np.ndarray, sweeps: int, converged: bool) -> SeesawRun:
         return SeesawRun(
-            value=self.value, xi=xi / np.linalg.norm(xi), objective_trace=self.trace,
+            value=self.value, xi=xi, objective_trace=self.trace,
             sweeps=sweeps, converged=converged, rejected=self.rejected,
         )
 
@@ -196,12 +198,11 @@ def seesaw_minimize(
     narrows to that product, which bounds every vector's rank at its mode
     anyway.  Each step solves its reduced matrix, read from its lower
     triangle, with :func:`linalg._least`, and is kept only if the candidate
-    xi's quotient <xi|W|xi>/<xi|xi> does not increase: every other block
-    being orthonormal, that quotient is the reduced matrix's least value,
-    so no step multiplies by W or assembles xi.  The objective is
-    non-increasing by construction, ``rng`` is read only for the start and
-    ``tol`` only by the entry gate.  The value is the quotient of the
-    returned vector.
+    unit xi's value <xi|W|xi> does not increase: every other block being
+    orthonormal, that value is the reduced matrix's least value, so no step
+    multiplies by W or assembles xi.  The objective is non-increasing by
+    construction, ``rng`` is read only for the start and ``tol`` only by
+    the entry gate.  The value is <xi|W|xi> of the returned unit vector.
 
     A cut target, whose one factor narrower than its mode has rank one,
     runs :func:`_cut_seesaw` instead, chosen from the target and dims
@@ -312,8 +313,8 @@ def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, threshold) -> SeesawRun:
     for a unit eigenvector, so no reduced matrix exceeds ||W||, and each step
     is the standard eigenproblem that :func:`linalg._least` solves (a qubit u
     step, d = 2, in closed form).  Each candidate is valued on the matrix its
-    step solved, y (x) c as the least value of M_u(c) over ||c||^2, and M_c
-    is built once a sweep, for the u the u step leaves.  The loop keeps the
+    step solved, y (x) c as the least value of M_u(c), and M_c is built once
+    a sweep, for the u the u step leaves.  The loop keeps the
     general loop's draws, entry gate, step guard and counts, and reaches its
     iterates up to rounding and the phase of u.
     """
@@ -332,14 +333,13 @@ def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, threshold) -> SeesawRun:
         sweeps += 1
         sweep_start = record.value
         y, value = _least(w_u.dot(c).reshape(d * d, r).dot(c.conj()).reshape(d, d))
-        if record.keep(value / float(np.vdot(c, c).real)):
+        if record.keep(value):
             u = y
         y, value = _least(w_c.dot(u).reshape(r * r, d).dot(u.conj()).reshape(r, r))
-        if record.keep(value / float(np.vdot(u, u).real)):
+        if record.keep(value):
             c = y
         converged = sweep_start - record.value < threshold
-    rest = tuple(shape[other] for other in order[1:])
-    xi = (u[:, None] * c).reshape((d,) + rest).transpose([order.index(axis) for axis in range(3)]).reshape(-1)
+    xi = np.moveaxis((u[:, None] * c).reshape([shape[axis] for axis in order]), 0, mode).reshape(-1)
     return record.run(xi, sweeps, converged)
 
 

@@ -5,6 +5,7 @@ import pytest
 from scipy.optimize import minimize
 
 from triwit import (
+    ALL_PERMUTATIONS,
     DimMismatch,
     NoViolation,
     NotHermitian,
@@ -18,6 +19,7 @@ from triwit import (
     ViolationCertificate,
     check_pair_class,
     family_choi,
+    flip,
     genuine_witness,
     hermitian_eig,
     pair,
@@ -383,6 +385,7 @@ def test_seesaw_value_is_the_quotient_of_xi(dims, target, psd_abs):
         rng = np.random.default_rng(seed)
         run = seesaw_minimize(wmat, TriDims(*dims), target, rng, tol=Tolerance(psd_abs=psd_abs))
         assert abs(np.vdot(run.xi, wmat @ run.xi).real - run.value) <= 1e-12 * np.linalg.norm(wmat)
+        assert abs(np.linalg.norm(run.xi) - 1.0) <= 16 * np.finfo(float).eps
         assert len(run.objective_trace) == (free + 1) * run.sweeps
         assert run.objective_trace[-1] == run.value
         replay = np.random.default_rng(seed)
@@ -604,6 +607,48 @@ def test_cut_target_search_matches_grid_oracle(cls):
         assert isinstance(out, NoViolation)
         oracle = _cut_minimum(w.mat, cls.index(1))
         assert abs(out.best_value - oracle) <= 1e-6 * np.linalg.norm(w.mat)
+
+
+def _local_unitary(rng, dims) -> np.ndarray:
+    a, b, c = (np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0] for d in dims)
+    return np.kron(np.kron(a, b), c)
+
+
+def _known_minimum(case):
+    """A seeded witness, a target and the least value of <xi|W|xi> over the target's unit vectors."""
+    rng = np.random.default_rng(420)
+    if case == "full":
+        h = _rand_hermitian(rng, 12)
+        return TriOperator(TriDims(2, 3, 2), h), (2, 3, 2), np.linalg.eigvalsh(h)[0]
+    if case == "full-positive":
+        h = _rand_hermitian(rng, 12)
+        h = h - 1.5 * np.linalg.eigvalsh(h)[0] * np.eye(12)
+        return TriOperator(TriDims(2, 2, 3), h), (2, 2, 3), np.linalg.eigvalsh(h)[0]
+    if case == "genuine":
+        return family_choi(genuine_witness(1.0)).choi, (2, 2, 2), -1.0
+    w = family_choi(_certified_params(rng, case)).choi
+    return w, case, _cut_minimum(w.mat, case.index(1))
+
+
+@pytest.mark.parametrize("case", ["full", "full-positive", (1, 2, 2), (2, 1, 2), (2, 2, 1), "genuine"], ids=str)
+def test_search_is_invariant_under_party_order_conjugation_and_local_unitaries(case):
+    # each transform keeps the cone and the value of every vector in it up
+    # to the same transform, so the search must reach the same minimum and
+    # outcome kind on all ten; no sweeps or bits are pinned
+    w, target, minimum = _known_minimum(case)
+    rng = np.random.default_rng(421)
+    transforms = [(flip(w, sigma), sigma.apply(target)) for sigma in ALL_PERMUTATIONS]
+    transforms.append((TriOperator(w.dims, w.mat.conj()), target))
+    for _ in range(3):
+        v = _local_unitary(rng, w.dims.as_tuple())
+        transforms.append((TriOperator(w.dims, v @ w.mat @ v.conj().T), target))
+    kinds = set()
+    for wt, tt in transforms:
+        out = violation_search(wt, tt, SeesawConfig(restarts=20, seed=422))
+        kinds.add(type(out))
+        value = out.value if isinstance(out, ViolationCertificate) else out.best_value
+        assert abs(value - minimum) <= 1e-6 * np.linalg.norm(w.mat)
+    assert len(kinds) == 1
 
 
 @pytest.mark.parametrize("lam", [pytest.param(2.0**e, id=f"2^{e}") for e in (40, -40, 400, -400)])

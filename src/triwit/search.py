@@ -8,12 +8,14 @@ never increases.  The factors are kept orthonormal, and a factor update
 QR-gauges the core first, so the rest of the network around the block
 being solved is orthonormal and every update is a standard eigenproblem,
 solved by :func:`linalg._least`: no update whitens a Gram matrix or
-builds a Jacobian (see :func:`seesaw_minimize`).  A restart draws
-randomness only at its start, and stops on a gain relative to W.  A cut
-target, such as (1, 2, 2) on qubits (the bi-separable states across one
-cut), runs :func:`_cut_seesaw`, which holds W flat in 2-D for BLAS and
-solves a qubit factor step in closed form.  A negative enough final value
-yields a violation certificate; anything else is reported as "no violation
+builds a Jacobian (see :func:`seesaw_minimize`).  The core update is W
+compressed from the environment of the sweep's last factor update, so a
+sweep reads W once per free factor.  A restart draws randomness only at
+its start, and stops on a gain relative to W.  A cut target, such as
+(1, 2, 2) on qubits (the bi-separable states across one cut), runs
+:func:`_cut_seesaw`, which holds W flat in 2-D for BLAS and solves a
+qubit factor step in closed form.  A negative enough final value yields
+a violation certificate; anything else is reported as "no violation
 found", which is deliberately not a positivity proof.
 """
 
@@ -162,6 +164,25 @@ def _mode_product(mat: np.ndarray, t: np.ndarray, mode: int) -> np.ndarray:
     return out.reshape(shape[:mode] + (mat.shape[0],) + shape[mode + 1 :])
 
 
+def _apply(mats, t: np.ndarray) -> np.ndarray:
+    """Apply ``mats[axis]`` to each leading axis of ``t`` by :func:`_mode_product`; None is the identity."""
+    for axis, mat in enumerate(mats):
+        if mat is not None:
+            t = _mode_product(mat, t, axis)
+    return t
+
+
+def _compress(env: np.ndarray, shape, mats) -> np.ndarray:
+    """M* env M, M the product of ``mats`` on the leading axes of the Hermitian ``env``, whose axes are ``shape``:
+    contract the rows, turn them into columns by the conjugate transpose, which is env again, and contract again."""
+    adjoints = [None if mat is None else mat.conj().T for mat in mats]
+    n = env.shape[0]
+    t = _apply(adjoints, env.reshape(tuple(shape) + (n,)))
+    m = t.size // n
+    t = t.reshape(m, n).conj().T.reshape(tuple(shape) + (m,))
+    return _apply(adjoints, t).reshape(m, m)
+
+
 def seesaw_minimize(
     wmat: np.ndarray,
     dims: TriDims,
@@ -185,24 +206,28 @@ def seesaw_minimize(
 
     The free factors are kept orthonormal: after every accepted factor step
     the factor's QR triangle is pushed into the core, which leaves the
-    vector as it is; the start core is scaled to a unit vector.  The core
-    step is then one standard eigenproblem of J* W J, J the product of the
-    factors with orthonormal columns.  A factor step first QR-gauges the
-    core, the mirror image of that push: the core's unfolding at the
-    factor's mode is r.T q.T, and q.T, with orthonormal rows, stands in for
-    the core, r.T going into the factor that the step solves for anyway.
-    The rest of the network (the gauged core times the other factors) then
-    has orthonormal rows, so the step is one standard eigenproblem of W,
-    permuted so that the factor's mode comes first, contracted with the
-    rest.  A factor of rank above the product of the other two ranks
-    narrows to that product, which bounds every vector's rank at its mode
-    anyway.  Each step solves its reduced matrix, read from its lower
-    triangle, with :func:`linalg._least`, and is kept only if the candidate
-    unit xi's value <xi|W|xi> does not increase: every other block being
-    orthonormal, that value is the reduced matrix's least value, so no step
-    multiplies by W or assembles xi.  The objective is non-increasing by
-    construction, ``rng`` is read only for the start and ``tol`` only by
-    the entry gate.  The value is <xi|W|xi> of the returned unit vector.
+    vector as it is; the start core is scaled to a unit vector.  A factor
+    step first QR-gauges the core, the mirror image of that push: the core's
+    unfolding at the factor's mode is r.T q.T, and q.T, with orthonormal
+    rows, stands in for the core, r.T going into the factor that the step
+    solves for anyway.  The rest of the network (the gauged core G times the
+    other factors K) then has orthonormal rows, so the step is one standard
+    eigenproblem of W, permuted so that the factor's mode comes first,
+    contracted with the rest.  The sweep's last factor step contracts W with
+    K first, into its environment B = (I (x) K)* W (I (x) K), and solves
+    (I (x) G)* B (I (x) G); the core step, a standard eigenproblem too, then
+    solves (F (x) I)* B (F (x) I), F the factor that step left, since
+    neither step changes K.  So a sweep reads W once per free factor; only
+    target == dims has the core step solve W itself.  A factor of rank above
+    the product of the other two ranks narrows to that product, which bounds
+    every vector's rank at its mode anyway.  Each step solves its reduced
+    matrix, read from its lower triangle, with :func:`linalg._least`, and is
+    kept only if the candidate unit xi's value <xi|W|xi> does not increase:
+    every other block being orthonormal, that value is the reduced matrix's
+    least value, so no step multiplies by W or assembles xi.  The objective
+    is non-increasing by construction, ``rng`` is read only for the start
+    and ``tol`` only by the entry gate.  The value is <xi|W|xi> of the
+    returned unit vector.
 
     A cut target, whose one factor narrower than its mode has rank one,
     runs :func:`_cut_seesaw` instead, chosen from the target and dims
@@ -237,67 +262,61 @@ def seesaw_minimize(
         factors[mode], r = _qr(x)
         core = _mode_product(r, core, mode)
 
-    # gauge each free factor; its axis order with its mode first, and W permuted to it on both sides
-    orders, wfirst = {}, {}
+    # each mode's axis order with it first, and its inverse; free factors gauged, W permuted to their orders
+    orders = [[mode] + [other for other in range(3) if other != mode] for mode in range(3)]
+    inverses = [[order.index(axis) for axis in range(3)] for order in orders]
+    wfirst = {}
     for mode in free:
         set_factor(mode, factors[mode])
-        orders[mode] = [mode] + [other for other in range(3) if other != mode]
         axes = orders[mode] + [3 + other for other in orders[mode]]
         wfirst[mode] = wmat.reshape(shape * 2).transpose(axes).reshape(n, n)
     core = core / math.sqrt(np.vdot(core, core).real)
+    last = free[-1] if free else 0
 
-    def assemble(t):
-        for mode in free:
-            t = _mode_product(factors[mode], t, mode)
-        return t.reshape(-1)
-
-    def factor_step(mode) -> None:
-        """Minimize over factor ``mode`` in the QR gauge of the core and keep the step under the step rule."""
+    def factor_step(mode) -> np.ndarray:
+        """Minimize over factor ``mode`` in the core's QR gauge under the step rule; return the matrix it solved from."""
         nonlocal core
         d = shape[mode]
         order = orders[mode]
-        first = np.moveaxis(core, mode, 0)
+        first = core.transpose(order)
         # the unfolding is r.T q.T and q.T the gauged core; r.T is never
         # stored, since a kept step replaces the factor and a rejected one
         # leaves the core and the factor as they were
         q = _qr(first.reshape(first.shape[0], -1).T)[0]
         gauged = q.T.reshape((q.shape[1],) + first.shape[1:])
-        rest = gauged
-        for axis in (1, 2):
-            if factors[order[axis]] is not None:
-                rest = _mode_product(factors[order[axis]], rest, axis)
-        k = rest.shape[0]
-        t = rest.reshape(k, n // d).T
-        reduced = t.conj().T @ (wfirst[mode].reshape(-1, n // d) @ t).reshape(d, n // d, d * k)
+        mats = [None] + [factors[axis] for axis in order[1:]]
+        if mode == last:
+            env, rest = _compress(wfirst[mode], [shape[axis] for axis in order], mats), gauged
+        else:
+            env, rest = wfirst[mode], _apply(mats, gauged)
+        t = rest.reshape(rest.shape[0], -1).T
+        m, k = t.shape
+        reduced = t.conj().T @ (env.reshape(-1, m) @ t).reshape(d, m, d * k)
         y, value = _least(reduced.reshape(d * k, d * k))
         if record.keep(value):
-            core = np.moveaxis(gauged, 0, mode)
+            core = gauged.transpose(inverses[mode])
             set_factor(mode, y.reshape(d, k))
+        return env
 
-    def core_step() -> None:
-        """Minimize over the core and keep the step under the step rule."""
+    def core_step(env) -> None:
+        """Minimize over the core from ``env``, the last factor step's environment or W, under the step rule."""
         nonlocal core
-        m = core.size
-        t = wmat.reshape(shape + (n,))
-        for mode in free:
-            t = _mode_product(factors[mode].conj().T, t, mode)
-        t = t.reshape(m, n).conj().T.reshape(shape + (m,))
-        for mode in free:
-            t = _mode_product(factors[mode].conj().T, t, mode)
-        y, value = _least(t.reshape(m, m))
+        first = core.transpose(orders[last])
+        y, value = _least(_compress(env, (shape[last],) + first.shape[1:], [factors[last]]))
         if record.keep(value):
-            core = y.reshape(core.shape)
+            core = y.reshape(first.shape).transpose(inverses[last])
 
-    record = _Record(wmat, assemble(core))
+    record = _Record(wmat, _apply(factors, core).reshape(-1))
     sweeps, converged = 0, False
     while sweeps < max_sweeps and not converged:
         sweeps += 1
         sweep_start = record.value
+        env = wmat
         for mode in free:
-            factor_step(mode)
-        core_step()
+            env = factor_step(mode)
+        core_step(env)
         converged = sweep_start - record.value < threshold
-    return record.run(assemble(core), sweeps, converged)
+    return record.run(_apply(factors, core).reshape(-1), sweeps, converged)
 
 
 def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, threshold) -> SeesawRun:
@@ -339,7 +358,8 @@ def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, threshold) -> SeesawRun:
         if record.keep(value):
             c = y
         converged = sweep_start - record.value < threshold
-    xi = np.moveaxis((u[:, None] * c).reshape([shape[axis] for axis in order]), 0, mode).reshape(-1)
+    back = [order.index(axis) for axis in range(3)]
+    xi = (u[:, None] * c).reshape([shape[axis] for axis in order]).transpose(back).reshape(-1)
     return record.run(xi, sweeps, converged)
 
 

@@ -322,6 +322,10 @@ def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=1e-10):
         # three free modes of rank one, each factor gauged by QR
         ((2, 2, 2), (1, 1, 1), 200),
         ((2, 3, 4), (1, 1, 1), 200),
+        # the last free factor's environment: an open saturated neighbour and
+        # free ranks above 1, then unequal dims with every mode free
+        ((3, 3, 2), (2, 2, 2), 200),
+        ((3, 4, 5), (2, 3, 2), 200),
     ],
 )
 def test_seesaw_matches_jacobian_reference(dims, target, max_sweeps):

@@ -4,9 +4,9 @@ Matrices are plain numpy arrays with dtype complex128.  Every tolerance
 gate in this module scales by the Frobenius norm of its input, except the
 eigenvalue floors which scale by the spectral norm (available for free
 once the spectrum is computed).  Every Hermitian eigenproblem is solved by
-LAPACK's ``zheevd``, through the one helper ``_eigh``, except a 2x2 least
-eigenpair, which ``_least_2x2`` solves in closed form; one ``_least``
-serves every see-saw step, choosing between the two by size.  Every QR
+LAPACK's ``zheevd``, through the one helper ``_eigh``, except that the
+one ``_least`` of every see-saw step solves a 2x2 in closed form and from
+14x14 up takes ``zheevd``'s eigenvalues and one ``zgesv`` solve.  Every QR
 factorization goes through ``zgeqrf``, in the one helper ``_qr``.
 """
 
@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from numpy.linalg._linalg import _raise_linalgerror_qr
+from numpy.linalg._linalg import _raise_linalgerror_qr, _raise_linalgerror_singular
 
 from .errors import DegeneratePencil, NotHermitian
 
@@ -145,17 +145,41 @@ def _least_2x2(m00: complex, m10: complex, m11: complex):
 
 
 def _least(m: np.ndarray):
-    """The least eigenvector y of the Hermitian matrix ``m``, read from its lower triangle, with its value.
+    """The least eigenvector y of the Hermitian matrix ``m`` as a unit vector, with its value.
 
-    The one solver of every see-saw step.  A 2x2 ``m`` is solved in closed
-    form by :func:`_least_2x2`, whose value is Re(y* m y) for its unit y;
-    any other size by :func:`_eigh`, whose least eigenvalue is that value
-    within the solver's backward error.
-    Raises LinAlgError on a failed solve or a non-finite 2x2 entry.
+    The solver of every see-saw step.  A 2x2 is solved in closed form by
+    :func:`_least_2x2` and up to 13x13 by :func:`_eigh`, both reading ``m``
+    from its lower triangle.  From 14x14 up, where ``zheevd`` without
+    vectors and one solve cost less, y is one inverse iteration (Ipsen, SIAM
+    Rev. 39(2), 1997) from the least eigenvalue lam: (m - s I) y = b, s =
+    lam - n eps ||m||_2, b a fixed generic vector, m and s scaled by a power
+    of two near 1 / ||m||_2 against overflow; its value Re(y* m y) reads all
+    of ``m``, Hermitian up to rounding.  A value over lam + 2 n eps ||m||_2
+    (b orthogonal to the least eigenvector) or a singular solve (a zero
+    ``m``) falls back to :func:`_eigh`.  Raises LinAlgError on a failed
+    solve, and from 14x14 up on a non-finite entry.
     """
-    if m.shape == (2, 2):
+    n = m.shape[0]
+    if n == 2:
         (m00, _), (m10, m11) = m.tolist()
         return _least_2x2(m00, m10, m11)
+    if n > 13:
+        try:
+            with np.errstate(call=_raise_linalgerror_singular, invalid="call", over="ignore", divide="ignore"):
+                w = _umath_linalg.eigvalsh_lo(m)
+                scale = max(-w[0], w[-1])
+                unit = math.ldexp(1.0, min(1022, -math.frexp(scale)[1]))
+                a = m * unit
+                a.flat[:: n + 1] -= (w[0] - n * scale * 2.0**-52) * unit
+                y = _umath_linalg.solve1(a, np.exp(1j * np.arange(n)))
+                y /= math.sqrt(np.vdot(y, y).real)
+                value = float(np.vdot(y, m.dot(y)).real)
+            if value - w[0] <= 2 * n * scale * 2.0**-52:
+                return y, value
+        except np.linalg.LinAlgError:
+            pass
+        if not np.isfinite(m).all():
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
     w, v = _eigh(m)
     return v[:, 0], float(w[0])
 

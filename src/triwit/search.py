@@ -8,15 +8,15 @@ never increases.  The factors are kept orthonormal, and a factor update
 QR-gauges the core first, so the rest of the network around the block
 being solved is orthonormal and every update is a standard eigenproblem,
 solved by :func:`linalg._least`: no update whitens a Gram matrix or
-builds a Jacobian (see :func:`seesaw_minimize`).  The core update is W
-compressed from the environment of the sweep's last factor update, so a
-sweep reads W once per free factor.  A restart draws randomness only at
-its start, and stops on a gain relative to W.  A cut target, such as
-(1, 2, 2) on qubits (the bi-separable states across one cut), runs
-:func:`_cut_seesaw`, which holds W flat in 2-D for BLAS and solves a
-qubit factor step in closed form.  A negative enough final value yields
-a violation certificate; anything else is reported as "no violation
-found", which is deliberately not a positivity proof.
+builds a Jacobian (see :func:`seesaw_minimize`).  Each reduced matrix is
+two matrix products, the core update's from the environment of the
+sweep's last factor update, so a sweep reads W once per free factor.  A
+restart draws randomness only at its start, and stops on a gain relative
+to W.  A cut target, such as (1, 2, 2) on qubits (the bi-separable states
+across one cut), runs :func:`_cut_seesaw`, which holds W flat in 2-D for
+BLAS and solves a qubit factor step in closed form.  A negative enough
+final value yields a violation certificate; anything else is reported as
+"no violation found", which is deliberately not a positivity proof.
 """
 
 from __future__ import annotations
@@ -172,15 +172,12 @@ def _apply(mats, t: np.ndarray) -> np.ndarray:
     return t
 
 
-def _compress(env: np.ndarray, shape, mats) -> np.ndarray:
-    """M* env M, M the product of ``mats`` on the leading axes of the Hermitian ``env``, whose axes are ``shape``:
-    contract the rows, turn them into columns by the conjugate transpose, which is env again, and contract again."""
-    adjoints = [None if mat is None else mat.conj().T for mat in mats]
-    n = env.shape[0]
-    t = _apply(adjoints, env.reshape(tuple(shape) + (n,)))
-    m = t.size // n
-    t = t.reshape(m, n).conj().T.reshape(tuple(shape) + (m,))
-    return _apply(adjoints, t).reshape(m, m)
+def _sandwich(env: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """(I (x) t)* env (I (x) t), ``t`` acting on the trailing axis of ``env``'s rows and columns, by two matrix
+    products: t* on each block of rows, then t on the flattened result, so no operand is transposed."""
+    p, k = t.shape
+    d = env.shape[0] // p
+    return ((t.conj().T @ env.reshape(d, p, -1)).reshape(-1, p) @ t).reshape(d * k, -1)
 
 
 def seesaw_minimize(
@@ -210,24 +207,24 @@ def seesaw_minimize(
     step first QR-gauges the core, the mirror image of that push: the core's
     unfolding at the factor's mode is r.T q.T, and q.T, with orthonormal
     rows, stands in for the core, r.T going into the factor that the step
-    solves for anyway.  The rest of the network (the gauged core G times the
-    other factors K) then has orthonormal rows, so the step is one standard
-    eigenproblem of W, permuted so that the factor's mode comes first,
-    contracted with the rest.  The sweep's last factor step contracts W with
-    K first, into its environment B = (I (x) K)* W (I (x) K), and solves
-    (I (x) G)* B (I (x) G); the core step, a standard eigenproblem too, then
-    solves (F (x) I)* B (F (x) I), F the factor that step left, since
-    neither step changes K.  So a sweep reads W once per free factor; only
-    target == dims has the core step solve W itself.  A factor of rank above
-    the product of the other two ranks narrows to that product, which bounds
-    every vector's rank at its mode anyway.  Each step solves its reduced
-    matrix, read from its lower triangle, with :func:`linalg._least`, and is
-    kept only if the candidate unit xi's value <xi|W|xi> does not increase:
-    every other block being orthonormal, that value is the reduced matrix's
-    least value, so no step multiplies by W or assembles xi.  The objective
-    is non-increasing by construction, ``rng`` is read only for the start
-    and ``tol`` only by the entry gate.  The value is <xi|W|xi> of the
-    returned unit vector.
+    solves for anyway.  The rest of the network (G, the gauged core, times
+    K, the Kronecker product of the free neighbours' factors) then has
+    orthonormal rows, so the step is one standard eigenproblem of W, axes
+    ordered mode, saturated neighbours, free ones, contracted with the rest
+    by :func:`_sandwich`.  The sweep's last factor step first contracts W
+    into its environment B = (I (x) K)* W (I (x) K), saturated neighbours
+    left open, and solves (I (x) G)* B (I (x) G); the core step then solves
+    (F (x) I)* B (F (x) I), F the factor that step left, since neither step
+    changes K.  So a sweep reads W once per free factor; only target == dims
+    has the core step solve W itself.  A factor of rank above the product of
+    the other two ranks narrows to that product, which bounds every vector's
+    rank at its mode anyway.  Each step solves its reduced matrix with
+    :func:`linalg._least`, and is kept only if the candidate unit xi's value
+    <xi|W|xi> does not increase: every other block being orthonormal, that
+    value is the reduced matrix's least value, so no step multiplies by W or
+    assembles xi.  The objective is non-increasing by construction, ``rng``
+    is read only for the start and ``tol`` only by the entry gate.  The
+    value is <xi|W|xi> of the returned unit vector.
 
     A cut target, whose one factor narrower than its mode has rank one,
     runs :func:`_cut_seesaw` instead, chosen from the target and dims
@@ -262,8 +259,9 @@ def seesaw_minimize(
         factors[mode], r = _qr(x)
         core = _mode_product(r, core, mode)
 
-    # each mode's axis order with it first, and its inverse; free factors gauged, W permuted to their orders
-    orders = [[mode] + [other for other in range(3) if other != mode] for mode in range(3)]
+    # each mode's axis order: it, its saturated neighbours (open axes of every step), its free ones; the
+    # core step's order is the last factor step's open axes, then its mode
+    orders = [[m] + sorted((other for other in range(3) if other != m), key=free.__contains__) for m in range(3)]
     inverses = [[order.index(axis) for axis in range(3)] for order in orders]
     wfirst = {}
     for mode in free:
@@ -272,39 +270,42 @@ def seesaw_minimize(
         wfirst[mode] = wmat.reshape(shape * 2).transpose(axes).reshape(n, n)
     core = core / math.sqrt(np.vdot(core, core).real)
     last = free[-1] if free else 0
+    core_order = orders[last][1:] + [last] if free else [0, 1, 2]
 
     def factor_step(mode) -> np.ndarray:
         """Minimize over factor ``mode`` in the core's QR gauge under the step rule; return the matrix it solved from."""
         nonlocal core
-        d = shape[mode]
         order = orders[mode]
         first = core.transpose(order)
         # the unfolding is r.T q.T and q.T the gauged core; r.T is never
         # stored, since a kept step replaces the factor and a rejected one
         # leaves the core and the factor as they were
         q = _qr(first.reshape(first.shape[0], -1).T)[0]
-        gauged = q.T.reshape((q.shape[1],) + first.shape[1:])
-        mats = [None] + [factors[axis] for axis in order[1:]]
-        if mode == last:
-            env, rest = _compress(wfirst[mode], [shape[axis] for axis in order], mats), gauged
-        else:
-            env, rest = wfirst[mode], _apply(mats, gauged)
-        t = rest.reshape(rest.shape[0], -1).T
-        m, k = t.shape
-        reduced = t.conj().T @ (env.reshape(-1, m) @ t).reshape(d, m, d * k)
-        y, value = _least(reduced.reshape(d * k, d * k))
+        # K, the Kronecker product of the free neighbours' factors; q's saturated axes stay open
+        kron = None
+        for f in (factors[axis] for axis in order[1:] if factors[axis] is not None):
+            kron = f if kron is None else (kron[:, None, :, None] * f[None, :, None, :]).reshape(
+                kron.shape[0] * f.shape[0], -1)
+        env, rest = wfirst[mode], q
+        if mode != last:
+            rest = (kron @ q.reshape(-1, kron.shape[1], q.shape[1])).reshape(-1, q.shape[1])
+        elif kron is not None:
+            env = _sandwich(env, kron)
+        y, value = _least(_sandwich(env, rest))
         if record.keep(value):
-            core = gauged.transpose(inverses[mode])
-            set_factor(mode, y.reshape(d, k))
+            core = q.T.reshape((q.shape[1],) + first.shape[1:]).transpose(inverses[mode])
+            set_factor(mode, y.reshape(shape[mode], -1))
         return env
 
     def core_step(env) -> None:
         """Minimize over the core from ``env``, the last factor step's environment or W, under the step rule."""
         nonlocal core
-        first = core.transpose(orders[last])
-        y, value = _least(_compress(env, (shape[last],) + first.shape[1:], [factors[last]]))
+        if free:
+            d, p = shape[last], env.shape[0] // shape[last]
+            env = _sandwich(env.reshape(d, p, d, p).transpose(1, 0, 3, 2).reshape(env.shape), factors[last])
+        y, value = _least(env)
         if record.keep(value):
-            core = y.reshape(first.shape).transpose(inverses[last])
+            core = y.reshape([ranks[axis] for axis in core_order]).transpose(np.argsort(core_order))
 
     record = _Record(wmat, _apply(factors, core).reshape(-1))
     sweeps, converged = 0, False

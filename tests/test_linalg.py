@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from triwit import (
     min_gen_eig,
     svd_rank,
 )
+from triwit import linalg
 from triwit.linalg import _eigh, _least, _least_2x2, _qr, _whitening, hermitize
 
 
@@ -468,3 +470,100 @@ def test_least_2x2_of_a_multiple_of_the_identity_is_e1():
 def test_least_2x2_rejects_non_finite(m00, m10, m11):
     with pytest.raises(np.linalg.LinAlgError):
         _least_2x2(m00, m10, m11)
+
+
+# From 14 x 14 up _least takes the eigenvalues alone and one inverse-iteration
+# solve; its value is the Rayleigh quotient of the unit vector it returns
+EPS = np.finfo(float).eps
+
+
+def _spectral(m):
+    w = _eigh(m)[0]
+    return w[0], max(-w[0], w[-1])
+
+
+@pytest.mark.parametrize("n", [14, 18, 27, 54])
+def test_least_by_inverse_iteration_matches_eigh(n, monkeypatch):
+    rng = np.random.default_rng([30, n])
+    ms = [_rand_hermitian(rng, n) for _ in range(20)]
+    refs = [_spectral(m) for m in ms]
+    # random matrices never need the fallback to the full eigensolver
+    monkeypatch.setattr(linalg, "_eigh", None)
+    for m, (lam, norm2) in zip(ms, refs):
+        y, value = _least(m)
+        assert abs(value - lam) <= 2 * n * EPS * norm2
+        assert abs(np.linalg.norm(y) - 1.0) <= 16 * EPS
+        assert value == float(np.vdot(y, m.dot(y)).real)
+
+
+@pytest.mark.parametrize("n", [3, 8, 9, 12, 13])
+def test_least_below_14_is_the_eigh_pair(n):
+    m = _rand_hermitian(np.random.default_rng([31, n]), n)
+    y, value = _least(m)
+    w, v = _eigh(m)
+    assert value == w[0]
+    np.testing.assert_array_equal(y, v[:, 0])
+
+
+def test_least_of_a_zero_matrix_is_e1():
+    y, value = _least(np.zeros((18, 18), dtype=complex))
+    np.testing.assert_array_equal(y, np.eye(18)[0])
+    assert value == 0.0 and math.copysign(1.0, value) == 1.0
+
+
+@pytest.mark.parametrize("scalar", [3.5, -2.0, 1e-300, -1e300])
+def test_least_of_a_multiple_of_the_identity(scalar):
+    n = 20
+    y, value = _least(scalar * np.eye(n, dtype=complex))
+    assert abs(value - scalar) <= 2 * n * EPS * abs(scalar)
+    assert abs(np.linalg.norm(y) - 1.0) <= 16 * EPS
+
+
+def test_least_of_a_repeated_least_entry_stays_in_its_eigenspace():
+    n = 20
+    diag = np.arange(n, dtype=float)
+    diag[[3, 11, 17]] = -1.0
+    y, value = _least(np.diag(diag).astype(complex))
+    assert abs(value + 1.0) <= 2 * n * EPS * (n - 1)
+    rest = np.delete(y, [3, 11, 17])
+    assert np.linalg.norm(rest) <= 1e-12
+    assert abs(np.linalg.norm(y) - 1.0) <= 16 * EPS
+
+
+def test_least_falls_back_when_the_start_misses_the_least_eigenvector():
+    # on a multiple of I the solve returns its start vector b, normalised; a
+    # simple least eigenvector orthogonal to b gets too little weight from one
+    # solve, so the value check sends the matrix to the full eigensolver
+    n = 18
+    b = _least(np.eye(n, dtype=complex))[0]
+    rng = np.random.default_rng(32)
+    q = np.linalg.qr(np.column_stack([b, _rand_complex(rng, (n, n - 1))]))[0]
+    vecs = np.column_stack([q[:, 1], q[:, 0], q[:, 2:]])
+    assert abs(np.vdot(b, vecs[:, 0])) <= 1e-15
+    m = vecs @ np.diag(np.arange(1.0, n + 1)) @ vecs.conj().T
+    m = (m + m.conj().T) / 2
+    y, value = _least(m)
+    w, v = _eigh(m)
+    assert value == w[0] and abs(value - 1.0) <= 1e-12
+    np.testing.assert_array_equal(y, v[:, 0])
+
+
+@pytest.mark.parametrize("scale", [1e300, 1e-300])
+def test_least_by_inverse_iteration_at_extreme_scales(scale):
+    n = 18
+    m = scale * _rand_hermitian(np.random.default_rng(33), n)
+    lam, norm2 = _spectral(m)
+    y, value = _least(m)
+    assert abs(value - lam) <= 2 * n * EPS * norm2
+    assert abs(np.linalg.norm(y) - 1.0) <= 16 * EPS
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("index", [(0, 0), (5, 2), (2, 5)], ids=["diagonal", "lower", "upper"])
+def test_least_by_inverse_iteration_rejects_non_finite(bad, index):
+    m = _rand_hermitian(np.random.default_rng(34), 18)
+    m[index] = bad
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(np.linalg.LinAlgError):
+            _least(m)

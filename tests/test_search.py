@@ -31,7 +31,7 @@ from triwit import (
     violation_search,
 )
 from triwit.linalg import Tolerance, _frobenius, min_gen_eig
-from triwit.search import _assemble, _mode_product
+from triwit.search import _assemble, _mode_product, _sandwich
 
 QUBITS = TriDims(2, 2, 2)
 
@@ -255,6 +255,31 @@ def test_block_jacobian_matches_eye_products(dims, target):
         np.testing.assert_allclose(_eye_product_jacobian(name, *blocks) @ block.reshape(-1), xi, rtol=0, atol=atol)
 
 
+@pytest.mark.parametrize("d,p,k", [(6, 36, 3), (3, 5, 5), (4, 1, 1), (2, 7, 3)])
+def test_sandwich_matches_kron(d, p, k):
+    # (I (x) t)* E (I (x) t), t on the trailing axis of E's rows and columns
+    rng = np.random.default_rng([81, d, p, k])
+    e = _rand_hermitian(rng, d * p)
+    t = rng.standard_normal((p, k)) + 1j * rng.standard_normal((p, k))
+    big = np.kron(np.eye(d), t)
+    np.testing.assert_allclose(_sandwich(e, t), big.conj().T @ e @ big, rtol=0, atol=1e-13 * np.linalg.norm(e) * np.linalg.norm(t) ** 2)
+
+
+def test_sandwich_leaves_saturated_axes_open():
+    # the see-saw's environment: W with axes (mode, saturated, free) is contracted
+    # with the free neighbour's factor only, the saturated axis left open, and
+    # with the Kronecker product of two factors on both trailing axes, in order
+    rng = np.random.default_rng(82)
+    a, s, f = 3, 2, 4
+    w = _rand_hermitian(rng, a * s * f)
+    u, v = (np.linalg.qr(rng.standard_normal((n, 2)) + 1j * rng.standard_normal((n, 2)))[0] for n in (s, f))
+    atol = 1e-13 * np.linalg.norm(w)
+    big = np.kron(np.eye(a * s), v)
+    np.testing.assert_allclose(_sandwich(w, v), big.conj().T @ w @ big, rtol=0, atol=atol)
+    big = np.kron(np.eye(a), np.kron(u, v))
+    np.testing.assert_allclose(_sandwich(w, np.kron(u, v)), big.conj().T @ w @ big, rtol=0, atol=atol)
+
+
 def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=1e-10):
     """Reference: the see-saw with explicit Jacobians and generalized eigenproblems.
 
@@ -326,6 +351,11 @@ def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=1e-10):
         # free ranks above 1, then unequal dims with every mode free
         ((3, 3, 2), (2, 2, 2), 200),
         ((3, 4, 5), (2, 3, 2), 200),
+        # a saturated mode between two free ones, an open axis in the middle of
+        # every step's order; reduced sizes 8 to 12, then 15 to 27, which
+        # linalg._least solves by inverse iteration
+        ((4, 3, 5), (2, 3, 2), 200),
+        ((5, 3, 5), (3, 3, 3), 200),
     ],
 )
 def test_seesaw_matches_jacobian_reference(dims, target, max_sweeps):

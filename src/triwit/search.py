@@ -305,7 +305,7 @@ def seesaw_minimize(
             env = _sandwich(env.reshape(d, p, d, p).transpose(1, 0, 3, 2).reshape(env.shape), factors[last])
         y, value = _least(env)
         if record.keep(value):
-            core = y.reshape([ranks[axis] for axis in core_order]).transpose(np.argsort(core_order))
+            core = y.reshape(core.transpose(core_order).shape).transpose(np.argsort(core_order))
 
     record = _Record(wmat, _apply(factors, core).reshape(-1))
     sweeps, converged = 0, False

@@ -356,6 +356,10 @@ def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=1e-10):
         # linalg._least solves by inverse iteration
         ((4, 3, 5), (2, 3, 2), 200),
         ((5, 3, 5), (3, 3, 3), 200),
+        # a factor whose rank exceeds the product of the other two narrows to
+        # that product, so the core is narrower than the target there
+        ((2, 3, 4), (1, 2, 3), 200),
+        ((3, 3, 3), (2, 1, 1), 200),
     ],
 )
 def test_seesaw_matches_jacobian_reference(dims, target, max_sweeps):

@@ -17,8 +17,10 @@ process; TRIWIT_SEED is read on each call.  Each command takes only the
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import hashlib
+import itertools
 import json
 import os
 import sys
@@ -34,10 +36,9 @@ from .search import NoViolation, SeesawConfig, sample_state, violation_search
 from .tensor import TriDims, TriOperator, TriVector
 from .witness import AlphaGrid, QubitWitnessParams, classify, family_choi
 
-# largest array, in complex entries, that gen builds: a*b*c for a vector,
-# (a*b*c)^2 for a sampled state; larger requests are input errors.  Writing
-# the JSON costs about 420 bytes an entry (2**20 entries peak at 515 MB RSS
-# on CPython 3.11, x86-64), so this bound keeps gen well under a gigabyte.
+# largest array, in complex entries, that gen builds: a*b*c for a vector, (a*b*c)^2 for a sampled state;
+# larger requests are input errors.  The report's [re, im] lists cost about 150 bytes an entry (2**20 entries
+# peak at 186 MB RSS for a vector, 205 MB for a sampled state, on CPython 3.11, x86-64), so gen stays near 200 MB.
 GEN_MAX_ENTRIES = 2**20
 # largest alpha grid, radii x angles, that classify runs: peak RSS grows by
 # about 70 bytes a point (34 MB at 64 x 64, 102 MB at 1000 x 1000 on CPython
@@ -56,7 +57,7 @@ _TOL_FLAGS = {
 # JSON interchange helpers
 
 def _complex_pairs(values) -> list[list[float]]:
-    return [[float(z.real), float(z.imag)] for z in np.asarray(values, dtype=complex).ravel()]
+    return np.ascontiguousarray(values, dtype=complex).view(float).reshape(-1, 2).tolist()
 
 
 def vector_to_json(v: TriVector) -> dict:
@@ -134,16 +135,13 @@ def _load_json(path: str) -> tuple[object, str]:
     try:
         with open(path, "rb") as fh:
             raw = fh.read()
-        return json.loads(raw.decode("utf-8")), _digest(raw)
+        return json.loads(raw.decode("utf-8")), hashlib.sha256(raw).hexdigest()
     except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise TriwitError(f"cannot read {path}: {exc}") from exc
 
 
 def _digest(payload) -> str:
-    if isinstance(payload, (bytes, bytearray)):
-        raw = bytes(payload)
-    else:
-        raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
+    raw = json.dumps(payload, sort_keys=True, separators=(",", ":")).encode()
     return hashlib.sha256(raw).hexdigest()
 
 
@@ -193,12 +191,12 @@ def _report(command: str, args, inputs: dict, results: dict) -> dict:
 
 
 def _emit(doc: dict, out) -> None:
-    text = json.dumps(doc, sort_keys=True, indent=2)
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        sys.stdout.write(text + "\n")
+    # json.dumps(doc, sort_keys=True, indent=2) in chunks, 4096 a write: no whole-report string, few unbuffered writes
+    chunks = json.JSONEncoder(sort_keys=True, indent=2).iterencode(doc)
+    with open(out, "w", encoding="utf-8") if out else contextlib.nullcontext(sys.stdout) as fh:
+        while batch := list(itertools.islice(chunks, 4096)):
+            fh.write("".join(batch))
+        fh.write("\n")
 
 
 # ---------------------------------------------------------------------------

@@ -359,8 +359,7 @@ def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, threshold) -> SeesawRun:
         if record.keep(value):
             c = y
         converged = sweep_start - record.value < threshold
-    back = [order.index(axis) for axis in range(3)]
-    xi = (u[:, None] * c).reshape([shape[axis] for axis in order]).transpose(back).reshape(-1)
+    xi = np.moveaxis((u[:, None] * c).reshape([shape[axis] for axis in order]), 0, mode).reshape(-1)
     return record.run(xi, sweeps, converged)
 
 

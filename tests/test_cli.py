@@ -429,6 +429,30 @@ def test_reused_parser_gives_identical_reports(tmp_path, capsys):
     assert first == second
 
 
+@pytest.mark.parametrize("command", ["sr", "classify", "pair", "search", "search-(2,2,2)", "gen", "gen-sample"])
+def test_report_layout_is_the_same_on_stdout_and_in_the_out_file(tmp_path, capsys, command):
+    # every report is json.dumps(..., sort_keys=True, indent=2) and a newline,
+    # byte for byte, on either destination; the (2,2,2) search certifies a
+    # vector that the see-saw returns as a strided view
+    if command == "search-(2,2,2)":
+        argv = ["search", _write(tmp_path / "w.json", _witness_doc()), "--sr", "2,2,2", "--seed", "5"]
+    elif command == "gen":
+        argv = ["gen", "--sr", "2,2,3"]
+    elif command == "gen-sample":
+        argv = ["gen", "--sr", "1,2,2", "--dims", "2,2,2", "--sample", "--seed", "3"]
+    else:
+        argv = _report_argv(tmp_path, command)
+    code, out = _run(capsys, argv)
+    assert code == 0
+    path = tmp_path / "report.json"
+    assert main([*argv, "--out", str(path)]) == 0
+    report = path.read_bytes()
+    assert out.encode() == report
+    assert report.decode() == json.dumps(json.loads(report), sort_keys=True, indent=2) + "\n"
+    if command == "search-(2,2,2)":
+        assert "violation" in json.loads(report)["results"]
+
+
 TOL_FIELDS = {"--tol-rank": "rank_rel", "--tol-psd": "psd_abs", "--tol-ineq": "ineq_abs"}
 # the tolerance flags each report's computation reads; gen writes no report and takes none
 TOL_READ = {"sr": ["--tol-rank"], "classify": ["--tol-ineq"], "pair": [], "search": list(TOL_FIELDS)}
@@ -633,3 +657,16 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv, target):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_failed_stdout_write_exits_2(capsys, monkeypatch):
+    # an error while the report streams out is one error line and exit 2, as for an unwritable --out
+    class BrokenPipe:
+        def write(self, text):
+            raise BrokenPipeError(32, "Broken pipe")
+
+    monkeypatch.setattr(sys, "stdout", BrokenPipe())
+    code = main(["gen", "--sr", "1,1,1", "--dims", "2,2,2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == "error: [Errno 32] Broken pipe\n"

@@ -6,6 +6,7 @@ from scipy.optimize import minimize
 
 from triwit import (
     ALL_PERMUTATIONS,
+    BiLinearMap,
     DimMismatch,
     NoViolation,
     NotHermitian,
@@ -23,6 +24,7 @@ from triwit import (
     genuine_witness,
     hermitian_eig,
     pair,
+    permute_dual,
     sample_sr_vector,
     sample_state,
     schmidt_rank,
@@ -652,9 +654,24 @@ def _local_unitary(rng, dims) -> np.ndarray:
     return np.kron(np.kron(a, b), c)
 
 
+# planted minima on targets whose general loop takes factor steps: a saturated
+# mode with free modes of rank 2 and 1, and three free rank-one modes
+PLANTED = {"planted-(2,2,1)": (TriDims(2, 3, 2), (2, 2, 1)), "planted-(1,1,1)": (QUBITS, (1, 1, 1))}
+
+
 def _known_minimum(case):
     """A seeded witness, a target and the least value of <xi|W|xi> over the target's unit vectors."""
     rng = np.random.default_rng(420)
+    if case in PLANTED:
+        # W = Q - |phi><phi|, phi a unit vector in the cone and Q >= 0 with
+        # Q phi = 0, so <xi|W|xi> >= -|<phi|xi>|^2 >= -1 for unit xi, with
+        # equality at xi = phi
+        dims, target = PLANTED[case]
+        phi = sample_sr_vector(dims, target, rng).data
+        n = dims.total
+        off_phi = np.eye(n) - np.outer(phi, phi.conj())
+        g = off_phi @ (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        return TriOperator(dims, g @ g.conj().T - np.outer(phi, phi.conj())), target, -1.0
     if case == "full":
         h = _rand_hermitian(rng, 12)
         return TriOperator(TriDims(2, 3, 2), h), (2, 3, 2), np.linalg.eigvalsh(h)[0]
@@ -668,14 +685,19 @@ def _known_minimum(case):
     return w, case, _cut_minimum(w.mat, case.index(1))
 
 
-@pytest.mark.parametrize("case", ["full", "full-positive", (1, 2, 2), (2, 1, 2), (2, 2, 1), "genuine"], ids=str)
+@pytest.mark.parametrize(
+    "case", ["full", "full-positive", (1, 2, 2), (2, 1, 2), (2, 2, 1), "genuine", *PLANTED], ids=str
+)
 def test_search_is_invariant_under_party_order_conjugation_and_local_unitaries(case):
     # each transform keeps the cone and the value of every vector in it up
     # to the same transform, so the search must reach the same minimum and
-    # outcome kind on all ten; no sweeps or bits are pinned
+    # outcome kind on all ten; no sweeps or bits are pinned.  The last party
+    # order permutes the dual map, the map side of the same transform
     w, target, minimum = _known_minimum(case)
     rng = np.random.default_rng(421)
-    transforms = [(flip(w, sigma), sigma.apply(target)) for sigma in ALL_PERMUTATIONS]
+    *sigmas, last = ALL_PERMUTATIONS
+    transforms = [(flip(w, sigma), sigma.apply(target)) for sigma in sigmas]
+    transforms.append((permute_dual(BiLinearMap(w.dims, w), last).choi, last.apply(target)))
     transforms.append((TriOperator(w.dims, w.mat.conj()), target))
     for _ in range(3):
         v = _local_unitary(rng, w.dims.as_tuple())

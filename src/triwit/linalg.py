@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from numpy.linalg import _umath_linalg
-from numpy.linalg._linalg import _raise_linalgerror_qr, _raise_linalgerror_singular
+from numpy.linalg._linalg import _raise_linalgerror_singular
 
 from .errors import DegeneratePencil, NotHermitian
 
@@ -99,6 +99,9 @@ def hermitize(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return mh
 
 
+_STARTS: dict[int, np.ndarray] = {}  # n -> exp(i j), j < n, read-only: _least's start vector b
+
+
 def _eigh(m: np.ndarray):
     """Ascending eigenvalues and eigenvectors of a Hermitian matrix, read from its lower triangle.
 
@@ -107,7 +110,9 @@ def _eigh(m: np.ndarray):
     more than the solve on the see-saw's 2x2 to 8x8 blocks.  SciPy's
     ``zheevd`` would bring a second OpenBLAS thread pool, which fights
     numpy's for the cores from about 16x16 up.  The gufunc reports a failed
-    solve by filling its whole output with NaN.
+    solve by filling its whole output with NaN, which the test of ``w[0]``
+    catches.  ``m`` must be finite, as every public path's gate makes it: a
+    NaN on the diagonal can leave finite eigenvalues, and no failure.
     """
     w, v = _umath_linalg.eigh_lo(m)
     if w.size and math.isnan(w[0]):
@@ -152,29 +157,35 @@ def _least(m: np.ndarray):
     from its lower triangle.  From 14x14 up, where ``zheevd`` without
     vectors and one solve cost less, y is one inverse iteration (Ipsen, SIAM
     Rev. 39(2), 1997) from the least eigenvalue lam: (m - s I) y = b, s =
-    lam - n eps ||m||_2, b a fixed generic vector, m and s scaled by a power
-    of two near 1 / ||m||_2 against overflow; its value Re(y* m y) reads all
-    of ``m``, Hermitian up to rounding.  A value over lam + 2 n eps ||m||_2
-    (b orthogonal to the least eigenvector) or a singular solve (a zero
-    ``m``) falls back to :func:`_eigh`.  Raises LinAlgError on a failed
-    solve, and from 14x14 up on a non-finite entry.
+    lam - n eps ||m||_2, b = exp(i j), built once per n and kept read-only,
+    m and s scaled by a power of two near 1 / ||m||_2 against overflow; its
+    value Re(y* m y) reads all of ``m``, Hermitian up to rounding.  A value
+    over lam + 2 n eps ||m||_2 (b orthogonal to the least eigenvector) or a
+    singular solve (a zero ``m``) falls back to :func:`_eigh`.  ``m`` must be
+    finite (see :func:`_eigh`); from 14x14 up a non-finite entry raises
+    LinAlgError, as does a failed solve.
     """
     n = m.shape[0]
     if n == 2:
         (m00, _), (m10, m11) = m.tolist()
         return _least_2x2(m00, m10, m11)
     if n > 13:
+        b = _STARTS.get(n)
+        if b is None:
+            b = _STARTS[n] = np.exp(1j * np.arange(n))
+            b.flags.writeable = False
         try:
             with np.errstate(call=_raise_linalgerror_singular, invalid="call", over="ignore", divide="ignore"):
                 w = _umath_linalg.eigvalsh_lo(m)
-                scale = max(-w[0], w[-1])
+                lo = float(w[0])
+                scale = max(-lo, float(w[-1]))
                 unit = math.ldexp(1.0, min(1022, -math.frexp(scale)[1]))
-                a = m * unit
-                a.flat[:: n + 1] -= (w[0] - n * scale * 2.0**-52) * unit
-                y = _umath_linalg.solve1(a, np.exp(1j * np.arange(n)))
+                a = np.multiply(m, unit, order="C")  # C order: reshape(-1) below is a view
+                a.reshape(-1)[:: n + 1] -= (lo - n * scale * 2.0**-52) * unit
+                y = _umath_linalg.solve1(a, b)
                 y /= math.sqrt(np.vdot(y, y).real)
                 value = float(np.vdot(y, m.dot(y)).real)
-            if value - w[0] <= 2 * n * scale * 2.0**-52:
+            if value - lo <= 2 * n * scale * 2.0**-52:
                 return y, value
         except np.linalg.LinAlgError:
             pass
@@ -188,12 +199,14 @@ def _qr(a: np.ndarray):
     """The reduced q and r of ``numpy.linalg.qr(a)``, bit for bit, from its gufuncs, as :func:`_eigh` does.
 
     ``qr_r_raw`` (LAPACK ``zgeqrf``) overwrites its operand, a copy, with r
-    on and above the diagonal.  A failure raises LinAlgError, as in numpy.
+    on and above the diagonal.  No ``errstate`` is entered: each gufunc
+    clears the floating-point flags (a non-finite entry gives NaN, as in
+    numpy) and sets one only on an illegal LAPACK argument, which its own
+    set-up rules out, so numpy's LinAlgError cannot arise.
     """
     a = np.array(a, dtype=complex)
-    with np.errstate(call=_raise_linalgerror_qr, invalid="call"):
-        tau = _umath_linalg.qr_r_raw(a)
-        q = _umath_linalg.qr_reduced(a, tau)
+    tau = _umath_linalg.qr_r_raw(a)
+    q = _umath_linalg.qr_reduced(a, tau)
     r = a[: min(a.shape)]
     for row in range(1, r.shape[0]):
         r[row, :row] = 0

@@ -108,12 +108,17 @@ class _Record:
         )
 
 
-def _draw_complex(rng: np.random.Generator, shape) -> np.ndarray:
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-
-
-def _orthonormal_columns(rng: np.random.Generator, n: int, k: int) -> np.ndarray:
-    return _qr(_draw_complex(rng, (n, k)))[0]
+def _draw_complex(rng: np.random.Generator, *shapes) -> list[np.ndarray]:
+    """Complex blocks of ``shapes``, each real part + 1j * imaginary part, drawn in that order by one
+    ``standard_normal`` call, which reads the stream and gives the numbers of one call per part."""
+    draws = rng.standard_normal(2 * sum(map(math.prod, shapes)))
+    imag, blocks, start = 1j * draws, [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        re, im = draws[start : start + size], imag[start + size : start + 2 * size]
+        blocks.append(re.reshape(shape) + im.reshape(shape))
+        start += 2 * size
+    return blocks
 
 
 def _assemble(u, v, w, core) -> np.ndarray:
@@ -138,11 +143,8 @@ def sample_sr_vector(dims: TriDims, target, rng: np.random.Generator) -> TriVect
     """
     p, q, r = _fit_target(target, dims)
     a, b, c = dims.as_tuple()
-    u = _orthonormal_columns(rng, a, p)
-    v = _orthonormal_columns(rng, b, q)
-    w = _orthonormal_columns(rng, c, r)
-    core = _draw_complex(rng, (p, q, r))
-    data = _assemble(u, v, w, core)
+    *factors, core = _draw_complex(rng, (a, p), (b, q), (c, r), (p, q, r))
+    data = _assemble(*(_qr(f)[0] for f in factors), core)
     return TriVector(dims, data / np.linalg.norm(data))
 
 
@@ -223,8 +225,9 @@ def seesaw_minimize(
     <xi|W|xi> does not increase: every other block being orthonormal, that
     value is the reduced matrix's least value, so no step multiplies by W or
     assembles xi.  The objective is non-increasing by construction, ``rng``
-    is read only for the start and ``tol`` only by the entry gate.  The
-    value is <xi|W|xi> of the returned unit vector.
+    is read only for the start, by one call of :func:`_draw_complex`, and
+    ``tol`` only by the entry gate.  The value is <xi|W|xi> of the returned
+    unit vector.
 
     A cut target, whose one factor narrower than its mode has rank one,
     runs :func:`_cut_seesaw` instead, chosen from the target and dims
@@ -239,8 +242,7 @@ def seesaw_minimize(
     shape = dims.as_tuple()
     ranks = _fit_target(target, dims)
     n = dims.total
-    factors = [_draw_complex(rng, (d, k)) for d, k in zip(shape, ranks)]
-    core = _draw_complex(rng, tuple(ranks))
+    *factors, core = _draw_complex(rng, *zip(shape, ranks), tuple(ranks))
     # a factor as wide as its mode spans it: absorb it into the core and hold
     # it at the identity (None), which leaves the reachable cone as it is
     free = []
@@ -263,6 +265,7 @@ def seesaw_minimize(
     # core step's order is the last factor step's open axes, then its mode
     orders = [[m] + sorted((other for other in range(3) if other != m), key=free.__contains__) for m in range(3)]
     inverses = [[order.index(axis) for axis in range(3)] for order in orders]
+    neighbours = [[axis for axis in order[1:] if axis in free] for order in orders]
     wfirst = {}
     for mode in free:
         set_factor(mode, factors[mode])
@@ -271,6 +274,7 @@ def seesaw_minimize(
     core = core / math.sqrt(np.vdot(core, core).real)
     last = free[-1] if free else 0
     core_order = orders[last][1:] + [last] if free else [0, 1, 2]
+    core_inverse = [core_order.index(axis) for axis in range(3)]
 
     def factor_step(mode) -> np.ndarray:
         """Minimize over factor ``mode`` in the core's QR gauge under the step rule; return the matrix it solved from."""
@@ -283,7 +287,7 @@ def seesaw_minimize(
         q = _qr(first.reshape(first.shape[0], -1).T)[0]
         # K, the Kronecker product of the free neighbours' factors; q's saturated axes stay open
         kron = None
-        for f in (factors[axis] for axis in order[1:] if factors[axis] is not None):
+        for f in [factors[axis] for axis in neighbours[mode]]:
             kron = f if kron is None else (kron[:, None, :, None] * f[None, :, None, :]).reshape(
                 kron.shape[0] * f.shape[0], -1)
         env, rest = wfirst[mode], q
@@ -305,7 +309,7 @@ def seesaw_minimize(
             env = _sandwich(env.reshape(d, p, d, p).transpose(1, 0, 3, 2).reshape(env.shape), factors[last])
         y, value = _least(env)
         if record.keep(value):
-            core = y.reshape(core.transpose(core_order).shape).transpose(np.argsort(core_order))
+            core = y.reshape(core.transpose(core_order).shape).transpose(core_inverse)
 
     record = _Record(wmat, _apply(factors, core).reshape(-1))
     sweeps, converged = 0, False

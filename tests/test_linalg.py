@@ -567,3 +567,40 @@ def test_least_by_inverse_iteration_rejects_non_finite(bad, index):
         warnings.simplefilter("error")
         with pytest.raises(np.linalg.LinAlgError):
             _least(m)
+
+
+def test_least_keeps_one_read_only_start_per_size():
+    # the inverse iteration's start b = exp(i j) is built once per size and
+    # shared read-only, so calls on other sizes neither rebuild nor disturb it
+    rng = np.random.default_rng(35)
+    _least(_rand_hermitian(rng, 18))
+    first = linalg._STARTS[18]
+    for n in (14, 27, 18, 54, 14, 27):
+        _least(_rand_hermitian(rng, n))
+    assert linalg._STARTS[18] is first
+    for n in (14, 18, 27, 54):
+        b = linalg._STARTS[n]
+        assert not b.flags.writeable
+        np.testing.assert_array_equal(b.view(np.uint64), np.exp(1j * np.arange(n)).view(np.uint64))
+        with pytest.raises(ValueError):
+            b[0] = 0.0
+
+
+@pytest.mark.parametrize("shape", [(2, 5), (3, 4), (1, 3), (4, 4), (6, 3)])
+def test_qr_matches_numpy_on_wide_transposed_and_non_finite_input(shape):
+    # wide and F-ordered operands too; no errstate is entered, and none is
+    # needed: a non-finite entry gives numpy's NaNs with no warning or error
+    rng = np.random.default_rng([36, *shape])
+    for bad in (None, np.nan, np.inf):
+        x, t = _rand_complex(rng, shape), _rand_complex(rng, shape[::-1])
+        if bad is not None:
+            x[0, -1] = t[-1, 0] = bad
+        for a in (x, t.T):
+            before = a.copy()
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                q, r = _qr(a)
+            q0, r0 = np.linalg.qr(a)
+            for got, want in ((q, q0), (r, r0)):
+                np.testing.assert_array_equal(*(np.ascontiguousarray(z).view(np.uint64) for z in (got, want)))
+            np.testing.assert_array_equal(a, before)

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -32,6 +33,7 @@ from triwit import (
     sr_leq,
     violation_search,
 )
+from triwit import linalg
 from triwit.linalg import Tolerance, _frobenius, min_gen_eig
 from triwit.search import _assemble, _mode_product, _sandwich
 
@@ -513,6 +515,76 @@ def test_violation_search_rejects_non_finite(value):
     w.mat[0, 3] = value
     with pytest.raises(NotHermitian):
         violation_search(w, (1, 2, 2), SeesawConfig(restarts=1, max_sweeps=2))
+
+
+# linalg._eigh tests only its least eigenvalue for NaN, and a NaN on the
+# diagonal can leave the others finite, so it takes finite input only: every
+# public path into it rejects a NaN diagonal entry before _eigh is reached
+NAN_DIAGONAL_PATHS = {
+    "hermitian_eig": lambda m: hermitian_eig(m),
+    "min_gen_eig": lambda m: min_gen_eig(m, np.eye(8)),
+    "min_gen_eig-rhs": lambda m: min_gen_eig(np.eye(8), m),
+    "seesaw_minimize-full": lambda m: seesaw_minimize(m, QUBITS, (2, 2, 2), np.random.default_rng(0)),
+    "seesaw_minimize-cut": lambda m: seesaw_minimize(m, QUBITS, (1, 2, 2), np.random.default_rng(0)),
+    "violation_search": lambda m: violation_search(_nan_operator(m), (1, 1, 2), SeesawConfig(restarts=1)),
+}
+
+
+def _nan_operator(m):
+    # TriOperator rejects a non-finite matrix when it is built, so write the NaN in afterwards
+    w = TriOperator(QUBITS, np.eye(8, dtype=complex))
+    w.mat[...] = m
+    return w
+
+
+@pytest.mark.parametrize("path", list(NAN_DIAGONAL_PATHS))
+def test_public_paths_reject_a_nan_diagonal_before_eigh(path, monkeypatch):
+    def unreachable(m):
+        raise AssertionError("linalg._eigh reached with a NaN on the diagonal")
+
+    monkeypatch.setattr(linalg, "_eigh", unreachable)
+    m = np.eye(8, dtype=complex)
+    m[1, 1] = np.nan
+    with pytest.raises(NotHermitian):
+        NAN_DIAGONAL_PATHS[path](m)
+
+
+def _small_targets():
+    """Every target on dims with entries up to 3, then 40 seeded ones on other dims with a*b*c up to 48."""
+    def targets(dims_list):
+        return [(dims, t) for dims in dims_list for t in itertools.product(*(range(1, d + 1) for d in dims))]
+
+    small = targets(itertools.product(range(1, 4), repeat=3))
+    larger = targets(d for d in itertools.product(range(1, 7), repeat=3) if max(d) > 3 and math.prod(d) <= 48)
+    picks = np.random.default_rng(370).choice(len(larger), 40, replace=False)
+    return small + [larger[i] for i in picks]
+
+
+def test_seesaw_contracts_hold_on_every_small_target():
+    # ROADMAP item 15: a few sweeps on every target up to (3,3,3) and a sample
+    # above it, so a shape that only some targets take (a factor that narrows,
+    # a mode of size 1, a free mode between saturated ones) cannot raise or
+    # break the engine's contracts unseen
+    failures = []
+    for k, (dims, target) in enumerate(_small_targets()):
+        n = math.prod(dims)
+        wmat = _rand_hermitian(np.random.default_rng([371, k]), n)
+        scale = np.linalg.norm(wmat)
+        try:
+            run = seesaw_minimize(wmat, TriDims(*dims), target, np.random.default_rng(k), max_sweeps=3)
+        except Exception as exc:  # noqa: BLE001  (every failure is reported with its target)
+            failures.append((dims, target, repr(exc)))
+            continue
+        trace = run.objective_trace
+        checks = {
+            "unit xi": abs(np.linalg.norm(run.xi) - 1.0) <= 1e-12,
+            "value of xi": abs(np.vdot(run.xi, wmat @ run.xi).real - run.value) <= 1e-12 * scale,
+            "non-increasing trace": all(b <= a for a, b in zip(trace, trace[1:])) and trace[-1] == run.value,
+            "above lambda_min": run.value >= np.linalg.eigvalsh(wmat)[0] - 1e-12 * scale,
+            "rank triplet": sr_leq(TriVector(TriDims(*dims), run.xi), target),
+        }
+        failures += [(dims, target, name) for name, ok in checks.items() if not ok]
+    assert not failures, failures[:10]
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])

@@ -99,9 +99,6 @@ def hermitize(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     return mh
 
 
-_STARTS: dict[int, np.ndarray] = {}  # n -> exp(i j), j < n, read-only: _least's start vector b
-
-
 def _eigh(m: np.ndarray):
     """Ascending eigenvalues and eigenvectors of a Hermitian matrix, read from its lower triangle.
 
@@ -147,6 +144,9 @@ def _least_2x2(m00: complex, m10: complex, m11: complex):
     p0, p1 = y0.real * y0.real + y0.imag * y0.imag, y1.real * y1.real + y1.imag * y1.imag
     value = a * p0 + e * p1 + 2.0 * (y1.conjugate() * m10 * y0).real
     return np.array((y0, y1), dtype=complex), value
+
+
+_STARTS: dict[int, np.ndarray] = {}  # n -> exp(i j), j < n, read-only: _least's start vector b
 
 
 def _least(m: np.ndarray):

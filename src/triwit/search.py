@@ -11,8 +11,9 @@ solved by :func:`linalg._least`: no update whitens a Gram matrix or
 builds a Jacobian (see :func:`seesaw_minimize`).  Each reduced matrix is
 two matrix products, the core update's from the environment of the
 sweep's last factor update, so a sweep reads W once per free factor.  A
-restart draws randomness only at its start, and stops on a gain relative
-to W.  A cut target, such as (1, 2, 2) on qubits (the bi-separable states
+search gates W and lays it out once for all its restarts; a restart
+draws randomness only at its start, and stops on a gain relative to W.
+A cut target, such as (1, 2, 2) on qubits (the bi-separable states
 across one cut), runs :func:`_cut_seesaw`, which holds W flat in 2-D for
 BLAS and solves a qubit factor step in closed form.  A negative enough
 final value yields a violation certificate; anything else is reported as
@@ -40,8 +41,11 @@ class SeesawConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.restarts < 1 or self.max_sweeps < 1:
-            raise ValueError("restarts and max_sweeps must be >= 1")
+        # numpy integers count, bools do not: checked here, not partway through a search
+        for name, least in (("restarts", 1), ("max_sweeps", 1), ("seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
 
 
 @dataclass(frozen=True)
@@ -182,8 +186,42 @@ def _sandwich(env: np.ndarray, t: np.ndarray) -> np.ndarray:
     return ((t.conj().T @ env.reshape(d, p, -1)).reshape(-1, p) @ t).reshape(d * k, -1)
 
 
+class _Witness:
+    """A gated W prepared for one target: all that a see-saw restart reads of W, the dims and the target
+    alone, built once per search and shared by its restarts (see :func:`seesaw_minimize`)."""
+
+    def __init__(self, wmat: np.ndarray, dims: TriDims, ranks: PosTriple):
+        self.wmat, self.dims, self.ranks, self.shape = wmat, dims, ranks, dims.as_tuple()
+        self.scale = _frobenius(wmat)
+        self.exponent = math.frexp(self.scale)[1]
+        shape, n = self.shape, dims.total
+        self.draws = (*zip(shape, ranks), tuple(ranks))
+        free = self.free = [mode for mode in range(3) if ranks[mode] < shape[mode]]
+        self.cut = len(free) == 1 and ranks[free[0]] == 1
+        if self.cut:
+            # W with the free mode first, flat in 2-D as _cut_seesaw reads it, and the order that puts xi's axes back
+            d, r = shape[free[0]], n // shape[free[0]]
+            order = free + [other for other in range(3) if other != free[0]]
+            w4 = wmat.reshape(shape * 2).transpose(order + [3 + other for other in order]).reshape(d, r, d, r)
+            self.w_cut = w4.reshape(n, n)
+            self.w_u = w4.transpose(0, 2, 1, 3).reshape(d * d * r, r)
+            self.w_c = w4.transpose(1, 3, 0, 2).reshape(r * r * d, d)
+            self.cut_shape, self.cut_inverse = [shape[axis] for axis in order], [order.index(axis) for axis in range(3)]
+            return
+        # each mode's axis order: it, its saturated neighbours (open axes of every step), its free ones, and W
+        # in each free mode's order; the core step's order is the last factor step's open axes, then its mode
+        orders = self.orders = [[m] + sorted((o for o in range(3) if o != m), key=free.__contains__) for m in range(3)]
+        self.inverses = [[order.index(axis) for axis in range(3)] for order in orders]
+        self.neighbours = [[axis for axis in order[1:] if axis in free] for order in orders]
+        axes = {mode: orders[mode] + [3 + o for o in orders[mode]] for mode in free}
+        self.wfirst = {mode: wmat.reshape(shape * 2).transpose(axes[mode]).reshape(n, n) for mode in free}
+        last = self.last = free[-1] if free else 0
+        self.core_order = orders[last][1:] + [last] if free else [0, 1, 2]
+        self.core_inverse = [self.core_order.index(axis) for axis in range(3)]
+
+
 def seesaw_minimize(
-    wmat: np.ndarray,
+    wmat: np.ndarray | _Witness,
     dims: TriDims,
     target,
     rng: np.random.Generator,
@@ -193,15 +231,17 @@ def seesaw_minimize(
 ) -> SeesawRun:
     """One see-saw descent from a random start.
 
-    ``wmat`` is gated once, at entry, by :func:`hermitize` (NotHermitian for
-    a non-Hermitian or non-finite matrix), and ``target`` must satisfy
-    ``1 <= target <= dims`` (else DimMismatch).  The vector is the core
-    multiplied by one factor per mode.  A factor with target rank equal to
-    its mode's dimension is drawn, absorbed into the core and fixed at the
-    identity, so each sweep updates only the factors narrower than their
-    mode, then the core: a cut target such as (1, 2, 2) on qubits updates u
-    and the core, and target == dims is the least eigenvalue of ``wmat``
-    after one core update.
+    ``wmat`` is a matrix, gated at entry by :func:`hermitize` (NotHermitian
+    for a non-Hermitian or non-finite one), or the witness that
+    :func:`violation_search` prepares from its gated W once for all its
+    restarts.  ``target`` must satisfy ``1 <= target <= dims``, and match a
+    prepared witness's dims and target (else DimMismatch).  The vector is
+    the core multiplied by one factor per mode.  A factor with target rank
+    equal to its mode's dimension is drawn, absorbed into the core and fixed
+    at the identity, so each sweep updates only the factors narrower than
+    their mode, then the core: a cut target such as (1, 2, 2) on qubits
+    updates u and the core, and target == dims is the least eigenvalue of
+    ``wmat`` after one core update.
 
     The free factors are kept orthonormal: after every accepted factor step
     the factor's QR triangle is pushed into the core, which leaves the
@@ -226,8 +266,8 @@ def seesaw_minimize(
     value is the reduced matrix's least value, so no step multiplies by W or
     assembles xi.  The objective is non-increasing by construction, ``rng``
     is read only for the start, by one call of :func:`_draw_complex`, and
-    ``tol`` only by the entry gate.  The value is <xi|W|xi> of the returned
-    unit vector.
+    ``tol`` only by the entry gate, which a prepared witness has passed.
+    The value is <xi|W|xi> of the returned unit vector.
 
     A cut target, whose one factor narrower than its mode has rank one,
     runs :func:`_cut_seesaw` instead, chosen from the target and dims
@@ -237,23 +277,24 @@ def seesaw_minimize(
     same sweeps to the same vector.  ``convergence_eps`` is a parameter only
     because ``bench/tracing.py`` reads it by name.
     """
-    wmat = hermitize(wmat, tol)
-    threshold = math.ldexp(convergence_eps, math.frexp(_frobenius(wmat))[1])
-    shape = dims.as_tuple()
-    ranks = _fit_target(target, dims)
-    n = dims.total
-    *factors, core = _draw_complex(rng, *zip(shape, ranks), tuple(ranks))
+    if isinstance(wmat, _Witness):
+        if (dims, tuple(target)) != (wmat.dims, wmat.ranks):
+            raise DimMismatch(f"prepared for {wmat.shape} and {tuple(wmat.ranks)}, not {dims} and {tuple(target)}")
+        prep = wmat
+    else:
+        wmat = hermitize(wmat, tol)
+        prep = _Witness(wmat, dims, _fit_target(target, dims))
+    threshold = math.ldexp(convergence_eps, prep.exponent)
+    wmat, shape, free = prep.wmat, prep.shape, prep.free
+    *factors, core = _draw_complex(rng, *prep.draws)
     # a factor as wide as its mode spans it: absorb it into the core and hold
     # it at the identity (None), which leaves the reachable cone as it is
-    free = []
-    for mode, (d, k) in enumerate(zip(shape, ranks)):
-        if k == d:
+    for mode in range(3):
+        if mode not in free:
             core = _mode_product(factors[mode], core, mode)
             factors[mode] = None
-        else:
-            free.append(mode)
-    if len(free) == 1 and ranks[free[0]] == 1:
-        return _cut_seesaw(wmat, shape, free[0], factors[free[0]], core, max_sweeps, threshold)
+    if prep.cut:
+        return _cut_seesaw(prep, factors[free[0]], core, max_sweeps, threshold)
 
     def set_factor(mode, x) -> None:
         """Store ``x = q r`` as its orthonormal ``q`` and push ``r`` into the core; xi is unchanged."""
@@ -261,25 +302,14 @@ def seesaw_minimize(
         factors[mode], r = _qr(x)
         core = _mode_product(r, core, mode)
 
-    # each mode's axis order: it, its saturated neighbours (open axes of every step), its free ones; the
-    # core step's order is the last factor step's open axes, then its mode
-    orders = [[m] + sorted((other for other in range(3) if other != m), key=free.__contains__) for m in range(3)]
-    inverses = [[order.index(axis) for axis in range(3)] for order in orders]
-    neighbours = [[axis for axis in order[1:] if axis in free] for order in orders]
-    wfirst = {}
     for mode in free:
         set_factor(mode, factors[mode])
-        axes = orders[mode] + [3 + other for other in orders[mode]]
-        wfirst[mode] = wmat.reshape(shape * 2).transpose(axes).reshape(n, n)
     core = core / math.sqrt(np.vdot(core, core).real)
-    last = free[-1] if free else 0
-    core_order = orders[last][1:] + [last] if free else [0, 1, 2]
-    core_inverse = [core_order.index(axis) for axis in range(3)]
 
     def factor_step(mode) -> np.ndarray:
         """Minimize over factor ``mode`` in the core's QR gauge under the step rule; return the matrix it solved from."""
         nonlocal core
-        order = orders[mode]
+        order = prep.orders[mode]
         first = core.transpose(order)
         # the unfolding is r.T q.T and q.T the gauged core; r.T is never
         # stored, since a kept step replaces the factor and a rejected one
@@ -287,17 +317,17 @@ def seesaw_minimize(
         q = _qr(first.reshape(first.shape[0], -1).T)[0]
         # K, the Kronecker product of the free neighbours' factors; q's saturated axes stay open
         kron = None
-        for f in [factors[axis] for axis in neighbours[mode]]:
+        for f in [factors[axis] for axis in prep.neighbours[mode]]:
             kron = f if kron is None else (kron[:, None, :, None] * f[None, :, None, :]).reshape(
                 kron.shape[0] * f.shape[0], -1)
-        env, rest = wfirst[mode], q
-        if mode != last:
+        env, rest = prep.wfirst[mode], q
+        if mode != prep.last:
             rest = (kron @ q.reshape(-1, kron.shape[1], q.shape[1])).reshape(-1, q.shape[1])
         elif kron is not None:
             env = _sandwich(env, kron)
         y, value = _least(_sandwich(env, rest))
         if record.keep(value):
-            core = q.T.reshape((q.shape[1],) + first.shape[1:]).transpose(inverses[mode])
+            core = q.T.reshape((q.shape[1],) + first.shape[1:]).transpose(prep.inverses[mode])
             set_factor(mode, y.reshape(shape[mode], -1))
         return env
 
@@ -305,11 +335,11 @@ def seesaw_minimize(
         """Minimize over the core from ``env``, the last factor step's environment or W, under the step rule."""
         nonlocal core
         if free:
-            d, p = shape[last], env.shape[0] // shape[last]
-            env = _sandwich(env.reshape(d, p, d, p).transpose(1, 0, 3, 2).reshape(env.shape), factors[last])
+            d, p = shape[prep.last], env.shape[0] // shape[prep.last]
+            env = _sandwich(env.reshape(d, p, d, p).transpose(1, 0, 3, 2).reshape(env.shape), factors[prep.last])
         y, value = _least(env)
         if record.keep(value):
-            core = y.reshape(core.transpose(core_order).shape).transpose(core_inverse)
+            core = y.reshape(core.transpose(prep.core_order).shape).transpose(prep.core_inverse)
 
     record = _Record(wmat, _apply(factors, core).reshape(-1))
     sweeps, converged = 0, False
@@ -324,34 +354,29 @@ def seesaw_minimize(
     return record.run(_apply(factors, core).reshape(-1), sweeps, converged)
 
 
-def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, threshold) -> SeesawRun:
-    """The see-saw of :func:`seesaw_minimize` on a cut target, where only ``mode`` is free, at rank one.
+def _cut_seesaw(prep: _Witness, u, core, max_sweeps, threshold) -> SeesawRun:
+    """The see-saw of :func:`seesaw_minimize` on a cut target, where only one mode is free, at rank one.
 
     In the free mode's first order the vector is u (x) c, u the factor ``u``
     of that mode and c the flattened ``core`` (the other two modes,
-    absorbed).  W, with the free mode first on both sides, is copied once per
-    restart into the 2-D ``w_u`` (d d r x r) and ``w_c`` (r r d x d), so a
-    step's reduced matrix, M_u(c) = (I (x) c)* W (I (x) c) or M_c(u), is two
-    BLAS matrix-vector calls, where 4-D blocks cost a numpy loop over d d (or
-    r r) tiny products.  u and c start as unit vectors and each step swaps one
-    for a unit eigenvector, so no reduced matrix exceeds ||W||, and each step
-    is the standard eigenproblem that :func:`linalg._least` solves (a qubit u
-    step, d = 2, in closed form).  Each candidate is valued on the matrix its
-    step solved, y (x) c as the least value of M_u(c), and M_c is built once
-    a sweep, for the u the u step leaves.  The loop keeps the
-    general loop's draws, entry gate, step guard and counts, and reaches its
-    iterates up to rounding and the phase of u.
+    absorbed).  ``prep`` holds W, with the free mode first on both sides, in
+    the 2-D ``w_u`` (d d r x r) and ``w_c`` (r r d x d), so a step's reduced
+    matrix, M_u(c) = (I (x) c)* W (I (x) c) or M_c(u), is two BLAS
+    matrix-vector calls, where 4-D blocks cost a numpy loop over d d
+    (or r r) tiny products.  u and c start as unit vectors and each step
+    swaps one for a unit eigenvector, so no reduced matrix exceeds ||W||,
+    and each step is the standard eigenproblem that :func:`linalg._least`
+    solves (a qubit u step, d = 2, in closed form).  Each candidate is
+    valued on the matrix its step solved, y (x) c as the least value of
+    M_u(c), and M_c is built once a sweep, for the u the u step leaves.
+    The loop keeps the general loop's draws, entry gate, step guard and
+    counts, and reaches its iterates up to rounding and the phase of u.
     """
-    d = shape[mode]
-    r = wmat.shape[0] // d
-    order = [mode] + [other for other in range(3) if other != mode]
-    w4 = wmat.reshape(shape * 2).transpose(order + [3 + other for other in order]).reshape(d, r, d, r)
-    w_u = w4.transpose(0, 2, 1, 3).reshape(d * d * r, r)
-    w_c = w4.transpose(1, 3, 0, 2).reshape(r * r * d, d)
-
+    w_u, w_c = prep.w_u, prep.w_c
+    d, r = w_c.shape[1], w_u.shape[1]
     u = u.reshape(d) / math.sqrt(np.vdot(u, u).real)
     c = core.reshape(r) / math.sqrt(np.vdot(core, core).real)
-    record = _Record(w4.reshape(d * r, d * r), (u[:, None] * c).reshape(-1))
+    record = _Record(prep.w_cut, (u[:, None] * c).reshape(-1))
     sweeps, converged = 0, False
     while sweeps < max_sweeps and not converged:
         sweeps += 1
@@ -363,7 +388,7 @@ def _cut_seesaw(wmat, shape, mode, u, core, max_sweeps, threshold) -> SeesawRun:
         if record.keep(value):
             c = y
         converged = sweep_start - record.value < threshold
-    xi = np.moveaxis((u[:, None] * c).reshape([shape[axis] for axis in order]), 0, mode).reshape(-1)
+    xi = (u[:, None] * c).reshape(prep.cut_shape).transpose(prep.cut_inverse).reshape(-1)
     return record.run(xi, sweeps, converged)
 
 
@@ -386,17 +411,17 @@ def violation_search(
     """
     target = _fit_target(target, w.dims)
     wmat = hermitize(w.mat, tol)
-    scale = _frobenius(wmat)
+    prepared = _Witness(wmat, w.dims, target)
     restarts = 1 if target == w.dims.as_tuple() else cfg.restarts
     best: SeesawRun | None = None
     for restart in range(restarts):
-        rng = np.random.default_rng(cfg.seed + restart)
-        run = seesaw_minimize(wmat, w.dims, target, rng, cfg.max_sweeps, tol=tol)
+        rng = np.random.default_rng(int(cfg.seed) + restart)  # a numpy seed would wrap at its width
+        run = seesaw_minimize(prepared, w.dims, target, rng, cfg.max_sweeps, tol=tol)
         if best is None or run.value < best.value:
             best = run
     xi = TriVector(w.dims, best.xi)
     value = float((best.xi.conj() @ wmat @ best.xi).real)
-    if value < -tol.ineq_abs * scale:
+    if value < -tol.ineq_abs * prepared.scale:
         if not sr_leq(xi, target, tol):
             raise ConsistencyError("candidate violates its own rank-triplet bound")
         if abs(xi.norm() - 1.0) > 1e-9:

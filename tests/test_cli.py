@@ -544,6 +544,23 @@ def test_search_rejects_target_outside_dims(tmp_path, capsys, target):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "flags,env",
+    [(["--seed", "-1"], None), ([], "-1"), (["--restarts", "0"], None), (["--sweeps", "0"], None)],
+)
+def test_search_rejects_bad_config_with_one_error_line(tmp_path, capsys, monkeypatch, flags, env):
+    # SeesawConfig refuses the value when it is built, before the search
+    # starts, so the error is its own one line and not numpy's
+    if env is not None:
+        monkeypatch.setenv("TRIWIT_SEED", env)
+    w = _write(tmp_path / "w.json", _witness_doc())
+    code = main(["search", w, "--sr", "1,2,2", *flags])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "must be an integer" in err
+
+
 @pytest.mark.parametrize("s", ["nan,1,1,1", "inf,1,1,1"])
 def test_classify_rejects_non_finite_params(capsys, s):
     code, _ = _run(capsys, ["classify", "--s", s, "--t", "1,1,1,1"])

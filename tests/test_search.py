@@ -34,7 +34,8 @@ from triwit import (
     violation_search,
 )
 from triwit import linalg
-from triwit.linalg import Tolerance, _frobenius, min_gen_eig
+from triwit import search
+from triwit.linalg import DEFAULT_TOL, Tolerance, _frobenius, hermitize, min_gen_eig
 from triwit.search import _assemble, _mode_product, _sandwich
 
 QUBITS = TriDims(2, 2, 2)
@@ -54,6 +55,37 @@ def test_seesaw_config_validation():
         SeesawConfig(restarts=0)
     with pytest.raises(ValueError):
         SeesawConfig(max_sweeps=0)
+
+
+@pytest.mark.parametrize(
+    "field,value",
+    [
+        # accepted before and then failed late: range() raised TypeError after the gate, numpy rejected the
+        # seed partway through the search, and 1.5 sweeps ran 2
+        ("restarts", 2.5),
+        ("seed", -1),
+        ("max_sweeps", 1.5),
+        ("restarts", True),
+        ("max_sweeps", True),
+        ("seed", False),
+        ("seed", 3.0),
+        ("restarts", "3"),
+    ],
+)
+def test_seesaw_config_rejects_bad_values_at_construction(field, value):
+    with pytest.raises(ValueError, match=field):
+        SeesawConfig(**{field: value})
+
+
+@pytest.mark.parametrize("seed", [5, 255])
+def test_seesaw_config_takes_numpy_integers(seed):
+    # restart seeds count on from the seed as Python integers, so a uint8 seed
+    # of 255 gives restarts 255, 256 and 257, not 255, 0 and 1
+    cfg = SeesawConfig(restarts=np.int64(3), max_sweeps=np.int32(3), seed=np.uint8(seed))
+    out = violation_search(_witness_matrix(), (1, 2, 2), cfg)
+    plain = violation_search(_witness_matrix(), (1, 2, 2), SeesawConfig(restarts=3, max_sweeps=3, seed=seed))
+    assert out.best_value == plain.best_value
+    np.testing.assert_array_equal(out.best_xi.data, plain.best_xi.data)
 
 
 def test_sample_product_vector():
@@ -842,3 +874,74 @@ def test_violation_search_certifies_where_the_sum_of_squares_overflows():
     for target in ((1, 1, 1), (1, 2, 2)):
         cfg = SeesawConfig(restarts=3)
         assert type(violation_search(big, target, cfg)) is type(violation_search(w, target, cfg)) is NoViolation
+
+
+def _prepared(wmat, dims, target):
+    """The witness that violation_search prepares once for all its restarts."""
+    return search._Witness(hermitize(wmat), dims, search._fit_target(target, dims))
+
+
+# a cut target, general ones and the full target, on qubits and on (2,3,4)
+PREPARED_TARGETS = [
+    ((2, 2, 2), (1, 2, 2)),
+    ((2, 2, 2), (1, 1, 2)),
+    ((2, 2, 2), (1, 1, 1)),
+    ((2, 2, 2), (2, 2, 2)),
+    ((2, 3, 4), (2, 1, 4)),
+    ((2, 3, 4), (2, 2, 3)),
+    ((2, 3, 4), (1, 3, 1)),
+    ((2, 3, 4), (2, 3, 4)),
+]
+
+
+@pytest.mark.parametrize("dims,target", PREPARED_TARGETS)
+def test_prepared_witness_runs_the_raw_matrix_restarts_bit_for_bit(dims, target):
+    # one prepared witness serves every restart and every convergence_eps, the
+    # threshold read from each call's own: each run equals the raw matrix's,
+    # field by field, so no restart leaves a trace in what the next one reads
+    wmat = _rand_hermitian(np.random.default_rng([27, *dims, *target]), math.prod(dims))
+    prep = _prepared(wmat, TriDims(*dims), target)
+    for seed in range(3):
+        for eps in (1e-10, 1e-4):
+            got = seesaw_minimize(prep, TriDims(*dims), target, np.random.default_rng(seed), convergence_eps=eps)
+            want = seesaw_minimize(wmat, TriDims(*dims), target, np.random.default_rng(seed), convergence_eps=eps)
+            assert got.xi.tobytes() == want.xi.tobytes()
+            assert (got.value, got.objective_trace, got.sweeps, got.converged, got.rejected) == (
+                want.value, want.objective_trace, want.sweeps, want.converged, want.rejected)
+
+
+@pytest.mark.parametrize(
+    "dims,target,call_dims,call_target",
+    [
+        ((2, 2, 2), (1, 2, 2), (2, 2, 2), (2, 1, 2)),
+        ((2, 2, 2), (1, 2, 2), (2, 2, 2), (1, 1, 2)),
+        ((2, 3, 4), (2, 2, 3), (4, 3, 2), (2, 2, 3)),
+        ((2, 3, 4), (2, 3, 4), (2, 2, 2), (2, 2, 2)),
+    ],
+)
+def test_prepared_witness_for_other_dims_or_target_raises(dims, target, call_dims, call_target):
+    # a witness prepared for one target is not searched at another: the call
+    # raises before it reads its generator
+    prep = _prepared(_rand_hermitian(np.random.default_rng(28), math.prod(dims)), TriDims(*dims), target)
+    rng = np.random.default_rng(0)
+    state = rng.bit_generator.state
+    with pytest.raises(DimMismatch):
+        seesaw_minimize(prep, TriDims(*call_dims), call_target, rng, max_sweeps=2)
+    assert rng.bit_generator.state == state
+
+
+@pytest.mark.parametrize("target", [(1, 2, 2), (1, 1, 1), (2, 2, 2)])
+def test_violation_search_gates_w_once(target, monkeypatch):
+    # the search gates W once and its restarts read the prepared witness; a
+    # raw matrix passed to seesaw_minimize is still gated by that call
+    calls = []
+
+    def counted(m, tol=DEFAULT_TOL):
+        calls.append(1)
+        return hermitize(m, tol)
+
+    monkeypatch.setattr(search, "hermitize", counted)
+    violation_search(_witness_matrix(), target, SeesawConfig(restarts=5, max_sweeps=3))
+    assert len(calls) == 1
+    seesaw_minimize(_witness_matrix().mat, QUBITS, target, np.random.default_rng(0), max_sweeps=3)
+    assert len(calls) == 2

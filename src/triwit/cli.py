@@ -166,9 +166,12 @@ def _given_tolerances(args) -> dict:
 
 
 def _seed(args) -> int:
+    source, text = "TRIWIT_SEED", os.getenv("TRIWIT_SEED", "0")
     if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("TRIWIT_SEED", "0"))
+        source, text = "--seed", str(args.seed)
+    if not text.strip().isdecimal():
+        raise TriwitError(f"{source} must be an integer >= 0, got {text!r}")
+    return int(text)
 
 
 def _family_params(args) -> tuple[QubitWitnessParams, dict]:

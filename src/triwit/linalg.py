@@ -6,8 +6,9 @@ eigenvalue floors which scale by the spectral norm (available for free
 once the spectrum is computed).  Every Hermitian eigenproblem is solved by
 LAPACK's ``zheevd``, through the one helper ``_eigh``, except that the
 one ``_least`` of every see-saw step solves a 2x2 in closed form and from
-14x14 up takes ``zheevd``'s eigenvalues and one ``zgesv`` solve.  Every QR
-factorization goes through ``zgeqrf``, in the one helper ``_qr``.
+14x14 up takes ``zheevd``'s eigenvalues and one ``zgesv`` solve, by the
+size rule of ``_least_solver``.  Every QR factorization goes through
+``zgeqrf``, in the one helper ``_qr``.
 """
 
 from __future__ import annotations
@@ -117,17 +118,18 @@ def _eigh(m: np.ndarray):
     return w, v
 
 
-def _least_2x2(m00: complex, m10: complex, m11: complex):
+def _least_2x2(m: np.ndarray):
     """The least eigenvector y of the Hermitian 2x2 matrix M read, as by :func:`_eigh`, from its lower triangle.
 
-    Takes the entries as Python scalars and returns y as a unit vector, with
-    its value Re(y* M y) as a float.  With h = (m00 - m11) / 2
-    and rho = hypot(h, |m10|), y is (conj(m10), -(h + rho)) for h >= 0 and
-    (h - rho, m10) otherwise, neither of which cancels; e1 when rho is 0.
+    Reads the entries as Python scalars by one ``tolist`` and returns y as a
+    unit vector, with its value Re(y* M y) as a float.  With h = (m00 - m11)
+    / 2 and rho = hypot(h, |m10|), y is (conj(m10), -(h + rho)) for h >= 0
+    and (h - rho, m10) otherwise, neither of which cancels; e1 when rho is 0.
     The entries are halved before they are subtracted and every norm is a
     hypot, so nothing overflows while ||M||_F is below 2**1023.  Raises
     LinAlgError on a NaN or infinite entry.
     """
+    (m00, _), (m10, m11) = m.tolist()
     a, e = m00.real, m11.real
     h = a / 2 - e / 2
     rho = math.hypot(h, m10.real, m10.imag)
@@ -152,7 +154,8 @@ _STARTS: dict[int, np.ndarray] = {}  # n -> exp(i j), j < n, read-only: _least's
 def _least(m: np.ndarray):
     """The least eigenvector y of the Hermitian matrix ``m`` as a unit vector, with its value.
 
-    The solver of every see-saw step.  A 2x2 is solved in closed form by
+    The solver of every see-saw step, by the route that :func:`_least_solver`
+    picks for its size.  A 2x2 is solved in closed form by
     :func:`_least_2x2` and up to 13x13 by :func:`_eigh`, both reading ``m``
     from its lower triangle.  From 14x14 up, where ``zheevd`` without
     vectors and one solve cost less, y is one inverse iteration (Ipsen, SIAM
@@ -165,34 +168,44 @@ def _least(m: np.ndarray):
     finite (see :func:`_eigh`); from 14x14 up a non-finite entry raises
     LinAlgError, as does a failed solve.
     """
-    n = m.shape[0]
-    if n == 2:
-        (m00, _), (m10, m11) = m.tolist()
-        return _least_2x2(m00, m10, m11)
-    if n > 13:
-        b = _STARTS.get(n)
-        if b is None:
-            b = _STARTS[n] = np.exp(1j * np.arange(n))
-            b.flags.writeable = False
-        try:
-            with np.errstate(call=_raise_linalgerror_singular, invalid="call", over="ignore", divide="ignore"):
-                w = _umath_linalg.eigvalsh_lo(m)
-                lo = float(w[0])
-                scale = max(-lo, float(w[-1]))
-                unit = math.ldexp(1.0, min(1022, -math.frexp(scale)[1]))
-                a = np.multiply(m, unit, order="C")  # C order: reshape(-1) below is a view
-                a.reshape(-1)[:: n + 1] -= (lo - n * scale * 2.0**-52) * unit
-                y = _umath_linalg.solve1(a, b)
-                y /= math.sqrt(np.vdot(y, y).real)
-                value = float(np.vdot(y, m.dot(y)).real)
-            if value - lo <= 2 * n * scale * 2.0**-52:
-                return y, value
-        except np.linalg.LinAlgError:
-            pass
-        if not np.isfinite(m).all():
-            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return _least_solver(m.shape[0])(m)
+
+
+def _least_solver(n: int):
+    """:func:`_least`'s solver of an n x n matrix, the one home of its size rule, for a see-saw to pick once."""
+    return _least_2x2 if n == 2 else _least_inverse if n > 13 else _least_eigh
+
+
+def _least_eigh(m: np.ndarray):
     w, v = _eigh(m)
     return v[:, 0], float(w[0])
+
+
+def _least_inverse(m: np.ndarray):
+    """:func:`_least` from 14x14 up, by inverse iteration or else :func:`_eigh`."""
+    n = m.shape[0]
+    b = _STARTS.get(n)
+    if b is None:
+        b = _STARTS[n] = np.exp(1j * np.arange(n))
+        b.flags.writeable = False
+    try:
+        with np.errstate(call=_raise_linalgerror_singular, invalid="call", over="ignore", divide="ignore"):
+            w = _umath_linalg.eigvalsh_lo(m)
+            lo = float(w[0])
+            scale = max(-lo, float(w[-1]))
+            unit = math.ldexp(1.0, min(1022, -math.frexp(scale)[1]))
+            a = np.multiply(m, unit, order="C")  # C order: reshape(-1) below is a view
+            a.reshape(-1)[:: n + 1] -= (lo - n * scale * 2.0**-52) * unit
+            y = _umath_linalg.solve1(a, b)
+            y /= math.sqrt(np.vdot(y, y).real)
+            value = float(np.vdot(y, m.dot(y)).real)
+        if value - lo <= 2 * n * scale * 2.0**-52:
+            return y, value
+    except np.linalg.LinAlgError:
+        pass
+    if not np.isfinite(m).all():
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+    return _least_eigh(m)
 
 
 def _qr(a: np.ndarray):

@@ -15,9 +15,9 @@ search gates W and lays it out once for all its restarts; a restart
 draws randomness only at its start, and stops on a gain relative to W.
 A cut target, such as (1, 2, 2) on qubits (the bi-separable states
 across one cut), runs :func:`_cut_seesaw`, which holds W flat in 2-D for
-BLAS and solves a qubit factor step in closed form.  A negative enough
-final value yields a violation certificate; anything else is reported as
-"no violation found", which is deliberately not a positivity proof.
+BLAS and picks each step's solver once, a qubit factor step's in closed
+form.  A negative enough final value yields a violation certificate;
+anything else is "no violation found", deliberately not a positivity proof.
 """
 
 from __future__ import annotations
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConsistencyError, DimMismatch
-from .linalg import DEFAULT_TOL, Tolerance, _frobenius, _least, _qr, hermitize
+from .linalg import DEFAULT_TOL, Tolerance, _frobenius, _least, _least_solver, _qr, hermitize
 from .linalg import min_gen_eig  # noqa: F401  (the see-saw no longer calls it; bench/selftest reads search.min_gen_eig)
 from .schmidt import PosTriple, _triple, sr_leq, triple_leq
 from .tensor import TriDims, TriOperator, TriVector
@@ -113,15 +113,17 @@ class _Record:
 
 
 def _draw_complex(rng: np.random.Generator, *shapes) -> list[np.ndarray]:
-    """Complex blocks of ``shapes``, each real part + 1j * imaginary part, drawn in that order by one
-    ``standard_normal`` call, which reads the stream and gives the numbers of one call per part."""
-    draws = rng.standard_normal(2 * sum(map(math.prod, shapes)))
-    imag, blocks, start = 1j * draws, [], 0
-    for shape in shapes:
-        size = math.prod(shape)
-        re, im = draws[start : start + size], imag[start + size : start + 2 * size]
-        blocks.append(re.reshape(shape) + im.reshape(shape))
-        start += 2 * size
+    """Complex blocks of ``shapes``, each real part then imaginary part, drawn in that order by one
+    ``standard_normal`` call, which reads the stream and gives the numbers of one call per part; each
+    block is set through its ``.real`` and ``.imag`` (re + 1j * im, but a drawn zero keeps its sign)."""
+    sizes = [math.prod(shape) for shape in shapes]
+    draws = rng.standard_normal(2 * sum(sizes))
+    out, blocks, at = np.empty(sum(sizes), dtype=complex), [], 0
+    for shape, size in zip(shapes, sizes):
+        block = out[at : at + size]
+        block.real, block.imag = draws[2 * at : 2 * at + size], draws[2 * at + size : 2 * (at + size)]
+        blocks.append(block.reshape(shape))
+        at += size
     return blocks
 
 
@@ -207,6 +209,7 @@ class _Witness:
             self.w_u = w4.transpose(0, 2, 1, 3).reshape(d * d * r, r)
             self.w_c = w4.transpose(1, 3, 0, 2).reshape(r * r * d, d)
             self.cut_shape, self.cut_inverse = [shape[axis] for axis in order], [order.index(axis) for axis in range(3)]
+            self.solve_u, self.solve_c = _least_solver(d), _least_solver(r)
             return
         # each mode's axis order: it, its saturated neighbours (open axes of every step), its free ones, and W
         # in each free mode's order; the core step's order is the last factor step's open axes, then its mode
@@ -362,29 +365,36 @@ def _cut_seesaw(prep: _Witness, u, core, max_sweeps, threshold) -> SeesawRun:
     absorbed).  ``prep`` holds W, with the free mode first on both sides, in
     the 2-D ``w_u`` (d d r x r) and ``w_c`` (r r d x d), so a step's reduced
     matrix, M_u(c) = (I (x) c)* W (I (x) c) or M_c(u), is two BLAS
-    matrix-vector calls, where 4-D blocks cost a numpy loop over d d
-    (or r r) tiny products.  u and c start as unit vectors and each step
-    swaps one for a unit eigenvector, so no reduced matrix exceeds ||W||,
-    and each step is the standard eigenproblem that :func:`linalg._least`
-    solves (a qubit u step, d = 2, in closed form).  Each candidate is
+    matrix-vector calls into buffers made once a restart, where 4-D blocks
+    cost a numpy loop over d d (or r r) tiny products.  u and c start as
+    unit vectors and each step swaps one for a unit eigenvector, so no
+    reduced matrix exceeds ||W||, and each step is the standard eigenproblem
+    of :func:`linalg._least`, solved by the solver ``prep`` picked for its
+    size (a qubit u step, d = 2, in closed form).  Each candidate is
     valued on the matrix its step solved, y (x) c as the least value of
     M_u(c), and M_c is built once a sweep, for the u the u step leaves.
     The loop keeps the general loop's draws, entry gate, step guard and
     counts, and reaches its iterates up to rounding and the phase of u.
     """
-    w_u, w_c = prep.w_u, prep.w_c
+    w_u, w_c, solve_u, solve_c = prep.w_u, prep.w_c, prep.solve_u, prep.solve_c
     d, r = w_c.shape[1], w_u.shape[1]
     u = u.reshape(d) / math.sqrt(np.vdot(u, u).real)
     c = core.reshape(r) / math.sqrt(np.vdot(core, core).real)
     record = _Record(prep.w_cut, (u[:, None] * c).reshape(-1))
+    wc, cbar, m_u, wu, ubar, m_c = (np.empty(s, complex) for s in ((d * d, r), r, (d, d), (r * r, d), d, (r, r)))
+    wc_out, mu_out, wu_out, mc_out = wc.reshape(-1), m_u.reshape(-1), wu.reshape(-1), m_c.reshape(-1)
     sweeps, converged = 0, False
     while sweeps < max_sweeps and not converged:
         sweeps += 1
         sweep_start = record.value
-        y, value = _least(w_u.dot(c).reshape(d * d, r).dot(c.conj()).reshape(d, d))
+        w_u.dot(c, wc_out)
+        wc.dot(np.conjugate(c, cbar), mu_out)
+        y, value = solve_u(m_u)
         if record.keep(value):
             u = y
-        y, value = _least(w_c.dot(u).reshape(r * r, d).dot(u.conj()).reshape(r, r))
+        w_c.dot(u, wu_out)
+        wu.dot(np.conjugate(u, ubar), mc_out)
+        y, value = solve_c(m_c)
         if record.keep(value):
             c = y
         converged = sweep_start - record.value < threshold
@@ -415,7 +425,7 @@ def violation_search(
     restarts = 1 if target == w.dims.as_tuple() else cfg.restarts
     best: SeesawRun | None = None
     for restart in range(restarts):
-        rng = np.random.default_rng(int(cfg.seed) + restart)  # a numpy seed would wrap at its width
+        rng = np.random.Generator(np.random.PCG64(int(cfg.seed) + restart))  # default_rng's stream; int(): no wrap
         run = seesaw_minimize(prepared, w.dims, target, rng, cfg.max_sweeps, tol=tol)
         if best is None or run.value < best.value:
             best = run

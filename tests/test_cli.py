@@ -561,6 +561,50 @@ def test_search_rejects_bad_config_with_one_error_line(tmp_path, capsys, monkeyp
     assert "must be an integer" in err
 
 
+@pytest.mark.parametrize("command", ["search", "gen"])
+@pytest.mark.parametrize(
+    "flags,env,source",
+    [
+        (["--seed", "-1"], None, "--seed"),
+        (["--seed", "-1"], "3", "--seed"),
+        ([], "-1", "TRIWIT_SEED"),
+        ([], "abc", "TRIWIT_SEED"),
+        ([], "1.5", "TRIWIT_SEED"),
+        ([], "", "TRIWIT_SEED"),
+    ],
+)
+def test_bad_seed_names_its_source_in_one_error_line(tmp_path, capsys, monkeypatch, command, flags, env, source):
+    # a negative --seed, or a TRIWIT_SEED that is not an integer >= 0, exits 2
+    # with one line that names the flag or the variable, not numpy's or int()'s
+    if env is None:
+        monkeypatch.delenv("TRIWIT_SEED", raising=False)
+    else:
+        monkeypatch.setenv("TRIWIT_SEED", env)
+    if command == "search":
+        argv = ["search", _write(tmp_path / "w.json", _witness_doc()), "--sr", "1,2,2", "--restarts", "1"]
+    else:
+        argv = ["gen", "--sr", "1,2,2", "--dims", "2,2,2", "--sample"]
+    code = main(argv + flags)
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith(f"error: {source} must be an integer >= 0, got ")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["search", "gen"])
+def test_seed_flag_wins_over_a_bad_environment_seed(tmp_path, capsys, monkeypatch, command):
+    monkeypatch.setenv("TRIWIT_SEED", "abc")
+    if command == "search":
+        argv = ["search", _write(tmp_path / "w.json", _witness_doc()), "--sr", "1,2,2", "--restarts", "1"]
+    else:
+        argv = ["gen", "--sr", "1,2,2", "--dims", "2,2,2", "--sample"]
+    assert main(argv + ["--seed", "4"]) == 0
+    monkeypatch.setenv("TRIWIT_SEED", " 4\n")
+    first = capsys.readouterr().out
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+
+
 @pytest.mark.parametrize("s", ["nan,1,1,1", "inf,1,1,1"])
 def test_classify_rejects_non_finite_params(capsys, s):
     code, _ = _run(capsys, ["classify", "--s", s, "--t", "1,1,1,1"])

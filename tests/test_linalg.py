@@ -440,8 +440,7 @@ def test_least_2x2_matches_eigh(m):
     m[np.triu_indices(n, 1)] = 7.0 - 5.0j
     y, value = _least(m)
     if n == 2:
-        (m00, _), (m10, m11) = m.tolist()
-        y2, value2 = _least_2x2(m00, m10, m11)
+        y2, value2 = _least_2x2(m)
         assert value == value2
         np.testing.assert_array_equal(y, y2)
     w, v = _eigh(m)
@@ -457,7 +456,7 @@ def test_least_2x2_matches_eigh(m):
 
 
 def test_least_2x2_of_a_multiple_of_the_identity_is_e1():
-    y, value = _least_2x2(2.5, 0j, 2.5)
+    y, value = _least_2x2(2.5 * np.eye(2, dtype=complex))
     np.testing.assert_array_equal(y, [1.0, 0.0])
     assert value == 2.5
 
@@ -469,7 +468,7 @@ def test_least_2x2_of_a_multiple_of_the_identity_is_e1():
 )
 def test_least_2x2_rejects_non_finite(m00, m10, m11):
     with pytest.raises(np.linalg.LinAlgError):
-        _least_2x2(m00, m10, m11)
+        _least_2x2(np.array([[m00, 0.0], [m10, m11]], dtype=complex))
 
 
 # From 14 x 14 up _least takes the eigenvalues alone and one inverse-iteration

@@ -945,3 +945,133 @@ def test_violation_search_gates_w_once(target, monkeypatch):
     assert len(calls) == 1
     seesaw_minimize(_witness_matrix().mat, QUBITS, target, np.random.default_rng(0), max_sweeps=3)
     assert len(calls) == 2
+
+
+def _reference_draw_complex(rng, *shapes):
+    """The start draws as blocks of re + 1j * im, the form that search._draw_complex reproduces byte for byte."""
+    draws = rng.standard_normal(2 * sum(map(math.prod, shapes)))
+    imag, blocks, start = 1j * draws, [], 0
+    for shape in shapes:
+        size = math.prod(shape)
+        blocks.append(draws[start : start + size].reshape(shape) + imag[start + size : start + 2 * size].reshape(shape))
+        start += 2 * size
+    return blocks
+
+
+def _reference_cut_run(prep, rng, max_sweeps, convergence_eps=1e-10):
+    """A cut-target restart as the reference loop runs it: the draws of :func:`_reference_draw_complex`, and
+    each step solved by ``linalg._least`` on the reshaped products, allocated afresh every step."""
+    threshold = math.ldexp(convergence_eps, prep.exponent)
+    *factors, core = _reference_draw_complex(rng, *prep.draws)
+    (mode,) = prep.free
+    for other in range(3):
+        if other != mode:
+            core = _mode_product(factors[other], core, other)
+    w_u, w_c = prep.w_u, prep.w_c
+    d, r = w_c.shape[1], w_u.shape[1]
+    u = factors[mode].reshape(d) / math.sqrt(np.vdot(factors[mode], factors[mode]).real)
+    c = core.reshape(r) / math.sqrt(np.vdot(core, core).real)
+    record = search._Record(prep.w_cut, (u[:, None] * c).reshape(-1))
+    sweeps, converged = 0, False
+    while sweeps < max_sweeps and not converged:
+        sweeps += 1
+        sweep_start = record.value
+        y, value = linalg._least(w_u.dot(c).reshape(d * d, r).dot(c.conj()).reshape(d, d))
+        if record.keep(value):
+            u = y
+        y, value = linalg._least(w_c.dot(u).reshape(r * r, d).dot(u.conj()).reshape(r, r))
+        if record.keep(value):
+            c = y
+        converged = sweep_start - record.value < threshold
+    xi = (u[:, None] * c).reshape(prep.cut_shape).transpose(prep.cut_inverse).reshape(-1)
+    return record.run(xi, sweeps, converged)
+
+
+def _run_fields(run):
+    return run.xi.tobytes(), run.value, run.objective_trace, run.sweeps, run.converged, run.rejected
+
+
+# the qubit cut targets; (1,3,3), whose u step is 3x3; and (1,4,4) in (2,4,4), whose c step is 16x16 and
+# takes _least's inverse-iteration route
+CUT_TARGETS = [
+    ((2, 2, 2), (1, 2, 2)),
+    ((2, 2, 2), (2, 1, 2)),
+    ((2, 2, 2), (2, 2, 1)),
+    ((3, 3, 3), (1, 3, 3)),
+    ((2, 4, 4), (1, 4, 4)),
+]
+
+
+@pytest.mark.parametrize("dims,target", CUT_TARGETS)
+def test_cut_loop_matches_the_reference_loop_bit_for_bit(dims, target):
+    # the cut loop picks its solvers once per witness and writes its products
+    # into buffers, the same arithmetic in the same order: every restart, with
+    # the default threshold and with convergence_eps=0, where ties at
+    # convergence give rejected steps, equals the reference field by field
+    wmat = _rand_hermitian(np.random.default_rng([28, *dims, *target]), math.prod(dims))
+    prep = _prepared(wmat, TriDims(*dims), target)
+    rejected = 0
+    for seed in range(3):
+        for eps, sweeps in ((1e-10, 200), (0.0, 60)):
+            want = _reference_cut_run(prep, np.random.default_rng(seed), sweeps, eps)
+            for w in (wmat, prep):
+                got = seesaw_minimize(w, TriDims(*dims), target, np.random.default_rng(seed), sweeps, eps)
+                assert _run_fields(got) == _run_fields(want)
+            rejected += want.rejected
+    assert rejected > 0
+
+
+@pytest.mark.parametrize("dims,target", CUT_TARGETS)
+def test_cut_search_matches_the_reference_restarts_bit_for_bit(dims, target, monkeypatch):
+    # violation_search seeds each restart's generator as default_rng(seed + restart) does, so
+    # every restart it runs, and its outcome, equal the reference's
+    n = math.prod(dims)
+    runs = []
+
+    def recorded(*args, **kwargs):
+        runs.append(seesaw_minimize(*args, **kwargs))
+        return runs[-1]
+
+    monkeypatch.setattr(search, "seesaw_minimize", recorded)
+    for seed in range(3):
+        wmat = _rand_hermitian(np.random.default_rng([29, seed, *target]), n)
+        wmat -= (hermitian_eig(wmat)[0][0] + (0.5 if seed == 0 else 0.0)) * np.eye(n)
+        cfg = SeesawConfig(restarts=4, seed=100 + seed)
+        prep = _prepared(wmat, TriDims(*dims), target)
+        want = [_reference_cut_run(prep, np.random.default_rng(cfg.seed + k), cfg.max_sweeps) for k in range(4)]
+        runs.clear()
+        out = violation_search(TriOperator(TriDims(*dims), wmat), target, cfg)
+        assert [_run_fields(run) for run in runs] == [_run_fields(run) for run in want]
+        best = min(want, key=lambda run: run.value)
+        xi = out.xi if isinstance(out, ViolationCertificate) else out.best_xi
+        assert xi.data.tobytes() == best.xi.tobytes()
+
+
+def _draw_shapes():
+    """The start draws' shapes of every target with dims up to 3, once each."""
+    shapes = set()
+    for dims in itertools.product(range(1, 4), repeat=3):
+        for target in itertools.product(*(range(1, d + 1) for d in dims)):
+            shapes.add((*zip(dims, target), target))
+    return sorted(shapes)
+
+
+def test_draw_complex_gives_the_bytes_of_re_plus_1j_im():
+    # each block equals re + 1j * im byte for byte, for the start draws of
+    # every target up to (3,3,3), and leaves the generator where one
+    # standard_normal call of all the parts leaves it
+    shapes = _draw_shapes()
+    assert len(shapes) > 100
+    for k, blocks in enumerate(shapes):
+        rng, ref = np.random.default_rng([30, k]), np.random.default_rng([30, k])
+        got, want = search._draw_complex(rng, *blocks), _reference_draw_complex(ref, *blocks)
+        assert [(b.shape, b.dtype, b.tobytes()) for b in got] == [(b.shape, b.dtype, b.tobytes()) for b in want]
+        assert rng.bit_generator.state == ref.bit_generator.state
+
+
+@pytest.mark.parametrize("dims,target", [((2, 2, 2), (1, 2, 2)), ((3, 3, 3), (2, 3, 1)), ((2, 3, 4), (2, 3, 4))])
+def test_sample_sr_vector_keeps_its_bytes(dims, target, monkeypatch):
+    got = [sample_sr_vector(TriDims(*dims), target, np.random.default_rng([31, k])).data for k in range(5)]
+    monkeypatch.setattr(search, "_draw_complex", _reference_draw_complex)
+    want = [sample_sr_vector(TriDims(*dims), target, np.random.default_rng([31, k])).data for k in range(5)]
+    assert [x.tobytes() for x in got] == [x.tobytes() for x in want]

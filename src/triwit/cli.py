@@ -224,11 +224,11 @@ def cmd_sr(args) -> dict:
 
 
 def cmd_classify(args) -> dict:
-    if args.grid_radii * args.grid_angles > GRID_MAX_POINTS:
-        raise TriwitError(f"an alpha grid of {args.grid_radii} x {args.grid_angles} points exceeds {GRID_MAX_POINTS}")
+    grid = AlphaGrid(radii=args.grid_radii, angles=args.grid_angles)
+    if grid.radii * grid.angles > GRID_MAX_POINTS:
+        raise TriwitError(f"an alpha grid of {grid.radii} x {grid.angles} points exceeds {GRID_MAX_POINTS}")
     params, payload = _family_params(args)
     tol = Tolerance(**_given_tolerances(args))
-    grid = AlphaGrid(radii=args.grid_radii, angles=args.grid_angles)
     report = classify(params, tol, grid)
     classes = {}
     for cls, cv in report.classes.items():

@@ -8,7 +8,7 @@ never increases.  The factors are kept orthonormal, and a factor update
 QR-gauges the core first, so the rest of the network around the block
 being solved is orthonormal and every update is a standard eigenproblem,
 solved by :func:`linalg._least`: no update whitens a Gram matrix or
-builds a Jacobian (see :func:`seesaw_minimize`).  Each reduced matrix is
+builds a Jacobian (see :func:`_tucker_seesaw`).  Each reduced matrix is
 two matrix products, the core update's from the environment of the
 sweep's last factor update, so a sweep reads W once per free factor.  A
 search gates W and lays it out once for all its restarts; a restart
@@ -31,7 +31,7 @@ from .errors import ConsistencyError, DimMismatch
 from .linalg import DEFAULT_TOL, Tolerance, _frobenius, _least, _least_solver, _qr, hermitize
 from .linalg import min_gen_eig  # noqa: F401  (the see-saw no longer calls it; bench/selftest reads search.min_gen_eig)
 from .schmidt import PosTriple, _triple, sr_leq, triple_leq
-from .tensor import TriDims, TriOperator, TriVector
+from .tensor import TriDims, TriOperator, TriVector, _check_count
 
 
 @dataclass(frozen=True)
@@ -41,11 +41,9 @@ class SeesawConfig:
     seed: int = 0
 
     def __post_init__(self):
-        # numpy integers count, bools do not: checked here, not partway through a search
+        # checked here, not partway through a search
         for name, least in (("restarts", 1), ("max_sweeps", 1), ("seed", 0)):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-                raise ValueError(f"{name} must be an integer >= {least}, got {value!r}")
+            _check_count(name, getattr(self, name), least)
 
 
 @dataclass(frozen=True)
@@ -74,7 +72,8 @@ class SeesawRun:
     not renormalised, and ``value`` is <xi|W|xi>.  ``sweeps`` is the number
     of sweeps run, and ``converged`` is False when the run stopped at
     ``max_sweeps`` with its last sweep still gaining at least the threshold
-    relative to ||W||_F of :func:`seesaw_minimize`.
+    relative to ||W||_F of :func:`seesaw_minimize`; target == dims converges
+    in its one sweep.
     """
 
     value: float
@@ -156,8 +155,7 @@ def sample_sr_vector(dims: TriDims, target, rng: np.random.Generator) -> TriVect
 
 def sample_state(dims: TriDims, target, n_terms: int, rng: np.random.Generator) -> TriOperator:
     """Unit-trace mixture of projectors onto sampled rank-bounded vectors."""
-    if n_terms < 1:
-        raise ValueError("n_terms must be >= 1")
+    _check_count("n_terms", n_terms, 1)
     mat = np.zeros((dims.total, dims.total), dtype=complex)
     for _ in range(n_terms):
         xi = sample_sr_vector(dims, target, rng).data
@@ -238,122 +236,108 @@ def seesaw_minimize(
     for a non-Hermitian or non-finite one), or the witness that
     :func:`violation_search` prepares from its gated W once for all its
     restarts.  ``target`` must satisfy ``1 <= target <= dims``, and match a
-    prepared witness's dims and target (else DimMismatch).  The vector is
-    the core multiplied by one factor per mode.  A factor with target rank
-    equal to its mode's dimension is drawn, absorbed into the core and fixed
-    at the identity, so each sweep updates only the factors narrower than
-    their mode, then the core: a cut target such as (1, 2, 2) on qubits
-    updates u and the core, and target == dims is the least eigenvalue of
-    ``wmat`` after one core update.
-
-    The free factors are kept orthonormal: after every accepted factor step
-    the factor's QR triangle is pushed into the core, which leaves the
-    vector as it is; the start core is scaled to a unit vector.  A factor
-    step first QR-gauges the core, the mirror image of that push: the core's
-    unfolding at the factor's mode is r.T q.T, and q.T, with orthonormal
-    rows, stands in for the core, r.T going into the factor that the step
-    solves for anyway.  The rest of the network (G, the gauged core, times
-    K, the Kronecker product of the free neighbours' factors) then has
-    orthonormal rows, so the step is one standard eigenproblem of W, axes
-    ordered mode, saturated neighbours, free ones, contracted with the rest
-    by :func:`_sandwich`.  The sweep's last factor step first contracts W
-    into its environment B = (I (x) K)* W (I (x) K), saturated neighbours
-    left open, and solves (I (x) G)* B (I (x) G); the core step then solves
-    (F (x) I)* B (F (x) I), F the factor that step left, since neither step
-    changes K.  So a sweep reads W once per free factor; only target == dims
-    has the core step solve W itself.  A factor of rank above the product of
-    the other two ranks narrows to that product, which bounds every vector's
-    rank at its mode anyway.  Each step solves its reduced matrix with
-    :func:`linalg._least`, and is kept only if the candidate unit xi's value
-    <xi|W|xi> does not increase: every other block being orthonormal, that
-    value is the reduced matrix's least value, so no step multiplies by W or
-    assembles xi.  The objective is non-increasing by construction, ``rng``
-    is read only for the start, by one call of :func:`_draw_complex`, and
-    ``tol`` only by the entry gate, which a prepared witness has passed.
-    The value is <xi|W|xi> of the returned unit vector.
-
-    A cut target, whose one factor narrower than its mode has rank one,
-    runs :func:`_cut_seesaw` instead, chosen from the target and dims
-    alone; every other target runs the general loop above.  Both stop after
-    the first sweep that gains less than ``convergence_eps`` times the least
-    power of two above ||W||_F, so a power-of-two multiple of W runs the
-    same sweeps to the same vector.  ``convergence_eps`` is a parameter only
-    because ``bench/tracing.py`` reads it by name.
+    prepared witness's dims and target (else DimMismatch).  ``rng`` is read
+    only for the start, by one call of :func:`_draw_complex`, and ``tol``
+    only by the entry gate, which a prepared witness has passed.  A factor
+    as wide as its mode is drawn, absorbed into the core and fixed.  A cut
+    target, whose one factor narrower than its mode has rank one, runs
+    :func:`_cut_seesaw`, chosen from the target and dims alone; every other
+    target runs :func:`_tucker_seesaw`, and target == dims stops there after
+    one core update, at the least eigenvalue of ``wmat``.  Both loops stop
+    after the first sweep that gains less than ``convergence_eps`` times the
+    least power of two above ||W||_F, so a power-of-two multiple of W runs
+    the same sweeps to the same vector.  The objective is non-increasing, and
+    the value is <xi|W|xi> of the returned unit vector.  ``convergence_eps``
+    is a parameter only because ``bench/tracing.py`` reads it by name.
     """
     if isinstance(wmat, _Witness):
         if (dims, tuple(target)) != (wmat.dims, wmat.ranks):
             raise DimMismatch(f"prepared for {wmat.shape} and {tuple(wmat.ranks)}, not {dims} and {tuple(target)}")
         prep = wmat
     else:
-        wmat = hermitize(wmat, tol)
-        prep = _Witness(wmat, dims, _fit_target(target, dims))
+        prep = _Witness(hermitize(wmat, tol), dims, _fit_target(target, dims))
     threshold = math.ldexp(convergence_eps, prep.exponent)
-    wmat, shape, free = prep.wmat, prep.shape, prep.free
     *factors, core = _draw_complex(rng, *prep.draws)
     # a factor as wide as its mode spans it: absorb it into the core and hold
     # it at the identity (None), which leaves the reachable cone as it is
     for mode in range(3):
-        if mode not in free:
+        if mode not in prep.free:
             core = _mode_product(factors[mode], core, mode)
             factors[mode] = None
     if prep.cut:
-        return _cut_seesaw(prep, factors[free[0]], core, max_sweeps, threshold)
+        return _cut_seesaw(prep, factors[prep.free[0]], core, max_sweeps, threshold)
+    return _tucker_seesaw(prep, factors, core, max_sweeps, threshold)
 
-    def set_factor(mode, x) -> None:
-        """Store ``x = q r`` as its orthonormal ``q`` and push ``r`` into the core; xi is unchanged."""
-        nonlocal core
-        factors[mode], r = _qr(x)
-        core = _mode_product(r, core, mode)
 
+def _tucker_seesaw(prep: _Witness, factors, core, max_sweeps, threshold) -> SeesawRun:
+    """The see-saw of :func:`seesaw_minimize` on every target that is not a cut.
+
+    The vector is the ``core`` multiplied by one factor per mode, the
+    ``factors`` as wide as their mode absorbed into the core and held at the
+    identity (None), so each sweep updates only the factors narrower than
+    their mode, then the core.  The free factors are kept orthonormal: after
+    every accepted factor step the factor's QR triangle is pushed into the
+    core, which leaves the vector as it is; the start core is scaled to a
+    unit vector.  A factor step first QR-gauges the core, the mirror image
+    of that push: the core's unfolding at the factor's mode is r.T q.T, and
+    q.T, with orthonormal rows, stands in for the core, r.T going into the
+    factor that the step solves for anyway.  The rest of the network (G, the
+    gauged core, times K, the Kronecker product of the free neighbours'
+    factors) then has orthonormal rows, so the step is one standard
+    eigenproblem of W, axes ordered mode, saturated neighbours, free ones,
+    contracted with the rest by :func:`_sandwich`.  The sweep's last factor
+    step first contracts W into its environment B = (I (x) K)* W (I (x) K),
+    saturated neighbours left open, and solves (I (x) G)* B (I (x) G); the
+    core step then solves (F (x) I)* B (F (x) I), F the factor that step
+    left, since neither step changes K.  So a sweep reads W once per free
+    factor; only target == dims has the core step solve W itself, and stops
+    after that one sweep.  A factor of rank above the product of the other
+    two ranks narrows to that product, which bounds every vector's rank at
+    its mode anyway.  Each step solves its reduced matrix with
+    :func:`linalg._least`, and is kept only if the candidate unit xi's value
+    <xi|W|xi> does not increase: every other block being orthonormal, that
+    value is the reduced matrix's least value, so no step multiplies by W or
+    assembles xi.
+    """
+    shape, free, last = prep.shape, prep.free, prep.last
     for mode in free:
-        set_factor(mode, factors[mode])
+        factors[mode], r = _qr(factors[mode])
+        core = _mode_product(r, core, mode)
     core = core / math.sqrt(np.vdot(core, core).real)
-
-    def factor_step(mode) -> np.ndarray:
-        """Minimize over factor ``mode`` in the core's QR gauge under the step rule; return the matrix it solved from."""
-        nonlocal core
-        order = prep.orders[mode]
-        first = core.transpose(order)
-        # the unfolding is r.T q.T and q.T the gauged core; r.T is never
-        # stored, since a kept step replaces the factor and a rejected one
-        # leaves the core and the factor as they were
-        q = _qr(first.reshape(first.shape[0], -1).T)[0]
-        # K, the Kronecker product of the free neighbours' factors; q's saturated axes stay open
-        kron = None
-        for f in [factors[axis] for axis in prep.neighbours[mode]]:
-            kron = f if kron is None else (kron[:, None, :, None] * f[None, :, None, :]).reshape(
-                kron.shape[0] * f.shape[0], -1)
-        env, rest = prep.wfirst[mode], q
-        if mode != prep.last:
-            rest = (kron @ q.reshape(-1, kron.shape[1], q.shape[1])).reshape(-1, q.shape[1])
-        elif kron is not None:
-            env = _sandwich(env, kron)
-        y, value = _least(_sandwich(env, rest))
-        if record.keep(value):
-            core = q.T.reshape((q.shape[1],) + first.shape[1:]).transpose(prep.inverses[mode])
-            set_factor(mode, y.reshape(shape[mode], -1))
-        return env
-
-    def core_step(env) -> None:
-        """Minimize over the core from ``env``, the last factor step's environment or W, under the step rule."""
-        nonlocal core
-        if free:
-            d, p = shape[prep.last], env.shape[0] // shape[prep.last]
-            env = _sandwich(env.reshape(d, p, d, p).transpose(1, 0, 3, 2).reshape(env.shape), factors[prep.last])
-        y, value = _least(env)
-        if record.keep(value):
-            core = y.reshape(core.transpose(prep.core_order).shape).transpose(prep.core_inverse)
-
-    record = _Record(wmat, _apply(factors, core).reshape(-1))
-    sweeps, converged = 0, False
+    record = _Record(prep.wmat, _apply(factors, core).reshape(-1))
+    env, sweeps, converged = prep.wmat, 0, False
     while sweeps < max_sweeps and not converged:
         sweeps += 1
         sweep_start = record.value
-        env = wmat
         for mode in free:
-            env = factor_step(mode)
-        core_step(env)
-        converged = sweep_start - record.value < threshold
+            first = core.transpose(prep.orders[mode])
+            # the unfolding is r.T q.T and q.T the gauged core; r.T is never
+            # stored, since a kept step replaces the factor and a rejected one
+            # leaves the core and the factor as they were
+            q = _qr(first.reshape(first.shape[0], -1).T)[0]
+            # K, the Kronecker product of the free neighbours' factors; q's saturated axes stay open
+            kron = None
+            for f in [factors[axis] for axis in prep.neighbours[mode]]:
+                kron = f if kron is None else (kron[:, None, :, None] * f[None, :, None, :]).reshape(
+                    kron.shape[0] * f.shape[0], -1)
+            env, rest = prep.wfirst[mode], q
+            if mode != last:
+                rest = (kron @ q.reshape(-1, kron.shape[1], q.shape[1])).reshape(-1, q.shape[1])
+            elif kron is not None:
+                env = _sandwich(env, kron)
+            y, value = _least(_sandwich(env, rest))
+            if record.keep(value):
+                core = q.T.reshape((q.shape[1],) + first.shape[1:]).transpose(prep.inverses[mode])
+                factors[mode], r = _qr(y.reshape(shape[mode], -1))
+                core = _mode_product(r, core, mode)
+        # the core step, from the last factor step's environment, or from W when no factor is free
+        if free:
+            d, p = shape[last], env.shape[0] // shape[last]
+            env = _sandwich(env.reshape(d, p, d, p).transpose(1, 0, 3, 2).reshape(env.shape), factors[last])
+        y, value = _least(env)
+        if record.keep(value):
+            core = y.reshape(core.transpose(prep.core_order).shape).transpose(prep.core_inverse)
+        converged = not free or sweep_start - record.value < threshold
     return record.run(_apply(factors, core).reshape(-1), sweeps, converged)
 
 
@@ -373,7 +357,7 @@ def _cut_seesaw(prep: _Witness, u, core, max_sweeps, threshold) -> SeesawRun:
     size (a qubit u step, d = 2, in closed form).  Each candidate is
     valued on the matrix its step solved, y (x) c as the least value of
     M_u(c), and M_c is built once a sweep, for the u the u step leaves.
-    The loop keeps the general loop's draws, entry gate, step guard and
+    The loop keeps :func:`_tucker_seesaw`'s draws, entry gate, step guard and
     counts, and reaches its iterates up to rounding and the phase of u.
     """
     w_u, w_c, solve_u, solve_c = prep.w_u, prep.w_c, prep.solve_u, prep.solve_c

@@ -19,6 +19,12 @@ from .errors import DimMismatch
 MODE_A, MODE_B, MODE_C = 0, 1, 2
 
 
+def _check_count(name: str, value, least: int, error: type[Exception] = ValueError) -> None:
+    """Raise ``error`` unless ``value`` is an integer >= ``least``: numpy integers count, bools do not."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise error(f"{name} must be an integer >= {least}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class TriDims:
     """Subsystem dimensions (a, b, c), each at least 1."""
@@ -28,8 +34,10 @@ class TriDims:
     c: int
 
     def __post_init__(self):
-        if min(self.a, self.b, self.c) < 1:
-            raise DimMismatch(f"subsystem dimensions must be >= 1, got {self}")
+        # stored as Python integers, so that total cannot wrap as uint8 16 * 16 * 16 would
+        for name in ("a", "b", "c"):
+            _check_count(f"dimension {name}", getattr(self, name), 1, DimMismatch)
+            object.__setattr__(self, name, int(getattr(self, name)))
 
     @property
     def total(self) -> int:
@@ -55,10 +63,6 @@ class Permutation3:
     def __post_init__(self):
         if sorted(self.image) != [0, 1, 2]:
             raise ValueError(f"not a permutation of (0, 1, 2): {self.image}")
-
-    @classmethod
-    def identity(cls) -> "Permutation3":
-        return cls((0, 1, 2))
 
     def apply(self, triple):
         """Permute a 3-tuple the same way the parties are permuted."""

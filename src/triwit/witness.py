@@ -30,7 +30,7 @@ import numpy as np
 from .choi import BiLinearMap, from_choi, pair
 from .errors import ConsistencyError, NonPositive
 from .linalg import DEFAULT_TOL, Tolerance
-from .tensor import TriDims, TriOperator
+from .tensor import TriDims, TriOperator, _check_count
 
 QUBIT_DIMS = TriDims(2, 2, 2)
 
@@ -143,8 +143,8 @@ class AlphaGrid:
     angles: int = 64
 
     def __post_init__(self):
-        if self.radii < 1 or self.angles < 1:
-            raise ValueError("grid counts must be >= 1")
+        _check_count("radii", self.radii, 1)
+        _check_count("angles", self.angles, 1)
 
 
 def family_choi(params: QubitWitnessParams) -> BiLinearMap:

@@ -265,7 +265,7 @@ def test_permute_dual_cab_display():
 def test_permute_dual_identity_and_cycle():
     rng = np.random.default_rng(52)
     phi = family_choi(_rand_params(rng))
-    same = permute_dual(phi, Permutation3.identity())
+    same = permute_dual(phi, Permutation3((0, 1, 2)))
     np.testing.assert_allclose(same.choi.mat, phi.choi.mat)
     cycle = Permutation3((1, 2, 0))
     out = phi

@@ -681,6 +681,9 @@ def test_classify_grid_limit_counts_points(capsys, monkeypatch, member):
     assert main(["classify", *member, "--grid-radii", "4", "--grid-angles", "4"]) == 0
     assert main(["classify", *member, "--grid-radii", "4", "--grid-angles", "5"]) == 2
     assert capsys.readouterr().err.startswith("error: ")
+    # a negative count is named, not read as a grid of 4,000,000 points over the cap
+    assert main(["classify", *member, "--grid-radii", "-2000", "--grid-angles", "-2000"]) == 2
+    assert capsys.readouterr().err == "error: radii must be an integer >= 1, got -2000\n"
 
 
 def test_gen_takes_no_tolerance_flags(capsys):

@@ -621,15 +621,15 @@ def test_seesaw_contracts_hold_on_every_small_target():
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2)])
 def test_seesaw_full_target_is_one_eigenproblem(dims):
-    # every factor spans its mode, so the first core update is the least
-    # eigenvalue and the second sweep gains nothing
+    # every factor spans its mode, so the one core update is the least
+    # eigenvalue and the run stops after it, converged
     n = int(np.prod(dims))
     for seed in range(4):
         wmat = _rand_hermitian(np.random.default_rng(300 + seed), n)
         run = seesaw_minimize(wmat, TriDims(*dims), dims, np.random.default_rng(seed))
         least = hermitian_eig(wmat)[0][0]
         assert abs(run.value - least) <= 1e-9 * np.linalg.norm(wmat)
-        assert len(run.objective_trace) <= 2
+        assert run.sweeps == 1 and run.converged and len(run.objective_trace) == 1
 
 
 @pytest.mark.parametrize("dims", [(2, 2, 2), (2, 3, 2), (1, 2, 3), (1, 1, 1)])

@@ -3,6 +3,7 @@ import pytest
 
 from triwit import (
     ALL_PERMUTATIONS,
+    AlphaGrid,
     DimMismatch,
     MODE_A,
     MODE_B,
@@ -13,6 +14,7 @@ from triwit import (
     TriVector,
     flip,
     product_vector,
+    sample_state,
     unfold,
 )
 
@@ -36,6 +38,42 @@ def _basis(n, i):
 def test_tridims_rejects_zero():
     with pytest.raises(DimMismatch):
         TriDims(2, 0, 2)
+
+
+def _sample(n_terms):
+    return sample_state(QUBITS, (1, 1, 1), n_terms, np.random.default_rng(0))
+
+
+# every count follows SeesawConfig's rule when it is built: numpy integers
+# count, bools and integral floats do not.  Before, TriDims(2.5, 2, 2) built
+# with total 10.0 and failed later, AlphaGrid(radii=2.5) built and check_111
+# raised TypeError, and True passed as 1
+@pytest.mark.parametrize(
+    "build,error,name",
+    [
+        (lambda: TriDims(2.5, 2, 2), DimMismatch, "dimension a"),
+        (lambda: TriDims(2, True, 2), DimMismatch, "dimension b"),
+        (lambda: TriDims(2, 2, 3.0), DimMismatch, "dimension c"),
+        (lambda: AlphaGrid(radii=2.5), ValueError, "radii"),
+        (lambda: AlphaGrid(angles=True), ValueError, "angles"),
+        (lambda: AlphaGrid(radii=-2000), ValueError, "radii"),
+        (lambda: _sample(2.5), ValueError, "n_terms"),
+        (lambda: _sample(True), ValueError, "n_terms"),
+        (lambda: _sample(0), ValueError, "n_terms"),
+    ],
+    ids=["dims-float", "dims-bool", "dims-integral-float", "radii-float", "angles-bool", "radii-negative",
+         "terms-float", "terms-bool", "terms-zero"],
+)
+def test_counts_are_checked_when_built(build, error, name):
+    with pytest.raises(error, match=f"{name} must be an integer >= 1"):
+        build()
+
+
+def test_counts_take_numpy_integers():
+    assert TriDims(np.int64(2), np.uint8(2), 2).total == 8
+    assert TriDims(np.uint8(16), np.uint8(16), np.uint8(16)).total == 4096
+    assert AlphaGrid(np.int32(3), np.int64(5)).radii == 3
+    assert _sample(np.int64(2)).mat.shape == (8, 8)
 
 
 def test_trivector_length_check():
@@ -86,7 +124,7 @@ def test_unfold_diagonal_sum_explicit():
 def test_flip_identity_is_noop():
     rng = np.random.default_rng(12)
     xi = _rand_vector(rng, TriDims(2, 3, 4))
-    out = flip(xi, Permutation3.identity())
+    out = flip(xi, Permutation3((0, 1, 2)))
     np.testing.assert_allclose(out.data, xi.data)
     assert out.dims == xi.dims
 

@@ -28,7 +28,6 @@ from .errors import (
 )
 from .linalg import DEFAULT_TOL, Tolerance, hermitian_eig, min_gen_eig, svd_rank
 from .schmidt import (
-    PosTriple,
     SchmidtRank,
     admissible,
     all_admissible,

@@ -8,7 +8,8 @@ LAPACK's ``zheevd``, through the one helper ``_eigh``, except that the
 one ``_least`` of every see-saw step solves a 2x2 in closed form and from
 14x14 up takes ``zheevd``'s eigenvalues and one ``zgesv`` solve, by the
 size rule of ``_least_solver``.  Every QR factorization goes through
-``zgeqrf``, in the one helper ``_qr``.
+``zgeqrf``, in the one helper ``_qr``.  The generalized eigenproblem,
+``min_gen_eig``, is kept only for the bench and the tests.
 """
 
 from __future__ import annotations
@@ -251,41 +252,25 @@ def _spectrum_rank(s: np.ndarray, tol: Tolerance) -> int:
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
 
 
-def _whitening(b: np.ndarray, tol: Tolerance) -> np.ndarray:
-    """Columns ``s`` with ``s* b s == I`` that span the numerical range of ``b``.
-
-    ``b`` is Hermitian positive semidefinite and read from its lower
-    triangle.  Eigenvectors of ``b`` with eigenvalue at most
-    ``psd_abs * ||b||_2`` are projected out, so the rule does not depend on
-    the scale of ``b``.  Raises DegeneratePencil when ``b`` holds a NaN or
-    inf (the eigensolver may fail on it, or return finite values), or has
-    no eigenvalue above that floor, which for ``psd_abs < 1`` means that
-    ``b`` is zero.
-    """
-    if not np.isfinite(b).all():
-        raise DegeneratePencil("right-hand matrix is not finite")
-    bw, bv = _eigh(b)
-    floor = tol.psd_abs * max(abs(bw[0]), abs(bw[-1]))
-    keep = bw > floor
-    if not np.any(keep):
-        raise DegeneratePencil("right-hand matrix has no numerically positive eigenvalue")
-    return bv[:, keep] / np.sqrt(bw[keep])
-
-
 def min_gen_eig(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL):
-    """Minimize the generalized Rayleigh quotient x*ax / x*bx.
+    """Minimize the generalized Rayleigh quotient x*ax / x*bx; kept only for the bench and the tests.
 
     ``a`` must be Hermitian and ``b`` Hermitian positive semidefinite.  The
     quotient is minimized over the numerical range of ``b``: eigenvectors of
-    ``b`` with eigenvalue at most ``psd_abs * ||b||_2`` are projected out and
-    the reduced standard problem is solved on the rest.  Returns
-    ``(value, x)`` where the minimizer satisfies ``x* b x == 1``.
+    ``b`` with eigenvalue at most ``psd_abs * ||b||_2`` are projected out, so
+    the rule does not depend on the scale of ``b``, and the reduced standard
+    problem is solved on the rest, whitened.  Returns ``(value, x)`` where
+    the minimizer satisfies ``x* b x == 1``.
 
     Raises NotHermitian when ``a`` or ``b`` is not Hermitian or not finite
-    (the gate of :func:`hermitize`), and DegeneratePencil when ``b`` is zero.
+    (the gate of :func:`hermitize`), and DegeneratePencil when ``b`` has no
+    eigenvalue above that floor, which for ``psd_abs < 1`` means it is zero.
     """
     a = hermitize(a, tol)
-    whiten = _whitening(hermitize(b, tol), tol)
+    bw, bv = _eigh(hermitize(b, tol))
+    keep = bw > tol.psd_abs * max(abs(bw[0]), abs(bw[-1]))
+    if not np.any(keep):
+        raise DegeneratePencil("right-hand matrix has no numerically positive eigenvalue")
+    whiten = bv[:, keep] / np.sqrt(bw[keep])
     aw, av = _eigh(whiten.conj().T @ a @ whiten)
-    x = whiten @ av[:, 0]
-    return float(aw[0]), x
+    return float(aw[0]), whiten @ av[:, 0]

@@ -24,14 +24,6 @@ class SchmidtRank(NamedTuple):
     gamma: int
 
 
-class PosTriple(NamedTuple):
-    """A positivity-class / rank-bound triplet, componentwise partial order."""
-
-    p: int
-    q: int
-    r: int
-
-
 def _triple(t) -> tuple[int, int, int]:
     """The entries of the triplet ``t`` as three ints; ValueError unless it has exactly three integral entries."""
     entries = tuple(t)

@@ -30,7 +30,7 @@ import numpy as np
 from .errors import ConsistencyError, DimMismatch
 from .linalg import DEFAULT_TOL, Tolerance, _frobenius, _least, _least_solver, _qr, hermitize
 from .linalg import min_gen_eig  # noqa: F401  (the see-saw no longer calls it; bench/selftest reads search.min_gen_eig)
-from .schmidt import PosTriple, _triple, sr_leq, triple_leq
+from .schmidt import SchmidtRank, _triple, sr_leq, triple_leq
 from .tensor import TriDims, TriOperator, TriVector, _check_count
 
 
@@ -52,7 +52,7 @@ class ViolationCertificate:
 
     xi: TriVector
     value: float
-    target: PosTriple
+    target: SchmidtRank
 
 
 @dataclass(frozen=True)
@@ -130,10 +130,10 @@ def _assemble(u, v, w, core) -> np.ndarray:
     return np.einsum("xi,yj,zk,ijk->xyz", u, v, w, core).ravel()
 
 
-def _fit_target(target, dims: TriDims) -> PosTriple:
+def _fit_target(target, dims: TriDims) -> SchmidtRank:
     """The target rank triplet as integers: ValueError unless it has three
     integral entries, DimMismatch unless 1 <= target <= dims."""
-    t = PosTriple(*_triple(target))
+    t = SchmidtRank(*_triple(target))
     if min(t) < 1 or not triple_leq(t, dims.as_tuple()):
         raise DimMismatch(f"target {tuple(target)} does not fit in dims {dims.as_tuple()}")
     return t
@@ -188,34 +188,32 @@ def _sandwich(env: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 class _Witness:
     """A gated W prepared for one target: all that a see-saw restart reads of W, the dims and the target
-    alone, built once per search and shared by its restarts (see :func:`seesaw_minimize`)."""
+    alone, built once per search and shared by its restarts (see :func:`seesaw_minimize`).  Each mode's
+    axis order is it, its saturated neighbours (open axes of every step), then its free ones, which
+    ``inverses`` puts back; ``wfirst`` holds W, flat in 2-D, in each free mode's order.  A cut's one free
+    mode is followed by both neighbours in ascending order, and its ``wfirst`` regrouped is ``w_u`` and ``w_c``."""
 
-    def __init__(self, wmat: np.ndarray, dims: TriDims, ranks: PosTriple):
+    def __init__(self, wmat: np.ndarray, dims: TriDims, ranks: SchmidtRank):
         self.wmat, self.dims, self.ranks, self.shape = wmat, dims, ranks, dims.as_tuple()
         self.scale = _frobenius(wmat)
         self.exponent = math.frexp(self.scale)[1]
         shape, n = self.shape, dims.total
         self.draws = (*zip(shape, ranks), tuple(ranks))
         free = self.free = [mode for mode in range(3) if ranks[mode] < shape[mode]]
-        self.cut = len(free) == 1 and ranks[free[0]] == 1
-        if self.cut:
-            # W with the free mode first, flat in 2-D as _cut_seesaw reads it, and the order that puts xi's axes back
-            d, r = shape[free[0]], n // shape[free[0]]
-            order = free + [other for other in range(3) if other != free[0]]
-            w4 = wmat.reshape(shape * 2).transpose(order + [3 + other for other in order]).reshape(d, r, d, r)
-            self.w_cut = w4.reshape(n, n)
-            self.w_u = w4.transpose(0, 2, 1, 3).reshape(d * d * r, r)
-            self.w_c = w4.transpose(1, 3, 0, 2).reshape(r * r * d, d)
-            self.cut_shape, self.cut_inverse = [shape[axis] for axis in order], [order.index(axis) for axis in range(3)]
-            self.solve_u, self.solve_c = _least_solver(d), _least_solver(r)
-            return
-        # each mode's axis order: it, its saturated neighbours (open axes of every step), its free ones, and W
-        # in each free mode's order; the core step's order is the last factor step's open axes, then its mode
         orders = self.orders = [[m] + sorted((o for o in range(3) if o != m), key=free.__contains__) for m in range(3)]
         self.inverses = [[order.index(axis) for axis in range(3)] for order in orders]
-        self.neighbours = [[axis for axis in order[1:] if axis in free] for order in orders]
         axes = {mode: orders[mode] + [3 + o for o in orders[mode]] for mode in free}
         self.wfirst = {mode: wmat.reshape(shape * 2).transpose(axes[mode]).reshape(n, n) for mode in free}
+        self.cut = len(free) == 1 and ranks[free[0]] == 1
+        if self.cut:
+            d, r = shape[free[0]], n // shape[free[0]]
+            w4 = self.wfirst[free[0]].reshape(d, r, d, r)
+            self.w_u = w4.transpose(0, 2, 1, 3).reshape(d * d * r, r)
+            self.w_c = w4.transpose(1, 3, 0, 2).reshape(r * r * d, d)
+            self.solve_u, self.solve_c = _least_solver(d), _least_solver(r)
+            return
+        # the core step's order is the last factor step's open axes, then its mode
+        self.neighbours = [[axis for axis in order[1:] if axis in free] for order in orders]
         last = self.last = free[-1] if free else 0
         self.core_order = orders[last][1:] + [last] if free else [0, 1, 2]
         self.core_inverse = [self.core_order.index(axis) for axis in range(3)]
@@ -244,12 +242,17 @@ def seesaw_minimize(
     :func:`_cut_seesaw`, chosen from the target and dims alone; every other
     target runs :func:`_tucker_seesaw`, and target == dims stops there after
     one core update, at the least eigenvalue of ``wmat``.  Both loops stop
-    after the first sweep that gains less than ``convergence_eps`` times the
-    least power of two above ||W||_F, so a power-of-two multiple of W runs
-    the same sweeps to the same vector.  The objective is non-increasing, and
+    after ``max_sweeps``, an integer >= 0 (0 returns the start), or after the
+    first sweep that gains less than ``convergence_eps``, finite and >= 0,
+    times the least power of two above ||W||_F, so a power-of-two multiple
+    of W runs the same sweeps to the same vector; either out of range raises
+    ValueError before ``rng`` is read.  The objective is non-increasing, and
     the value is <xi|W|xi> of the returned unit vector.  ``convergence_eps``
     is a parameter only because ``bench/tracing.py`` reads it by name.
     """
+    _check_count("max_sweeps", max_sweeps, 0)
+    if not 0.0 <= convergence_eps < math.inf:
+        raise ValueError(f"convergence_eps must be finite and >= 0, got {convergence_eps!r}")
     if isinstance(wmat, _Witness):
         if (dims, tuple(target)) != (wmat.dims, wmat.ranks):
             raise DimMismatch(f"prepared for {wmat.shape} and {tuple(wmat.ranks)}, not {dims} and {tuple(target)}")
@@ -344,10 +347,10 @@ def _tucker_seesaw(prep: _Witness, factors, core, max_sweeps, threshold) -> Sees
 def _cut_seesaw(prep: _Witness, u, core, max_sweeps, threshold) -> SeesawRun:
     """The see-saw of :func:`seesaw_minimize` on a cut target, where only one mode is free, at rank one.
 
-    In the free mode's first order the vector is u (x) c, u the factor ``u``
-    of that mode and c the flattened ``core`` (the other two modes,
-    absorbed).  ``prep`` holds W, with the free mode first on both sides, in
-    the 2-D ``w_u`` (d d r x r) and ``w_c`` (r r d x d), so a step's reduced
+    In the free mode's order the vector is u (x) c, u the factor ``u`` of
+    that mode and c the flattened ``core`` (the other two modes, absorbed).
+    ``prep`` holds W in that order, ``wfirst``, which values the start, and
+    in the 2-D ``w_u`` (d d r x r) and ``w_c`` (r r d x d), so a step's reduced
     matrix, M_u(c) = (I (x) c)* W (I (x) c) or M_c(u), is two BLAS
     matrix-vector calls into buffers made once a restart, where 4-D blocks
     cost a numpy loop over d d (or r r) tiny products.  u and c start as
@@ -358,13 +361,15 @@ def _cut_seesaw(prep: _Witness, u, core, max_sweeps, threshold) -> SeesawRun:
     valued on the matrix its step solved, y (x) c as the least value of
     M_u(c), and M_c is built once a sweep, for the u the u step leaves.
     The loop keeps :func:`_tucker_seesaw`'s draws, entry gate, step guard and
-    counts, and reaches its iterates up to rounding and the phase of u.
+    counts, and reaches its iterates up to rounding and the phase of u; xi's
+    axes go back by the mode's ``orders`` and ``inverses``, as there.
     """
     w_u, w_c, solve_u, solve_c = prep.w_u, prep.w_c, prep.solve_u, prep.solve_c
+    (mode,) = prep.free
     d, r = w_c.shape[1], w_u.shape[1]
     u = u.reshape(d) / math.sqrt(np.vdot(u, u).real)
     c = core.reshape(r) / math.sqrt(np.vdot(core, core).real)
-    record = _Record(prep.w_cut, (u[:, None] * c).reshape(-1))
+    record = _Record(prep.wfirst[mode], (u[:, None] * c).reshape(-1))
     wc, cbar, m_u, wu, ubar, m_c = (np.empty(s, complex) for s in ((d * d, r), r, (d, d), (r * r, d), d, (r, r)))
     wc_out, mu_out, wu_out, mc_out = wc.reshape(-1), m_u.reshape(-1), wu.reshape(-1), m_c.reshape(-1)
     sweeps, converged = 0, False
@@ -382,8 +387,8 @@ def _cut_seesaw(prep: _Witness, u, core, max_sweeps, threshold) -> SeesawRun:
         if record.keep(value):
             c = y
         converged = sweep_start - record.value < threshold
-    xi = (u[:, None] * c).reshape(prep.cut_shape).transpose(prep.cut_inverse).reshape(-1)
-    return record.run(xi, sweeps, converged)
+    xi = (u[:, None] * c).reshape([prep.shape[axis] for axis in prep.orders[mode]]).transpose(prep.inverses[mode])
+    return record.run(xi.reshape(-1), sweeps, converged)
 
 
 def violation_search(
@@ -410,7 +415,7 @@ def violation_search(
     best: SeesawRun | None = None
     for restart in range(restarts):
         rng = np.random.Generator(np.random.PCG64(int(cfg.seed) + restart))  # default_rng's stream; int(): no wrap
-        run = seesaw_minimize(prepared, w.dims, target, rng, cfg.max_sweeps, tol=tol)
+        run = seesaw_minimize(prepared, w.dims, target, rng, cfg.max_sweeps)
         if best is None or run.value < best.value:
             best = run
     xi = TriVector(w.dims, best.xi)

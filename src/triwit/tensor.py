@@ -19,10 +19,11 @@ from .errors import DimMismatch
 MODE_A, MODE_B, MODE_C = 0, 1, 2
 
 
-def _check_count(name: str, value, least: int, error: type[Exception] = ValueError) -> None:
-    """Raise ``error`` unless ``value`` is an integer >= ``least``: numpy integers count, bools do not."""
+def _check_count(name: str, value, least: int, error: type[Exception] = ValueError) -> int:
+    """``value`` as a Python int; ``error`` unless it is an integer >= ``least``: numpy integers count, bools do not."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
         raise error(f"{name} must be an integer >= {least}, got {value!r}")
+    return int(value)
 
 
 @dataclass(frozen=True)
@@ -36,8 +37,7 @@ class TriDims:
     def __post_init__(self):
         # stored as Python integers, so that total cannot wrap as uint8 16 * 16 * 16 would
         for name in ("a", "b", "c"):
-            _check_count(f"dimension {name}", getattr(self, name), 1, DimMismatch)
-            object.__setattr__(self, name, int(getattr(self, name)))
+            object.__setattr__(self, name, _check_count(f"dimension {name}", getattr(self, name), 1, DimMismatch))
 
     @property
     def total(self) -> int:
@@ -61,6 +61,8 @@ class Permutation3:
     image: tuple[int, int, int]
 
     def __post_init__(self):
+        # stored as a tuple of Python ints, so that a list or numpy image hashes and indexes as a tuple would
+        object.__setattr__(self, "image", tuple([_check_count("permutation entry", x, 0) for x in self.image]))
         if sorted(self.image) != [0, 1, 2]:
             raise ValueError(f"not a permutation of (0, 1, 2): {self.image}")
 
@@ -135,9 +137,10 @@ def unfold(xi: TriVector, mode: int) -> np.ndarray:
 
     Mode A gives a x (bc), B gives b x (ac), C gives c x (ab); the column
     index runs lexicographically over the remaining subsystems in
-    A-before-B-before-C order.  Raises DimMismatch for a mode outside 0..2.
+    A-before-B-before-C order.  Raises DimMismatch unless ``mode`` is an
+    integer (by the count rule, not a bool or a float) in 0..2.
     """
-    if mode not in (MODE_A, MODE_B, MODE_C):
+    if _check_count("mode", mode, MODE_A, DimMismatch) > MODE_C:
         raise DimMismatch(f"mode must be 0, 1 or 2, got {mode}")
     t = xi.as_tensor()
     return np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1)

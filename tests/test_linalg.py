@@ -14,7 +14,7 @@ from triwit import (
     svd_rank,
 )
 from triwit import linalg
-from triwit.linalg import _eigh, _least, _least_2x2, _qr, _whitening, hermitize
+from triwit.linalg import _eigh, _least, _least_2x2, _qr, hermitize
 
 
 def _rand_complex(rng, shape):
@@ -381,17 +381,22 @@ def test_min_gen_eig_matches_pinv_whitening(least):
 @pytest.mark.parametrize("psd_abs", [1e-9, 0.5])
 @pytest.mark.parametrize("g", [0.0, 1e-300, 1e-9, 2e-9, 0.5, 1.0, 1.5, 1e300, np.inf, np.nan])
 def test_scalar_floor_is_the_whitening_rule(g, psd_abs):
-    # the floor is relative, so _whitening keeps a 1x1 Gram matrix exactly
-    # when it is positive and finite, however small or large, and rejects
-    # every other value as a degenerate pencil
+    # the floor is relative, so min_gen_eig keeps a finite 1x1 b exactly
+    # when it is positive, however small or large, and rejects 0 as a
+    # degenerate pencil; an infinite or NaN b fails the Hermitian gate
+    a, b, tol = np.eye(1), np.array([[g]], dtype=complex), Tolerance(psd_abs=psd_abs)
+    if not np.isfinite(g):
+        with pytest.raises(NotHermitian):
+            min_gen_eig(a, b, tol)
+        return
     try:
-        s = _whitening(np.array([[g]], dtype=complex), Tolerance(psd_abs=psd_abs))
+        value, x = min_gen_eig(a, b, tol)
         kept = True
     except DegeneratePencil:
         kept = False
-    assert kept is (0 < g < np.inf)
+    assert kept is (g > 0)
     if kept:
-        assert abs(s[0, 0] ** 2 * g - 1) <= 1e-15
+        assert abs(abs(x[0]) ** 2 * g - 1) <= 1e-15 and abs(value * g - 1) <= 1e-15
 
 
 @pytest.mark.parametrize(
@@ -406,9 +411,9 @@ def test_scalar_floor_is_the_whitening_rule(g, psd_abs):
 )
 def test_whitening_rejects_a_non_finite_gram(b):
     # the eigensolver fails on some of these and returns finite eigenvalues
-    # with NaN columns on others; either way the pencil is degenerate
-    with pytest.raises(DegeneratePencil):
-        _whitening(np.array(b, dtype=complex), DEFAULT_TOL)
+    # with NaN columns on others, so min_gen_eig's gate rejects them first
+    with pytest.raises(NotHermitian):
+        min_gen_eig(np.eye(2), np.array(b, dtype=complex))
 
 
 def _least_2x2_cases():

@@ -88,6 +88,13 @@ def test_seesaw_config_takes_numpy_integers(seed):
     np.testing.assert_array_equal(out.best_xi.data, plain.best_xi.data)
 
 
+@pytest.mark.parametrize("eps", [np.nan, -1.0, np.inf])
+def test_seesaw_rejects_a_convergence_eps_out_of_range(eps):
+    # nan and -1.0 ran every sweep silently; no generator: eps is checked before one is read
+    with pytest.raises(ValueError, match="convergence_eps must be finite and >= 0"):
+        seesaw_minimize(np.eye(8), QUBITS, (1, 2, 2), None, convergence_eps=eps)
+
+
 def test_sample_product_vector():
     rng = np.random.default_rng(70)
     xi = sample_sr_vector(QUBITS, (1, 1, 1), rng)
@@ -211,6 +218,7 @@ def test_certificate_revalidates():
     w = _witness_matrix()
     out = violation_search(w, (2, 2, 2), SeesawConfig(restarts=5, seed=4))
     assert isinstance(out, ViolationCertificate)
+    assert out.target == SchmidtRank(2, 2, 2) and type(out.target) is SchmidtRank
     assert sr_leq(out.xi, out.target)
     assert abs(out.xi.norm() - 1.0) <= 1e-9
     revalue = (out.xi.data.conj() @ w.mat @ out.xi.data).real
@@ -971,7 +979,7 @@ def _reference_cut_run(prep, rng, max_sweeps, convergence_eps=1e-10):
     d, r = w_c.shape[1], w_u.shape[1]
     u = factors[mode].reshape(d) / math.sqrt(np.vdot(factors[mode], factors[mode]).real)
     c = core.reshape(r) / math.sqrt(np.vdot(core, core).real)
-    record = search._Record(prep.w_cut, (u[:, None] * c).reshape(-1))
+    record = search._Record(prep.wfirst[mode], (u[:, None] * c).reshape(-1))
     sweeps, converged = 0, False
     while sweeps < max_sweeps and not converged:
         sweeps += 1
@@ -983,8 +991,8 @@ def _reference_cut_run(prep, rng, max_sweeps, convergence_eps=1e-10):
         if record.keep(value):
             c = y
         converged = sweep_start - record.value < threshold
-    xi = (u[:, None] * c).reshape(prep.cut_shape).transpose(prep.cut_inverse).reshape(-1)
-    return record.run(xi, sweeps, converged)
+    xi = (u[:, None] * c).reshape([prep.shape[axis] for axis in prep.orders[mode]]).transpose(prep.inverses[mode])
+    return record.run(xi.reshape(-1), sweeps, converged)
 
 
 def _run_fields(run):

@@ -15,6 +15,7 @@ from triwit import (
     flip,
     product_vector,
     sample_state,
+    seesaw_minimize,
     unfold,
 )
 
@@ -44,28 +45,44 @@ def _sample(n_terms):
     return sample_state(QUBITS, (1, 1, 1), n_terms, np.random.default_rng(0))
 
 
+def _seesaw(max_sweeps):
+    # no generator: the count is checked before one is read
+    return seesaw_minimize(np.eye(8), QUBITS, (1, 2, 2), None, max_sweeps)
+
+
+_XI = TriVector(QUBITS, np.arange(8))
+
+
 # every count follows SeesawConfig's rule when it is built: numpy integers
 # count, bools and integral floats do not.  Before, TriDims(2.5, 2, 2) built
 # with total 10.0 and failed later, AlphaGrid(radii=2.5) built and check_111
-# raised TypeError, and True passed as 1
+# raised TypeError, and True passed as 1; unfold(xi, 1.0) raised TypeError
+# and unfold(xi, True) unfolded mode 1, Permutation3((0, 1, 2.0)) built and
+# failed in apply, and a see-saw ran max_sweeps=2.5, or 0 sweeps for -3
 @pytest.mark.parametrize(
-    "build,error,name",
+    "build,error,name,least",
     [
-        (lambda: TriDims(2.5, 2, 2), DimMismatch, "dimension a"),
-        (lambda: TriDims(2, True, 2), DimMismatch, "dimension b"),
-        (lambda: TriDims(2, 2, 3.0), DimMismatch, "dimension c"),
-        (lambda: AlphaGrid(radii=2.5), ValueError, "radii"),
-        (lambda: AlphaGrid(angles=True), ValueError, "angles"),
-        (lambda: AlphaGrid(radii=-2000), ValueError, "radii"),
-        (lambda: _sample(2.5), ValueError, "n_terms"),
-        (lambda: _sample(True), ValueError, "n_terms"),
-        (lambda: _sample(0), ValueError, "n_terms"),
+        (lambda: TriDims(2.5, 2, 2), DimMismatch, "dimension a", 1),
+        (lambda: TriDims(2, True, 2), DimMismatch, "dimension b", 1),
+        (lambda: TriDims(2, 2, 3.0), DimMismatch, "dimension c", 1),
+        (lambda: AlphaGrid(radii=2.5), ValueError, "radii", 1),
+        (lambda: AlphaGrid(angles=True), ValueError, "angles", 1),
+        (lambda: AlphaGrid(radii=-2000), ValueError, "radii", 1),
+        (lambda: _sample(2.5), ValueError, "n_terms", 1),
+        (lambda: _sample(True), ValueError, "n_terms", 1),
+        (lambda: _sample(0), ValueError, "n_terms", 1),
+        (lambda: unfold(_XI, 1.0), DimMismatch, "mode", 0),
+        (lambda: unfold(_XI, True), DimMismatch, "mode", 0),
+        (lambda: Permutation3((0, 1, 2.0)), ValueError, "permutation entry", 0),
+        (lambda: _seesaw(-3), ValueError, "max_sweeps", 0),
+        (lambda: _seesaw(2.5), ValueError, "max_sweeps", 0),
     ],
     ids=["dims-float", "dims-bool", "dims-integral-float", "radii-float", "angles-bool", "radii-negative",
-         "terms-float", "terms-bool", "terms-zero"],
+         "terms-float", "terms-bool", "terms-zero", "mode-float", "mode-bool", "permutation-float",
+         "sweeps-negative", "sweeps-float"],
 )
-def test_counts_are_checked_when_built(build, error, name):
-    with pytest.raises(error, match=f"{name} must be an integer >= 1"):
+def test_counts_are_checked_when_built(build, error, name, least):
+    with pytest.raises(error, match=f"{name} must be an integer >= {least}"):
         build()
 
 
@@ -74,6 +91,12 @@ def test_counts_take_numpy_integers():
     assert TriDims(np.uint8(16), np.uint8(16), np.uint8(16)).total == 4096
     assert AlphaGrid(np.int32(3), np.int64(5)).radii == 3
     assert _sample(np.int64(2)).mat.shape == (8, 8)
+    np.testing.assert_array_equal(unfold(_XI, np.int64(1)), unfold(_XI, MODE_B))
+    # a list or numpy image is stored as a tuple of ints, so it hashes and equals the tuple's permutation
+    for image in ([1, 0, 2], np.array([1, 0, 2]), (np.int64(1), np.uint8(0), 2)):
+        sigma = Permutation3(image)
+        assert sigma.image == (1, 0, 2) and all(type(x) is int for x in sigma.image)
+        assert sigma == Permutation3((1, 0, 2)) and hash(sigma) == hash(Permutation3((1, 0, 2)))
 
 
 def test_trivector_length_check():

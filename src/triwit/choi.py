@@ -18,8 +18,6 @@ from .errors import DimMismatch, NotHermitian, NotPSD
 from .linalg import DEFAULT_TOL, Tolerance, hermitian_eig
 from .tensor import Permutation3, TriDims, TriOperator, flip
 
-KrausSet = list  # of c x (ab) numpy arrays
-
 
 @dataclass(frozen=True)
 class BiLinearMap:
@@ -87,7 +85,7 @@ def elementary(v: np.ndarray, dims: TriDims) -> BiLinearMap:
     return from_choi(np.outer(vec, vec.conj()), dims)
 
 
-def kraus_decompose(phi: BiLinearMap, tol: Tolerance = DEFAULT_TOL) -> KrausSet:
+def kraus_decompose(phi: BiLinearMap, tol: Tolerance = DEFAULT_TOL) -> list[np.ndarray]:
     """Factor a PSD Choi matrix into elementary-map factors.
 
     Factor i is ``sqrt(lambda_i)`` times the i-th eigenvector reshaped from

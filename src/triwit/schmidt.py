@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotAdmissible, ZeroVector
 from .linalg import DEFAULT_TOL, Tolerance, _spectrum_rank, svd_rank
-from .tensor import Permutation3, TriDims, TriVector, unfold
+from .tensor import TriDims, TriVector, unfold
 
 
 class SchmidtRank(NamedTuple):
@@ -25,10 +25,10 @@ class SchmidtRank(NamedTuple):
 
 
 def _triple(t) -> tuple[int, int, int]:
-    """The entries of the triplet ``t`` as three ints; ValueError unless it has exactly three integral entries."""
+    """The triplet ``t``'s entries as three ints; ValueError unless it has exactly three integral entries, no bool."""
     entries = tuple(t)
     try:
-        ints = tuple(int(x) for x in entries)
+        ints = tuple([int(x) for x in entries if type(x) not in (bool, np.bool_)])  # a bool fails the test below
     except (TypeError, ValueError, OverflowError):
         ints = None
     if len(entries) != 3 or ints != entries:
@@ -164,9 +164,9 @@ def construct_state_with_sr(t, dims: TriDims) -> TriVector:
     t = _triple(t)
     if not admissible(t, dims):
         raise NotAdmissible(f"rank triplet {t} is not admissible in dims {dims.as_tuple()}")
-    order = Permutation3(tuple(sorted(range(3), key=t.__getitem__)))
-    tensor = _construct_ascending(*order.apply(t), order.apply(dims.as_tuple()))
-    return TriVector(dims, tensor.transpose(order.inverse().image).ravel())
+    order = tuple(sorted(range(3), key=t.__getitem__))
+    tensor = _construct_ascending(*(t[i] for i in order), tuple(dims.as_tuple()[i] for i in order))
+    return TriVector(dims, tensor.transpose(np.argsort(order)).ravel())
 
 
 def _mode_spectra(xi: TriVector) -> list[np.ndarray]:

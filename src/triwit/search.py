@@ -126,10 +126,6 @@ def _draw_complex(rng: np.random.Generator, *shapes) -> list[np.ndarray]:
     return blocks
 
 
-def _assemble(u, v, w, core) -> np.ndarray:
-    return np.einsum("xi,yj,zk,ijk->xyz", u, v, w, core).ravel()
-
-
 def _fit_target(target, dims: TriDims) -> SchmidtRank:
     """The target rank triplet as integers: ValueError unless it has three
     integral entries, DimMismatch unless 1 <= target <= dims."""
@@ -149,7 +145,7 @@ def sample_sr_vector(dims: TriDims, target, rng: np.random.Generator) -> TriVect
     p, q, r = _fit_target(target, dims)
     a, b, c = dims.as_tuple()
     *factors, core = _draw_complex(rng, (a, p), (b, q), (c, r), (p, q, r))
-    data = _assemble(*(_qr(f)[0] for f in factors), core)
+    data = np.einsum("xi,yj,zk,ijk->xyz", *(_qr(f)[0] for f in factors), core).ravel()
     return TriVector(dims, data / np.linalg.norm(data))
 
 
@@ -201,7 +197,7 @@ class _Witness:
         self.draws = (*zip(shape, ranks), tuple(ranks))
         free = self.free = [mode for mode in range(3) if ranks[mode] < shape[mode]]
         orders = self.orders = [[m] + sorted((o for o in range(3) if o != m), key=free.__contains__) for m in range(3)]
-        self.inverses = [[order.index(axis) for axis in range(3)] for order in orders]
+        self.inverses = [np.argsort(order).tolist() for order in orders]
         axes = {mode: orders[mode] + [3 + o for o in orders[mode]] for mode in free}
         self.wfirst = {mode: wmat.reshape(shape * 2).transpose(axes[mode]).reshape(n, n) for mode in free}
         self.cut = len(free) == 1 and ranks[free[0]] == 1
@@ -216,7 +212,7 @@ class _Witness:
         self.neighbours = [[axis for axis in order[1:] if axis in free] for order in orders]
         last = self.last = free[-1] if free else 0
         self.core_order = orders[last][1:] + [last] if free else [0, 1, 2]
-        self.core_inverse = [self.core_order.index(axis) for axis in range(3)]
+        self.core_inverse = np.argsort(self.core_order).tolist()
 
 
 def seesaw_minimize(

@@ -71,22 +71,10 @@ class Permutation3:
         return tuple(triple[i] for i in self.image)
 
     def inverse(self) -> "Permutation3":
-        inv = [0, 0, 0]
-        for slot, party in enumerate(self.image):
-            inv[party] = slot
-        return Permutation3(tuple(inv))
+        return Permutation3(tuple(np.argsort(self.image).tolist()))
 
 
 ALL_PERMUTATIONS = tuple(Permutation3(p) for p in itertools.permutations((0, 1, 2)))
-
-
-def _as_finite_complex(data, length: int, what: str) -> np.ndarray:
-    arr = np.asarray(data, dtype=complex).reshape(-1)
-    if arr.size != length:
-        raise DimMismatch(f"{what}: expected {length} entries, got {arr.size}")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{what}: entries must be finite")
-    return arr
 
 
 @dataclass(frozen=True)
@@ -97,7 +85,12 @@ class TriVector:
     data: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "data", _as_finite_complex(self.data, self.dims.total, "TriVector"))
+        data = np.asarray(self.data, dtype=complex).reshape(-1)
+        if data.size != self.dims.total:
+            raise DimMismatch(f"TriVector: expected {self.dims.total} entries, got {data.size}")
+        if not np.isfinite(data).all():
+            raise ValueError("TriVector: entries must be finite")
+        object.__setattr__(self, "data", data)
 
     def as_tensor(self) -> np.ndarray:
         return self.data.reshape(self.dims.as_tuple())
@@ -151,8 +144,11 @@ def flip(x, sigma: Permutation3):
 
     Basis kets keep their labels but the labels move to the permuted
     subsystems; operators are conjugated by the corresponding permutation
-    unitary.  The result carries the permuted dimensions.
+    unitary.  The result carries the permuted dimensions.  TypeError unless
+    ``sigma`` is a Permutation3 and ``x`` a TriVector or TriOperator.
     """
+    if not isinstance(sigma, Permutation3):
+        raise TypeError(f"flip expects sigma as a Permutation3, got {type(sigma).__name__}")
     if isinstance(x, TriVector):
         t = x.as_tensor().transpose(sigma.image)
         return TriVector(x.dims.permuted(sigma), t.ravel())

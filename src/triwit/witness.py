@@ -51,8 +51,7 @@ POLISH_MAXITER = 400
 POLISH_XATOL = 1e-12
 POLISH_FATOL = 1e-14
 
-# scipy's non-adaptive Nelder-Mead coefficients and start-simplex steps
-_RHO, _CHI, _PSI, _SIGMA = 1, 2, 0.5, 0.5
+# scipy's Nelder-Mead start-simplex steps
 _NONZDELT, _ZDELT = 0.05, 0.00025
 
 
@@ -324,17 +323,13 @@ def _nelder_mead(f, x0):
     (tuples passed to ``f``) and their values ``f0, f1, f2`` are locals,
     every step is written per coordinate, and :func:`_ordered` re-sorts
     them as scipy's argsort does.  Each step evaluates ``f`` at the same
-    points in the same order as scipy, each point from the same float
-    expressions (scipy's coefficient products folded, which changes no
-    value), so the two return the same vertex bit for bit.
+    points in the same order as scipy, so the two return the same vertex
+    bit for bit.  scipy's rho = 1, chi = 2, psi = sigma = 1/2 are folded
+    into the exact numbers of its products, with centroid xbar and worst
+    vertex w: reflect 2 xbar - w, expand 3 xbar - 2 w, contract outside
+    1.5 xbar - 0.5 w, inside 0.5 xbar + 0.5 w, shrink s0 + 0.5 (s - s0).
     """
     maxiter, xatol, fatol = POLISH_MAXITER, POLISH_XATOL, POLISH_FATOL
-    # (1 + a) xbar - a w for a = rho (reflect), rho chi (expand), psi rho (contract outside)
-    reflect, expand, outside = 1 + _RHO, 1 + _RHO * _CHI, 1 + _PSI * _RHO
-    rho, rho_chi, psi_rho = _RHO, _RHO * _CHI, _PSI * _RHO
-    # (1 - psi) xbar + psi w (contract inside); s0 + sigma (s - s0) (shrink towards s0)
-    inside, psi, sigma = 1 - _PSI, _PSI, _SIGMA
-
     x, y = x0
     s0 = (x, y)
     s1 = ((1 + _NONZDELT) * x if x != 0 else _ZDELT, y)
@@ -354,33 +349,33 @@ def _nelder_mead(f, x0):
             break
 
         ca, cb = (a0 + a1) / 2, (b0 + b1) / 2
-        xr = (reflect * ca - rho * a2, reflect * cb - rho * b2)
+        xr = (2 * ca - a2, 2 * cb - b2)
         fxr = f(xr)
         shrink = False
         if fxr < f0:
-            xe = (expand * ca - rho_chi * a2, expand * cb - rho_chi * b2)
+            xe = (3 * ca - 2 * a2, 3 * cb - 2 * b2)
             fxe = f(xe)
             s2, f2 = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < f1:
             s2, f2 = xr, fxr
         elif fxr < f2:
-            xc = (outside * ca - psi_rho * a2, outside * cb - psi_rho * b2)
+            xc = (1.5 * ca - 0.5 * a2, 1.5 * cb - 0.5 * b2)
             fxc = f(xc)
             if fxc <= fxr:
                 s2, f2 = xc, fxc
             else:
                 shrink = True
         else:
-            xcc = (inside * ca + psi * a2, inside * cb + psi * b2)
+            xcc = (0.5 * ca + 0.5 * a2, 0.5 * cb + 0.5 * b2)
             fxcc = f(xcc)
             if fxcc < f2:
                 s2, f2 = xcc, fxcc
             else:
                 shrink = True
         if shrink:
-            s1 = (a0 + sigma * (a1 - a0), b0 + sigma * (b1 - b0))
+            s1 = (a0 + 0.5 * (a1 - a0), b0 + 0.5 * (b1 - b0))
             f1 = f(s1)
-            s2 = (a0 + sigma * (a2 - a0), b0 + sigma * (b2 - b0))
+            s2 = (a0 + 0.5 * (a2 - a0), b0 + 0.5 * (b2 - b0))
             f2 = f(s2)
         s0, s1, s2, f0, f1, f2 = _ordered(s0, s1, s2, f0, f1, f2)
     return s0, f0

@@ -155,6 +155,11 @@ def test_kraus_family_boundary_case():
     np.testing.assert_allclose(rec, phi.choi.mat, atol=1e-10)
 
 
+def test_kraus_of_the_zero_map_is_one_zero_factor():
+    (factor,) = kraus_decompose(from_choi(np.zeros((12, 12)), TriDims(2, 3, 2)))
+    assert factor.shape == (2, 6) and not factor.any()
+
+
 def test_kraus_rejects_non_psd():
     p = QubitWitnessParams(s=(1, 1, 1, 1), t=(1, 1, 1, 1), u=(2, 1, 1, 1))
     with pytest.raises(NotPSD) as err:
@@ -220,16 +225,6 @@ def test_pair_dim_mismatch():
     rho = TriOperator(TriDims(2, 2, 3), np.eye(12))
     with pytest.raises(DimMismatch):
         pair(rho, _hadamard_map())
-
-
-def _family_matrix(s, t, u):
-    m = np.zeros((8, 8), dtype=complex)
-    for i, d in enumerate((s[0], s[1], s[2], s[3], t[3], t[2], t[1], t[0])):
-        m[i, i] = d
-    for i in range(4):
-        m[i, 7 - i] = u[i]
-        m[7 - i, i] = np.conj(u[i])
-    return m
 
 
 def test_permute_dual_bca_display():

@@ -525,6 +525,7 @@ def test_missing_file_exits_2(capsys):
         {"dims": [1, 1, 2], "data": [[1.0, 0.0], [math.nan, 0.0]]},
         {"dims": [1, 1, 2], "data": [[1.0, 0.0], [10**400, 0]]},
         {"dims": [1, 1, 2], "data": "1,0,0,1"},
+        {"dims": [1, 1, 2], "data": [[1.0, 0.0]] * 3},
         {"dims": [1, 1, 2], "rows": 3, "cols": 3, "data": [[1.0, 0.0]] * 4},
         {"dims": [1, 1, 1], "rows": True, "cols": 1.0, "data": [[1, 0]]},
         {"dims": [1, 1, 2], "rows": 2.0, "data": [[1.0, 0.0]] * 4},

@@ -93,6 +93,7 @@ def test_eigenvalue_sum_equals_trace():
 
 def test_svd_rank_zero_matrix():
     assert svd_rank(np.zeros((3, 4))) == 0
+    assert svd_rank(np.zeros((0, 3))) == 0
 
 
 def test_svd_rank_outer_product():

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -97,9 +99,14 @@ def test_sr_leq_ghz():
     assert sr_leq(ghz, (2, 2, 2))
 
 
-@pytest.mark.parametrize("t", [(1.5, 2, 2), (2.9, 1, 1), (2, 2), (2, 2, 2, 1), ("2", 2, 2)])
+@pytest.mark.parametrize(
+    "t",
+    [(1.5, 2, 2), (2.9, 1, 1), (2, 2), (2, 2, 2, 1), ("2", 2, 2), (True, 2, 2), (2, np.True_, 1), (None, 2, 2),
+     (math.nan, 2, 2)],
+)
 def test_triplets_need_three_integral_entries(t):
-    # a fractional entry is not truncated, and a missing or extra one is not dropped
+    # a fractional entry is not truncated, a missing or extra one is not dropped, a bool does not count as 1
+    # (admissible((True, 2, 2), QUBITS) was True), and an entry int() refuses is refused
     ghz = TriVector(QUBITS, _basis(8, 0) + _basis(8, 7))
     with pytest.raises(ValueError):
         admissible(t, QUBITS)

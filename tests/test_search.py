@@ -36,7 +36,7 @@ from triwit import (
 from triwit import linalg
 from triwit import search
 from triwit.linalg import DEFAULT_TOL, Tolerance, _frobenius, hermitize, min_gen_eig
-from triwit.search import _assemble, _mode_product, _sandwich
+from triwit.search import _mode_product, _sandwich
 
 QUBITS = TriDims(2, 2, 2)
 
@@ -294,7 +294,8 @@ def test_block_jacobian_matches_eye_products(dims, target):
         xi = _mode_product(blocks[mode], xi, mode)
     xi = xi.reshape(-1)
     atol = 1e-12 * np.linalg.norm(xi)
-    np.testing.assert_allclose(_assemble(*blocks), xi, rtol=0, atol=atol)
+    # sample_sr_vector assembles its vector by this einsum
+    np.testing.assert_allclose(np.einsum("xi,yj,zk,ijk->xyz", *blocks).ravel(), xi, rtol=0, atol=atol)
     for name, block in zip(("u", "v", "w", "core"), blocks):
         np.testing.assert_allclose(_eye_product_jacobian(name, *blocks) @ block.reshape(-1), xi, rtol=0, atol=atol)
 

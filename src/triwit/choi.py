@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimMismatch, NotHermitian, NotPSD
 from .linalg import DEFAULT_TOL, Tolerance, hermitian_eig
-from .tensor import Permutation3, TriDims, TriOperator, flip
+from .tensor import Permutation3, TriDims, TriOperator, _finite_array, flip
 
 
 @dataclass(frozen=True)
@@ -46,27 +46,18 @@ def from_function(f: Callable[[np.ndarray, np.ndarray], np.ndarray], dims: TriDi
                 for l in range(b):
                     ekl = np.zeros((b, b), dtype=complex)
                     ekl[k, l] = 1.0
-                    val = np.asarray(f(eij, ekl), dtype=complex)
-                    if val.shape != (c, c):
-                        raise DimMismatch(f"callback returned shape {val.shape}, expected {(c, c)}")
+                    val = _finite_array(f(eij, ekl), (c, c), "callback")
                     rows = slice((i * b + k) * c, (i * b + k) * c + c)
                     cols = slice((j * b + l) * c, (j * b + l) * c + c)
                     choi[rows, cols] = val
     return from_choi(choi, dims)
 
 
-def _check_arg(x, n: int, what: str) -> np.ndarray:
-    x = np.asarray(x, dtype=complex)
-    if x.shape != (n, n):
-        raise DimMismatch(f"{what}: expected shape {(n, n)}, got {x.shape}")
-    return x
-
-
 def apply(phi: BiLinearMap, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Evaluate the map on a pair of matrices."""
     a, b, c = phi.dims.as_tuple()
-    x = _check_arg(x, a, "first argument")
-    y = _check_arg(y, b, "second argument")
+    x = _finite_array(x, (a, a), "first argument")
+    y = _finite_array(y, (b, b), "second argument")
     c6 = phi.choi.mat.reshape(a, b, c, a, b, c)
     return np.einsum("ij,kl,ikmjln->mn", x, y, c6)
 
@@ -78,9 +69,7 @@ def elementary(v: np.ndarray, dims: TriDims) -> BiLinearMap:
     flat (i, k, m) entry is V[m, (i, k)].
     """
     a, b, c = dims.as_tuple()
-    v = np.asarray(v, dtype=complex)
-    if v.shape != (c, a * b):
-        raise DimMismatch(f"elementary: expected shape {(c, a * b)}, got {v.shape}")
+    v = _finite_array(v, (c, a * b), "elementary")
     vec = v.T.reshape(-1)
     return from_choi(np.outer(vec, vec.conj()), dims)
 
@@ -154,7 +143,7 @@ def contract_a(phi: BiLinearMap, x: np.ndarray) -> np.ndarray:
     ``C_{i,j}`` are the first-party blocks of the Choi matrix.
     """
     a, b, c = phi.dims.as_tuple()
-    x = _check_arg(x, a, "contract_a argument")
+    x = _finite_array(x, (a, a), "contract_a argument")
     c4 = phi.choi.mat.reshape(a, b * c, a, b * c)
     return np.einsum("ij,ikjl->kl", x, c4)
 
@@ -166,6 +155,6 @@ def contract_ab(phi: BiLinearMap, z: np.ndarray) -> np.ndarray:
     ``z = x kron y`` this coincides with :func:`apply`.
     """
     a, b, c = phi.dims.as_tuple()
-    z = _check_arg(z, a * b, "contract_ab argument")
+    z = _finite_array(z, (a * b, a * b), "contract_ab argument")
     c4 = phi.choi.mat.reshape(a * b, c, a * b, c)
     return np.einsum("uv,umvn->mn", z, c4)

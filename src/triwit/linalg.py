@@ -21,7 +21,8 @@ import numpy as np
 from numpy.linalg import _umath_linalg
 from numpy.linalg._linalg import _raise_linalgerror_singular
 
-from .errors import DegeneratePencil, NotHermitian
+from .errors import DegeneratePencil, DimMismatch, NotHermitian
+from .tensor import _finite_array
 
 __all__ = [
     "Tolerance",
@@ -238,8 +239,12 @@ def hermitian_eig(m: np.ndarray, tol: Tolerance = DEFAULT_TOL):
 
 
 def svd_rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
-    """Number of singular values above ``rank_rel * sigma_max``; 0 for a zero matrix."""
+    """Number of singular values above ``rank_rel * sigma_max``; 0 for a zero or empty matrix.
+    DimMismatch unless ``m`` is 2-D, then ValueError unless its entries are finite."""
     m = np.asarray(m, dtype=complex)
+    if m.ndim != 2:
+        raise DimMismatch(f"svd_rank: expected a 2-D array, got shape {m.shape}")
+    m = _finite_array(m, m.shape, "svd_rank")
     if m.size == 0:
         return 0
     return _spectrum_rank(np.linalg.svd(m, compute_uv=False), tol)

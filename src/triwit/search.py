@@ -140,8 +140,10 @@ def sample_sr_vector(dims: TriDims, target, rng: np.random.Generator) -> TriVect
 
     Random orthonormal factor sets of the target sizes are combined through
     a random dense core, which bounds every unfolding rank by construction;
-    generically the bound is attained.
+    generically the bound is attained.  TypeError unless ``rng`` is a numpy Generator.
     """
+    if not isinstance(rng, np.random.Generator):
+        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
     p, q, r = _fit_target(target, dims)
     a, b, c = dims.as_tuple()
     *factors, core = _draw_complex(rng, (a, p), (b, q), (c, r), (p, q, r))

@@ -26,6 +26,16 @@ def _check_count(name: str, value, least: int, error: type[Exception] = ValueErr
     return int(value)
 
 
+def _finite_array(x, shape: tuple[int, ...], what: str) -> np.ndarray:
+    """``x`` as a complex array: DimMismatch unless of shape ``shape``, then ValueError unless every entry is finite."""
+    x = np.asarray(x, dtype=complex)
+    if x.shape != shape:
+        raise DimMismatch(f"{what}: expected shape {shape}, got {x.shape}")
+    if not np.isfinite(x).all():
+        raise ValueError(f"{what}: entries must be finite")
+    return x
+
+
 @dataclass(frozen=True)
 class TriDims:
     """Subsystem dimensions (a, b, c), each at least 1."""
@@ -86,11 +96,7 @@ class TriVector:
 
     def __post_init__(self):
         data = np.asarray(self.data, dtype=complex).reshape(-1)
-        if data.size != self.dims.total:
-            raise DimMismatch(f"TriVector: expected {self.dims.total} entries, got {data.size}")
-        if not np.isfinite(data).all():
-            raise ValueError("TriVector: entries must be finite")
-        object.__setattr__(self, "data", data)
+        object.__setattr__(self, "data", _finite_array(data, (self.dims.total,), "TriVector"))
 
     def as_tensor(self) -> np.ndarray:
         return self.data.reshape(self.dims.as_tuple())
@@ -108,12 +114,7 @@ class TriOperator:
 
     def __post_init__(self):
         n = self.dims.total
-        mat = np.asarray(self.mat, dtype=complex)
-        if mat.shape != (n, n):
-            raise DimMismatch(f"TriOperator: expected shape {(n, n)}, got {mat.shape}")
-        if not np.isfinite(mat).all():
-            raise ValueError("TriOperator: entries must be finite")
-        object.__setattr__(self, "mat", mat)
+        object.__setattr__(self, "mat", _finite_array(self.mat, (n, n), "TriOperator"))
 
 
 def product_vector(u, v, w) -> TriVector:

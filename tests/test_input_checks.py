@@ -11,12 +11,18 @@ from triwit import (
     TriDims,
     TriOperator,
     TriVector,
+    apply,
+    contract_a,
+    contract_ab,
     elementary,
     flip,
     from_choi,
     from_function,
     ghz_value,
     permute_dual,
+    sample_sr_vector,
+    sample_state,
+    svd_rank,
 )
 from triwit.linalg import hermitize
 
@@ -24,12 +30,16 @@ QUBITS = TriDims(2, 2, 2)
 _NAN_AT_3 = np.where(np.arange(8) == 3, np.nan, 1.0)
 _XI = TriVector(QUBITS, np.arange(8))
 _PHI = from_choi(np.eye(8), QUBITS)
+_NAN_2X2 = np.array([[1.0, np.nan], [0.0, 1.0]])
+_INF_2X2 = np.array([[np.inf, 1.0], [1.0, 1.0]])
 
 
 @pytest.mark.parametrize(
     "build,error,match",
     [
         (lambda: TriVector(QUBITS, _NAN_AT_3), ValueError, "finite"),
+        # the shape is checked before the entries
+        (lambda: TriVector(QUBITS, _NAN_AT_3[:7]), DimMismatch, "shape"),
         (lambda: TriOperator(QUBITS, np.eye(7)), DimMismatch, "shape"),
         (lambda: TriOperator(QUBITS, np.diag(_NAN_AT_3)), ValueError, "finite"),
         (lambda: Permutation3((0, 0, 1)), ValueError, "permutation"),
@@ -41,11 +51,25 @@ _PHI = from_choi(np.eye(8), QUBITS)
         (lambda: BiLinearMap(QUBITS, TriOperator(TriDims(2, 2, 1), np.eye(4))), DimMismatch, "dimensions"),
         (lambda: from_function(lambda x, y: np.zeros((3, 3)), QUBITS), DimMismatch, "shape"),
         (lambda: elementary(np.ones((2, 2)), QUBITS), DimMismatch, "shape"),
+        (lambda: elementary(np.full((2, 4), np.nan), QUBITS), ValueError, "elementary"),
+        (lambda: from_function(lambda x, y: np.full((2, 2), np.nan), QUBITS), ValueError, "callback"),
+        (lambda: apply(_PHI, _NAN_2X2, np.eye(2)), ValueError, "finite"),
+        (lambda: apply(_PHI, np.eye(2), _INF_2X2), ValueError, "finite"),
+        (lambda: contract_a(_PHI, _NAN_2X2), ValueError, "finite"),
+        (lambda: contract_ab(_PHI, np.diag(_NAN_AT_3[:4])), ValueError, "finite"),
+        (lambda: svd_rank(np.ones(3)), DimMismatch, "2-D"),
+        (lambda: svd_rank(np.ones((2, 2, 2))), DimMismatch, "2-D"),
+        (lambda: svd_rank(_NAN_2X2), ValueError, "finite"),
+        (lambda: svd_rank(_INF_2X2), ValueError, "finite"),
+        (lambda: sample_sr_vector(QUBITS, (1, 1, 1), 0), TypeError, "rng"),
+        (lambda: sample_state(QUBITS, (1, 1, 1), 1, 0), TypeError, "rng"),
         (lambda: ghz_value(1.0, (1, 0, 0, 1), 0.0), ValueError, "5 coefficients"),
         (lambda: ghz_value(1.0, (1, 0, -0.5, 0, 1), 0.0), ValueError, "nonnegative"),
     ],
-    ids=["vector-nan", "operator-shape", "operator-nan", "permutation-repeat", "flip-matrix", "flip-tuple",
-         "permute-dual-tuple", "hermitize-non-square", "map-dims", "callback-shape", "elementary-shape",
+    ids=["vector-nan", "vector-size-nan", "operator-shape", "operator-nan", "permutation-repeat", "flip-matrix",
+         "flip-tuple", "permute-dual-tuple", "hermitize-non-square", "map-dims", "callback-shape", "elementary-shape",
+         "elementary-nan", "callback-nan", "apply-x-nan", "apply-y-inf", "contract-a-nan", "contract-ab-nan",
+         "svd-rank-1d", "svd-rank-3d", "svd-rank-nan", "svd-rank-inf", "sr-vector-int-rng", "state-int-rng",
          "ghz-four", "ghz-negative"],
 )
 def test_each_input_check_raises_its_class(build, error, match):

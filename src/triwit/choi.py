@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import DimMismatch, NotHermitian, NotPSD
 from .linalg import DEFAULT_TOL, Tolerance, hermitian_eig
-from .tensor import Permutation3, TriDims, TriOperator, _finite_array, flip
+from .tensor import Permutation3, TriDims, TriOperator, _check_kind, _finite_array, flip
 
 
 @dataclass(frozen=True)
@@ -30,8 +30,8 @@ class BiLinearMap:
 
 
 def from_choi(mat: np.ndarray, dims: TriDims) -> BiLinearMap:
-    """Wrap an (abc) x (abc) matrix as a bi-linear map."""
-    return BiLinearMap(dims, TriOperator(dims, mat))
+    """Wrap an (abc) x (abc) matrix as a bi-linear map; TypeError unless ``dims`` is a TriDims."""
+    return BiLinearMap(dims, TriOperator(_check_kind("dims", dims, TriDims), mat))
 
 
 def from_function(f: Callable[[np.ndarray, np.ndarray], np.ndarray], dims: TriDims) -> BiLinearMap:
@@ -82,9 +82,9 @@ def kraus_decompose(phi: BiLinearMap, tol: Tolerance = DEFAULT_TOL) -> list[np.n
     descending eigenvalue and each eigenvector's phase is fixed so its
     first significant component is real nonnegative, making the output
     deterministic.  Raises NotPSD with the most negative eigenvalue as
-    evidence.
+    evidence.  TypeError unless ``phi`` is a BiLinearMap.
     """
-    a, b, c = phi.dims.as_tuple()
+    a, b, c = _check_kind("phi", phi, BiLinearMap).dims.as_tuple()
     w, vecs = hermitian_eig(phi.choi.mat, tol)
     spectral = max(abs(w[0]), abs(w[-1]))
     if w[0] < -tol.psd_abs * spectral:
@@ -119,9 +119,10 @@ def pair(rho: TriOperator, phi: BiLinearMap) -> complex:
 
     Equals ``sum_ij C[i, j] * rho[i, j]`` (no conjugation).  Real for
     Hermitian inputs; complex in general, with the imaginary part useful as
-    a diagnostic.
+    a diagnostic.  TypeError unless ``rho`` is a TriOperator and ``phi`` a
+    BiLinearMap.
     """
-    if rho.dims != phi.dims:
+    if _check_kind("rho", rho, TriOperator).dims != _check_kind("phi", phi, BiLinearMap).dims:
         raise DimMismatch(f"state dims {rho.dims} do not match map dims {phi.dims}")
     return complex(np.einsum("ij,ij->", phi.choi.mat, rho.mat))
 

@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import NotAdmissible, ZeroVector
 from .linalg import DEFAULT_TOL, Tolerance, _spectrum_rank, svd_rank
-from .tensor import TriDims, TriVector, unfold
+from .tensor import TriDims, TriVector, _check_kind, unfold
 
 
 class SchmidtRank(NamedTuple):
@@ -42,8 +42,9 @@ def triple_leq(s, t) -> bool:
 
 
 def schmidt_rank(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> SchmidtRank:
-    """Rank triplet of a nonzero tri-partite vector via mode-unfolding ranks; ZeroVector for the zero vector."""
-    return SchmidtRank(*(_spectrum_rank(s, tol) for s in _mode_spectra(xi)))
+    """Rank triplet of a nonzero tri-partite vector via mode-unfolding ranks; ZeroVector for the zero vector,
+    TypeError unless ``xi`` is a TriVector."""
+    return SchmidtRank(*(_spectrum_rank(s, tol) for s in _mode_spectra(_check_kind("xi", xi, TriVector))))
 
 
 def schmidt_rank_by_definition(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> SchmidtRank:
@@ -102,16 +103,12 @@ def admissible(t, dims: TriDims) -> bool:
     Requires 1 <= alpha <= a, 1 <= beta <= b, 1 <= gamma <= c and each
     component at most the product of the other two.
     """
-    al, be, ga = _triple(t)
-    a, b, c = dims.as_tuple()
-    return (
-        1 <= al <= a
-        and 1 <= be <= b
-        and 1 <= ga <= c
-        and al <= be * ga
-        and be <= ga * al
-        and ga <= al * be
-    )
+    return _admissible(*_triple(t), *dims.as_tuple())
+
+
+def _admissible(al: int, be: int, ga: int, a: int, b: int, c: int) -> bool:
+    """:func:`admissible`'s rule on a triplet and dims already checked as ints."""
+    return 1 <= al <= a and 1 <= be <= b and 1 <= ga <= c and al <= be * ga and be <= ga * al and ga <= al * be
 
 
 def all_admissible(dims: TriDims) -> list[SchmidtRank]:
@@ -122,7 +119,7 @@ def all_admissible(dims: TriDims) -> list[SchmidtRank]:
         for al in range(1, a + 1)
         for be in range(1, b + 1)
         for ga in range(1, c + 1)
-        if admissible((al, be, ga), dims)
+        if _admissible(al, be, ga, a, b, c)
     ]
 
 
@@ -161,11 +158,11 @@ def construct_state_with_sr(t, dims: TriDims) -> TriVector:
     by the inverse order, which is what flipping the sorted vector would
     give.  Raises NotAdmissible outside the admissible region.
     """
-    t = _triple(t)
-    if not admissible(t, dims):
-        raise NotAdmissible(f"rank triplet {t} is not admissible in dims {dims.as_tuple()}")
+    t, d = _triple(t), dims.as_tuple()
+    if not _admissible(*t, *d):
+        raise NotAdmissible(f"rank triplet {t} is not admissible in dims {d}")
     order = tuple(sorted(range(3), key=t.__getitem__))
-    tensor = _construct_ascending(*(t[i] for i in order), tuple(dims.as_tuple()[i] for i in order))
+    tensor = _construct_ascending(*(t[i] for i in order), tuple(d[i] for i in order))
     return TriVector(dims, tensor.transpose(np.argsort(order)).ravel())
 
 

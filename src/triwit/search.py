@@ -31,7 +31,7 @@ from .errors import ConsistencyError, DimMismatch
 from .linalg import DEFAULT_TOL, Tolerance, _frobenius, _least, _least_solver, _qr, hermitize
 from .linalg import min_gen_eig  # noqa: F401  (the see-saw no longer calls it; bench/selftest reads search.min_gen_eig)
 from .schmidt import SchmidtRank, _triple, sr_leq, triple_leq
-from .tensor import TriDims, TriOperator, TriVector, _check_count
+from .tensor import TriDims, TriOperator, TriVector, _check_count, _check_kind
 
 
 @dataclass(frozen=True)
@@ -142,8 +142,7 @@ def sample_sr_vector(dims: TriDims, target, rng: np.random.Generator) -> TriVect
     a random dense core, which bounds every unfolding rank by construction;
     generically the bound is attained.  TypeError unless ``rng`` is a numpy Generator.
     """
-    if not isinstance(rng, np.random.Generator):
-        raise TypeError(f"rng must be a numpy.random.Generator, got {type(rng).__name__}")
+    _check_kind("rng", rng, np.random.Generator)
     p, q, r = _fit_target(target, dims)
     a, b, c = dims.as_tuple()
     *factors, core = _draw_complex(rng, (a, p), (b, q), (c, r), (p, q, r))
@@ -404,9 +403,10 @@ def violation_search(
     When the target equals the dims no factor is free, so every restart
     solves the same eigenproblem of W and only the first runs; reports
     still show ``cfg.restarts``.  Returns a validated ViolationCertificate,
-    or NoViolation with the best value found.
+    or NoViolation with the best value found.  TypeError unless ``w`` is a
+    TriOperator.
     """
-    target = _fit_target(target, w.dims)
+    target = _fit_target(target, _check_kind("w", w, TriOperator).dims)
     wmat = hermitize(w.mat, tol)
     prepared = _Witness(wmat, w.dims, target)
     restarts = 1 if target == w.dims.as_tuple() else cfg.restarts

@@ -26,6 +26,13 @@ def _check_count(name: str, value, least: int, error: type[Exception] = ValueErr
     return int(value)
 
 
+def _check_kind(name: str, value, kind: type):
+    """``value``; TypeError naming ``name`` unless it is a ``kind``."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be a {kind.__name__}, got {type(value).__name__}")
+    return value
+
+
 def _finite_array(x, shape: tuple[int, ...], what: str) -> np.ndarray:
     """``x`` as a complex array: DimMismatch unless of shape ``shape``, then ValueError unless every entry is finite."""
     x = np.asarray(x, dtype=complex)
@@ -148,8 +155,7 @@ def flip(x, sigma: Permutation3):
     unitary.  The result carries the permuted dimensions.  TypeError unless
     ``sigma`` is a Permutation3 and ``x`` a TriVector or TriOperator.
     """
-    if not isinstance(sigma, Permutation3):
-        raise TypeError(f"flip expects sigma as a Permutation3, got {type(sigma).__name__}")
+    _check_kind("sigma", sigma, Permutation3)
     if isinstance(x, TriVector):
         t = x.as_tensor().transpose(sigma.image)
         return TriVector(x.dims.permuted(sigma), t.ravel())

@@ -10,11 +10,11 @@ grid-plus-descent search over a complex parameter.  Every closed-form
 datum of a member comes from one record, ``_closed_form``, taken on the
 member scaled once by an exact power of two.
 
-The descent is ``_nelder_mead``, scipy's non-adaptive Nelder-Mead
-unrolled in plain Python for exactly two variables; its docstring and the
-constants it reads give its coefficients and stopping rule.  Given the
-same objective it returns scipy's point bit for bit, so the package
-imports no scipy.
+The descent is scipy's non-adaptive Nelder-Mead unrolled in plain Python
+for two variables, a generator (``_nelder_mead_steps``) whose docstring
+gives its coefficients and stopping rule; it asks for scipy's points and
+returns scipy's point bit for bit, so the package imports no scipy.  The
+four polishes run in lockstep, each round's points valued in two numpy calls.
 """
 
 from __future__ import annotations
@@ -149,13 +149,8 @@ class AlphaGrid:
 def family_choi(params: QubitWitnessParams) -> BiLinearMap:
     """Build the 8 x 8 family Choi matrix."""
     s, t, u = params.s, params.t, params.u
-    m = np.zeros((8, 8), dtype=complex)
-    diag = (s[0], s[1], s[2], s[3], t[3], t[2], t[1], t[0])
-    for i, d in enumerate(diag):
-        m[i, i] = d
-    for i in range(4):
-        m[i, 7 - i] = u[i]
-        m[7 - i, i] = np.conj(u[i])
+    m = np.diag(np.array(s + t[::-1], dtype=complex))
+    m[range(8), range(7, -1, -1)] = u + tuple(z.conjugate() for z in u[::-1])
     return from_choi(m, QUBIT_DIMS)
 
 
@@ -268,33 +263,48 @@ def _closed_form(params: QubitWitnessParams, tol: Tolerance) -> _ClosedForm:
 
 
 def _polish_alpha(log_radius: float, angle: float) -> complex:
-    return math.exp(min(max(log_radius, _LOG_LO), _LOG_HI)) * cmath.exp(1j * angle)
+    # min(max(log_radius, _LOG_LO), _LOG_HI), NaN kept, without the builtins' call cost
+    log_radius = _LOG_LO if log_radius < _LOG_LO else _LOG_HI if log_radius > _LOG_HI else log_radius
+    return math.exp(log_radius) * cmath.exp(1j * angle)
+
+
+def _polish_slacks(params: QubitWitnessParams):
+    """``alpha_slack`` at ``_polish_alpha(*x)`` for each of at most REFINE points x, as floats: one lockstep round.
+
+    Bit for bit the values of 0-d ``alpha_slack`` calls, in two numpy calls
+    a round, not two a point: numpy's complex products by conj(u_i) and its
+    complex ``abs`` round differently from Python's, so those stay numpy
+    ufuncs, one call each for the round (which give the same bits on any
+    length as on a 0-d array under numpy's AVX-512, AVX2 and baseline x86
+    loops); ``u_i * conj(alpha)``, the sums, ``sqrt`` and ``**`` round the
+    same in Python, so they move there, point by point.  ``conj_u`` holds
+    REFINE copies of conj(u_4), then of conj(u_3); k points take its middle 2 k.
+    """
+    (s0, s1, s2, s3), (t0, t1, t2, t3), (u0, u1, u2, u3) = params.s, params.t, params.u
+    conj_u = np.repeat([u3.conjugate(), u2.conjugate()], REFINE)
+
+    def slacks(points) -> list[float]:
+        alphas = [_polish_alpha(x, y) for x, y in points]
+        k = len(alphas)
+        p = np.multiply(conj_u[REFINE - k : REFINE + k], alphas * 2).tolist()
+        terms = []
+        for alpha, p3, p2 in zip(alphas, p, p[k:]):
+            ca = alpha.conjugate()
+            terms += (alpha, u0 * ca + p3, u1 * ca + p2)
+        moduli = iter(np.abs(terms).tolist())
+        values = []
+        for a, r1, r2 in zip(moduli, moduli, moduli):
+            m = a**2
+            lhs = _root_product(s0 + t3 * m, s3 + t0 * m) + _root_product(s1 + t2 * m, s2 + t1 * m)
+            values.append(lhs - (r1 + r2))
+        return values
+
+    return slacks
 
 
 def _polish_objective(params: QubitWitnessParams):
-    """``alpha_slack`` at the single point ``_polish_alpha(*x)``, as a float.
-
-    Bit for bit the value a 0-d ``alpha_slack`` call gives, in two numpy
-    calls instead of about twenty: numpy's complex products by conj(u_i)
-    and its complex ``abs`` round differently from Python's, so those stay
-    numpy ufuncs (which give the same bits on a length-2 or length-3 array
-    as on a 0-d one under numpy's AVX-512, AVX2 and baseline x86 loops);
-    ``u_i * conj(alpha)``, the sums, ``sqrt`` and ``**`` round the same in
-    Python, so they move there.
-    """
-    s, t, u = params.s, params.t, params.u
-    conj_u = np.array([u[3].conjugate(), u[2].conjugate()])
-
-    def objective(x) -> float:
-        alpha = _polish_alpha(x[0], x[1])
-        ca = alpha.conjugate()
-        p3, p2 = (conj_u * alpha).tolist()
-        a, r1, r2 = np.abs([alpha, u[0] * ca + p3, u[1] * ca + p2]).tolist()
-        m = a**2
-        lhs = _root_product(s[0] + t[3] * m, s[3] + t[0] * m) + _root_product(s[1] + t[2] * m, s[2] + t[1] * m)
-        return lhs - (r1 + r2)
-
-    return objective
+    """``alpha_slack`` at the one point ``_polish_alpha(*x)``, as a float: :func:`_polish_slacks` of one point."""
+    return lambda x, slacks=_polish_slacks(params): slacks((x,))[0]
 
 
 def _ordered(s0, s1, s2, f0, f1, f2):
@@ -313,17 +323,17 @@ def _ordered(s0, s1, s2, f0, f1, f2):
     return s0, s1, s2, f0, f1, f2
 
 
-def _nelder_mead(f, x0):
-    """Minimize ``f`` over two real variables from ``x0``; return the best vertex and its value.
+def _nelder_mead_steps(x0):
+    """scipy's Nelder-Mead from ``x0``, as a generator: it yields each point, is sent its value, returns the best.
 
     A copy of ``scipy.optimize.minimize(f, x0, method="Nelder-Mead")`` with
     its default (non-adaptive) coefficients, no bounds, ``maxfev`` unset and
     ``options={"maxiter": POLISH_MAXITER, "xatol": POLISH_XATOL, "fatol":
     POLISH_FATOL}``, unrolled for two variables: the vertices ``s0, s1, s2``
-    (tuples passed to ``f``) and their values ``f0, f1, f2`` are locals,
+    (tuples, the points yielded) and their values ``f0, f1, f2`` are locals,
     every step is written per coordinate, and :func:`_ordered` re-sorts
-    them as scipy's argsort does.  Each step evaluates ``f`` at the same
-    points in the same order as scipy, so the two return the same vertex
+    them as scipy's argsort does.  Each step asks for the same points in the
+    same order as scipy evaluates ``f``, so the two return the same vertex
     bit for bit.  scipy's rho = 1, chi = 2, psi = sigma = 1/2 are folded
     into the exact numbers of its products, with centroid xbar and worst
     vertex w: reflect 2 xbar - w, expand 3 xbar - 2 w, contract outside
@@ -334,7 +344,7 @@ def _nelder_mead(f, x0):
     s0 = (x, y)
     s1 = ((1 + _NONZDELT) * x if x != 0 else _ZDELT, y)
     s2 = (x, (1 + _NONZDELT) * y if y != 0 else _ZDELT)
-    s0, s1, s2, f0, f1, f2 = _ordered(s0, s1, s2, f(s0), f(s1), f(s2))
+    s0, s1, s2, f0, f1, f2 = _ordered(s0, s1, s2, (yield s0), (yield s1), (yield s2))
 
     for _ in range(maxiter - 1):
         (a0, b0), (a1, b1), (a2, b2) = s0, s1, s2
@@ -350,35 +360,61 @@ def _nelder_mead(f, x0):
 
         ca, cb = (a0 + a1) / 2, (b0 + b1) / 2
         xr = (2 * ca - a2, 2 * cb - b2)
-        fxr = f(xr)
+        fxr = yield xr
         shrink = False
         if fxr < f0:
             xe = (3 * ca - 2 * a2, 3 * cb - 2 * b2)
-            fxe = f(xe)
+            fxe = yield xe
             s2, f2 = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < f1:
             s2, f2 = xr, fxr
         elif fxr < f2:
             xc = (1.5 * ca - 0.5 * a2, 1.5 * cb - 0.5 * b2)
-            fxc = f(xc)
+            fxc = yield xc
             if fxc <= fxr:
                 s2, f2 = xc, fxc
             else:
                 shrink = True
         else:
             xcc = (0.5 * ca + 0.5 * a2, 0.5 * cb + 0.5 * b2)
-            fxcc = f(xcc)
+            fxcc = yield xcc
             if fxcc < f2:
                 s2, f2 = xcc, fxcc
             else:
                 shrink = True
         if shrink:
             s1 = (a0 + 0.5 * (a1 - a0), b0 + 0.5 * (b1 - b0))
-            f1 = f(s1)
+            f1 = yield s1
             s2 = (a0 + 0.5 * (a2 - a0), b0 + 0.5 * (b2 - b0))
-            f2 = f(s2)
+            f2 = yield s2
         s0, s1, s2, f0, f1, f2 = _ordered(s0, s1, s2, f0, f1, f2)
     return s0, f0
+
+
+def _nelder_mead_lockstep(values, starts) -> list:
+    """:func:`_nelder_mead_steps` from each of ``starts`` in lockstep: the best vertex and value of each, in order.
+
+    Each round passes ``values`` the pending point of every run still going,
+    in start order, and takes back their values in that order.
+    """
+    runs = [_nelder_mead_steps(x0) for x0 in starts]
+    points = [next(run) for run in runs]
+    results, live = [None] * len(runs), list(range(len(runs)))
+    while live:
+        for j, v in enumerate(values(points)):
+            try:
+                points[j] = runs[j].send(v)
+            except StopIteration as stop:
+                results[live[j]], runs[j] = stop.value, None
+        if None in runs:
+            keep = [j for j, run in enumerate(runs) if run is not None]
+            live, runs, points = ([seq[j] for j in keep] for seq in (live, runs, points))
+    return results
+
+
+def _nelder_mead(f, x0):
+    """Minimize ``f`` from ``x0`` as scipy's Nelder-Mead; the best vertex and its value, in lockstep with no other."""
+    return _nelder_mead_lockstep(lambda points: [f(x) for x in points], (x0,))[0]
 
 
 def check_111(
@@ -414,11 +450,10 @@ def check_111(
     alphas = radii[:, None] * np.exp(1j * angles[None, :])
     slack = alpha_slack(cf.scaled, alphas)
 
-    objective = _polish_objective(cf.scaled)
+    lowest = alphas.ravel()[np.argsort(slack, axis=None)[:REFINE]]
+    starts = [(math.log(abs(alpha0)), float(np.angle(alpha0))) for alpha0 in lowest]
     best_alpha, best_slack = None, np.inf
-    for idx in np.argsort(slack, axis=None)[:REFINE]:
-        alpha0 = alphas.ravel()[idx]
-        (log_radius, angle), val = _nelder_mead(objective, (math.log(abs(alpha0)), float(np.angle(alpha0))))
+    for (log_radius, angle), val in _nelder_mead_lockstep(_polish_slacks(cf.scaled), starts):
         if val < best_slack:
             best_alpha, best_slack = _polish_alpha(log_radius, angle), val
     if best_slack < cf.refute_below:
@@ -506,12 +541,7 @@ def ghz_value(s: float, lambdas, theta: float) -> float:
         raise ValueError("expected 5 coefficients")
     if min(lam) < 0:
         raise ValueError("coefficients must be nonnegative")
-    psi = np.zeros(8, dtype=complex)
-    psi[0] = lam[0]
-    psi[4] = lam[1] * np.exp(1j * theta)
-    psi[5] = lam[2]
-    psi[6] = lam[3]
-    psi[7] = lam[4]
+    psi = np.array([lam[0], 0, 0, 0, lam[1] * np.exp(1j * theta), lam[2], lam[3], lam[4]], dtype=complex)
     rho = TriOperator(QUBIT_DIMS, np.outer(psi, psi.conj()))
     value = pair(rho, family_choi(genuine_witness(s)))
     closed = (1.0 / s) * (lam[1] ** 2 + lam[2] ** 2 + lam[3] ** 2) - 2.0 * lam[0] * lam[4]

@@ -19,10 +19,14 @@ from triwit import (
     from_choi,
     from_function,
     ghz_value,
+    kraus_decompose,
+    pair,
     permute_dual,
     sample_sr_vector,
     sample_state,
+    schmidt_rank,
     svd_rank,
+    violation_search,
 )
 from triwit.linalg import hermitize
 
@@ -65,12 +69,19 @@ _INF_2X2 = np.array([[np.inf, 1.0], [1.0, 1.0]])
         (lambda: sample_state(QUBITS, (1, 1, 1), 1, 0), TypeError, "rng"),
         (lambda: ghz_value(1.0, (1, 0, 0, 1), 0.0), ValueError, "5 coefficients"),
         (lambda: ghz_value(1.0, (1, 0, -0.5, 0, 1), 0.0), ValueError, "nonnegative"),
+        # a bare array or tuple where a triwit type is expected
+        (lambda: pair(np.eye(8), _PHI), TypeError, "rho"),
+        (lambda: kraus_decompose(np.eye(8)), TypeError, "phi"),
+        (lambda: violation_search(np.eye(8), (1, 1, 1)), TypeError, "w must"),
+        (lambda: from_choi(np.eye(8), (2, 2, 2)), TypeError, "dims"),
+        (lambda: schmidt_rank(np.ones(8)), TypeError, "xi"),
     ],
     ids=["vector-nan", "vector-size-nan", "operator-shape", "operator-nan", "permutation-repeat", "flip-matrix",
          "flip-tuple", "permute-dual-tuple", "hermitize-non-square", "map-dims", "callback-shape", "elementary-shape",
          "elementary-nan", "callback-nan", "apply-x-nan", "apply-y-inf", "contract-a-nan", "contract-ab-nan",
          "svd-rank-1d", "svd-rank-3d", "svd-rank-nan", "svd-rank-inf", "sr-vector-int-rng", "state-int-rng",
-         "ghz-four", "ghz-negative"],
+         "ghz-four", "ghz-negative", "pair-array", "kraus-array", "search-array", "choi-tuple-dims",
+         "schmidt-rank-array"],
 )
 def test_each_input_check_raises_its_class(build, error, match):
     with pytest.raises(error, match=match):

@@ -9,6 +9,7 @@ linear maps are all read off of it.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Callable
 
@@ -38,24 +39,17 @@ def from_function(f: Callable[[np.ndarray, np.ndarray], np.ndarray], dims: TriDi
     """Populate the Choi matrix from a callback evaluated on matrix-unit pairs."""
     a, b, c = dims.as_tuple()
     choi = np.zeros((dims.total, dims.total), dtype=complex)
-    for i in range(a):
-        for j in range(a):
-            eij = np.zeros((a, a), dtype=complex)
-            eij[i, j] = 1.0
-            for k in range(b):
-                for l in range(b):
-                    ekl = np.zeros((b, b), dtype=complex)
-                    ekl[k, l] = 1.0
-                    val = _finite_array(f(eij, ekl), (c, c), "callback")
-                    rows = slice((i * b + k) * c, (i * b + k) * c + c)
-                    cols = slice((j * b + l) * c, (j * b + l) * c + c)
-                    choi[rows, cols] = val
+    c6 = choi.reshape(a, b, c, a, b, c)  # the view of the same entries that apply reads
+    for i, j, k, l in itertools.product(range(a), range(a), range(b), range(b)):
+        eij, ekl = np.zeros((a, a), dtype=complex), np.zeros((b, b), dtype=complex)
+        eij[i, j] = ekl[k, l] = 1.0
+        c6[i, k, :, j, l, :] = _finite_array(f(eij, ekl), (c, c), "callback")
     return from_choi(choi, dims)
 
 
 def apply(phi: BiLinearMap, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Evaluate the map on a pair of matrices."""
-    a, b, c = phi.dims.as_tuple()
+    """Evaluate the map on a pair of matrices; TypeError unless ``phi`` is a BiLinearMap."""
+    a, b, c = _check_kind("phi", phi, BiLinearMap).dims.as_tuple()
     x = _finite_array(x, (a, a), "first argument")
     y = _finite_array(y, (b, b), "second argument")
     c6 = phi.choi.mat.reshape(a, b, c, a, b, c)
@@ -105,9 +99,9 @@ def kraus_decompose(phi: BiLinearMap, tol: Tolerance = DEFAULT_TOL) -> list[np.n
 
 
 def is_completely_positive(phi: BiLinearMap, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when the Choi matrix is Hermitian PSD within tolerance."""
+    """True when the Choi matrix is Hermitian PSD within tolerance; TypeError unless ``phi`` is a BiLinearMap."""
     try:
-        w, _ = hermitian_eig(phi.choi.mat, tol)
+        w, _ = hermitian_eig(_check_kind("phi", phi, BiLinearMap).choi.mat, tol)
     except NotHermitian:
         return False
     spectral = max(abs(w[0]), abs(w[-1]))
@@ -131,9 +125,10 @@ def permute_dual(phi: BiLinearMap, sigma: Permutation3) -> BiLinearMap:
     """The dual map under a permutation of the parties.
 
     The Choi matrix is conjugated by the permutation unitary (rows and
-    columns reordered together) and the dimensions move along.
+    columns reordered together) and the dimensions move along.  TypeError
+    unless ``phi`` is a BiLinearMap.
     """
-    flipped = flip(phi.choi, sigma)
+    flipped = flip(_check_kind("phi", phi, BiLinearMap).choi, sigma)
     return BiLinearMap(flipped.dims, flipped)
 
 
@@ -141,9 +136,10 @@ def contract_a(phi: BiLinearMap, x: np.ndarray) -> np.ndarray:
     """Contract the first-party slot of the Choi matrix against ``x``.
 
     Returns the (bc) x (bc) matrix ``sum_ij x[i, j] C_{i,j}`` where the
-    ``C_{i,j}`` are the first-party blocks of the Choi matrix.
+    ``C_{i,j}`` are the first-party blocks of the Choi matrix.  TypeError
+    unless ``phi`` is a BiLinearMap.
     """
-    a, b, c = phi.dims.as_tuple()
+    a, b, c = _check_kind("phi", phi, BiLinearMap).dims.as_tuple()
     x = _finite_array(x, (a, a), "contract_a argument")
     c4 = phi.choi.mat.reshape(a, b * c, a, b * c)
     return np.einsum("ij,ikjl->kl", x, c4)
@@ -153,9 +149,10 @@ def contract_ab(phi: BiLinearMap, z: np.ndarray) -> np.ndarray:
     """Evaluate the linearization on a joint (ab) x (ab) matrix.
 
     Returns ``sum z[(ik),(jl)] C_{(ik),(jl)}``; on a product input
-    ``z = x kron y`` this coincides with :func:`apply`.
+    ``z = x kron y`` this coincides with :func:`apply`.  TypeError unless
+    ``phi`` is a BiLinearMap.
     """
-    a, b, c = phi.dims.as_tuple()
+    a, b, c = _check_kind("phi", phi, BiLinearMap).dims.as_tuple()
     z = _finite_array(z, (a * b, a * b), "contract_ab argument")
     c4 = phi.choi.mat.reshape(a * b, c, a * b, c)
     return np.einsum("uv,umvn->mn", z, c4)

@@ -31,9 +31,9 @@ class NotPSD(TriwitError):
     The offending eigenvalue is kept as evidence.
     """
 
-    def __init__(self, min_eigenvalue: float, message: str | None = None):
+    def __init__(self, min_eigenvalue: float):
         self.min_eigenvalue = float(min_eigenvalue)
-        super().__init__(message or f"matrix is not PSD (min eigenvalue {min_eigenvalue:.3e})")
+        super().__init__(f"matrix is not PSD (min eigenvalue {min_eigenvalue:.3e})")
 
 
 class NonPositive(TriwitError):

@@ -252,7 +252,7 @@ def svd_rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
 
 def _spectrum_rank(s: np.ndarray, tol: Tolerance) -> int:
     """The rank rule of :func:`svd_rank`, applied to descending singular values ``s``."""
-    if s.size == 0 or s[0] == 0.0:
+    if s[0] == 0.0:
         return 0
     return int(np.count_nonzero(s > tol.rank_rel * s[0]))
 

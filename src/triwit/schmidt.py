@@ -57,9 +57,9 @@ def schmidt_rank_by_definition(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> S
     than :func:`schmidt_rank` but structurally independent; the two must
     agree on every input.  The tensor is divided by its largest modulus
     first, so that the Gram matrix of the maps neither underflows nor
-    overflows.
+    overflows.  TypeError unless ``xi`` is a TriVector.
     """
-    if not xi.data.any():
+    if not _check_kind("xi", xi, TriVector).data.any():
         raise ZeroVector("Schmidt rank is undefined for the zero vector")
     a = xi.dims.a
     t = xi.as_tensor()
@@ -75,10 +75,10 @@ def schmidt_rank_by_definition(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> S
     # too; it must stay above the eigensolver's own noise floor of order
     # eps * top, which squared cutoffs like 1e-18 would otherwise undercut
     floor = max(tol.rank_rel**2, 64.0 * a * np.finfo(float).eps) * top
-    alpha = int(np.count_nonzero(gw > floor)) if top > 0 else 0
+    alpha = int(np.count_nonzero(gw > floor))
 
     svds = [np.linalg.svd(m) for m in maps]
-    sig_ref = max(s[0] if s.size else 0.0 for _, s, _ in svds)
+    sig_ref = max(s[0] for _, s, _ in svds)
     ranges, supports = [], []
     for u, s, vh in svds:
         r = int(np.count_nonzero(s > tol.rank_rel * sig_ref))
@@ -90,9 +90,9 @@ def schmidt_rank_by_definition(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> S
 
 
 def sr_leq(xi: TriVector, t, tol: Tolerance = DEFAULT_TOL) -> bool:
-    """True when the rank triplet of ``xi`` is componentwise at most ``t``."""
+    """True when the rank triplet of ``xi`` is componentwise at most ``t``; TypeError unless ``xi`` is a TriVector."""
     t = _triple(t)
-    if not xi.data.any():
+    if not _check_kind("xi", xi, TriVector).data.any():
         return True  # the zero vector sits in every cone
     return triple_leq(schmidt_rank(xi, tol), t)
 
@@ -112,8 +112,8 @@ def _admissible(al: int, be: int, ga: int, a: int, b: int, c: int) -> bool:
 
 
 def all_admissible(dims: TriDims) -> list[SchmidtRank]:
-    """All admissible rank triplets for the given dimensions, lexicographic."""
-    a, b, c = dims.as_tuple()
+    """All admissible rank triplets for the given dimensions, lexicographic; TypeError unless ``dims`` is a TriDims."""
+    a, b, c = _check_kind("dims", dims, TriDims).as_tuple()
     return [
         SchmidtRank(al, be, ga)
         for al in range(1, a + 1)
@@ -156,9 +156,10 @@ def construct_state_with_sr(t, dims: TriDims) -> TriVector:
     three-block construction is applied with standard basis vectors in the
     correspondingly permuted dimensions, and the tensor is transposed back
     by the inverse order, which is what flipping the sorted vector would
-    give.  Raises NotAdmissible outside the admissible region.
+    give.  Raises NotAdmissible outside the admissible region, and
+    TypeError unless ``dims`` is a TriDims.
     """
-    t, d = _triple(t), dims.as_tuple()
+    t, d = _triple(t), _check_kind("dims", dims, TriDims).as_tuple()
     if not _admissible(*t, *d):
         raise NotAdmissible(f"rank triplet {t} is not admissible in dims {d}")
     order = tuple(sorted(range(3), key=t.__getitem__))

@@ -410,12 +410,11 @@ def violation_search(
     wmat = hermitize(w.mat, tol)
     prepared = _Witness(wmat, w.dims, target)
     restarts = 1 if target == w.dims.as_tuple() else cfg.restarts
-    best: SeesawRun | None = None
-    for restart in range(restarts):
-        rng = np.random.Generator(np.random.PCG64(int(cfg.seed) + restart))  # default_rng's stream; int(): no wrap
-        run = seesaw_minimize(prepared, w.dims, target, rng, cfg.max_sweeps)
-        if best is None or run.value < best.value:
-            best = run
+    runs = (
+        seesaw_minimize(prepared, w.dims, target, np.random.Generator(np.random.PCG64(seed)), cfg.max_sweeps)
+        for seed in range(int(cfg.seed), int(cfg.seed) + restarts)  # default_rng's stream; int(): no wrap
+    )
+    best = min(runs, key=lambda run: run.value)
     xi = TriVector(w.dims, best.xi)
     value = float((best.xi.conj() @ wmat @ best.xi).real)
     if value < -tol.ineq_abs * prepared.scale:

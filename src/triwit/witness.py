@@ -23,7 +23,7 @@ import cmath
 import enum
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -119,8 +119,8 @@ class ClassVerdict:
 class PositivityReport:
     """Per-class verdicts plus the all-pairs bi-separability-witness flag."""
 
-    classes: dict[tuple[int, int, int], ClassVerdict] = field(default_factory=dict)
-    biseparability_witness: bool = False
+    classes: dict[tuple[int, int, int], ClassVerdict]
+    biseparability_witness: bool
 
     def certified(self, cls) -> bool:
         return self.classes[tuple(cls)].verdict is Verdict.CERTIFIED
@@ -133,7 +133,7 @@ class AlphaGrid:
     ``radii`` radii, log-spaced over the fixed range RADIUS_MIN = 1e-3 to
     RADIUS_MAX = 1e3 so both small and large parameters are covered, times
     ``angles`` equally spaced angles; the REFINE = 4 grid points of least
-    slack get a local derivative-free polish, :func:`_nelder_mead` in
+    slack get a local derivative-free polish, :func:`_nelder_mead_steps` in
     (log radius, angle), the radius clamped to three e-folds beyond the
     grid's range.
     """
@@ -302,11 +302,6 @@ def _polish_slacks(params: QubitWitnessParams):
     return slacks
 
 
-def _polish_objective(params: QubitWitnessParams):
-    """``alpha_slack`` at the one point ``_polish_alpha(*x)``, as a float: :func:`_polish_slacks` of one point."""
-    return lambda x, slacks=_polish_slacks(params): slacks((x,))[0]
-
-
 def _ordered(s0, s1, s2, f0, f1, f2):
     """The vertices ``s0, s1, s2`` and values ``f0, f1, f2``, ordered as numpy's argsort orders 3 values.
 
@@ -410,11 +405,6 @@ def _nelder_mead_lockstep(values, starts) -> list:
             keep = [j for j, run in enumerate(runs) if run is not None]
             live, runs, points = ([seq[j] for j in keep] for seq in (live, runs, points))
     return results
-
-
-def _nelder_mead(f, x0):
-    """Minimize ``f`` from ``x0`` as scipy's Nelder-Mead; the best vertex and its value, in lockstep with no other."""
-    return _nelder_mead_lockstep(lambda points: [f(x) for x in points], (x0,))[0]
 
 
 def check_111(

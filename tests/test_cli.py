@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from triwit import cli
 from triwit.cli import _read_array, main, operator_to_json, vector_to_json
 from triwit import (
     DEFAULT_TOL,
@@ -722,6 +723,18 @@ def test_unwritable_out_exits_2(tmp_path, capsys, argv, target):
     assert code == 2
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+def test_out_of_memory_exits_2_with_one_error_line(tmp_path, capsys, monkeypatch):
+    def exhausted(path, dims_flag=None):
+        raise MemoryError("cannot allocate")
+
+    monkeypatch.setattr(cli, "_read_array", exhausted)
+    code = main(["sr", str(tmp_path / "v.json")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: out of memory: cannot allocate\n"
 
 
 def test_failed_stdout_write_exits_2(capsys, monkeypatch):

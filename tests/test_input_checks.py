@@ -11,20 +11,25 @@ from triwit import (
     TriDims,
     TriOperator,
     TriVector,
+    all_admissible,
     apply,
     contract_a,
     contract_ab,
+    construct_state_with_sr,
     elementary,
     flip,
     from_choi,
     from_function,
     ghz_value,
+    is_completely_positive,
     kraus_decompose,
     pair,
     permute_dual,
     sample_sr_vector,
     sample_state,
     schmidt_rank,
+    schmidt_rank_by_definition,
+    sr_leq,
     svd_rank,
     violation_search,
 )
@@ -75,13 +80,24 @@ _INF_2X2 = np.array([[np.inf, 1.0], [1.0, 1.0]])
         (lambda: violation_search(np.eye(8), (1, 1, 1)), TypeError, "w must"),
         (lambda: from_choi(np.eye(8), (2, 2, 2)), TypeError, "dims"),
         (lambda: schmidt_rank(np.ones(8)), TypeError, "xi"),
+        (lambda: is_completely_positive(np.eye(8)), TypeError, "phi"),
+        (lambda: permute_dual(np.eye(8), Permutation3((1, 0, 2))), TypeError, "phi"),
+        (lambda: apply(np.eye(8), np.eye(2), np.eye(2)), TypeError, "phi"),
+        (lambda: contract_a(np.eye(8), np.eye(2)), TypeError, "phi"),
+        (lambda: contract_ab(np.eye(8), np.eye(4)), TypeError, "phi"),
+        (lambda: schmidt_rank_by_definition(np.ones(8)), TypeError, "xi"),
+        (lambda: sr_leq(np.ones(8), (1, 1, 1)), TypeError, "xi"),
+        (lambda: construct_state_with_sr((1, 1, 1), (2, 2, 2)), TypeError, "dims"),
+        (lambda: all_admissible((2, 2, 2)), TypeError, "dims"),
     ],
     ids=["vector-nan", "vector-size-nan", "operator-shape", "operator-nan", "permutation-repeat", "flip-matrix",
          "flip-tuple", "permute-dual-tuple", "hermitize-non-square", "map-dims", "callback-shape", "elementary-shape",
          "elementary-nan", "callback-nan", "apply-x-nan", "apply-y-inf", "contract-a-nan", "contract-ab-nan",
          "svd-rank-1d", "svd-rank-3d", "svd-rank-nan", "svd-rank-inf", "sr-vector-int-rng", "state-int-rng",
          "ghz-four", "ghz-negative", "pair-array", "kraus-array", "search-array", "choi-tuple-dims",
-         "schmidt-rank-array"],
+         "schmidt-rank-array", "cp-array", "permute-dual-array", "apply-array", "contract-a-array",
+         "contract-ab-array", "sr-by-definition-array", "sr-leq-array", "construct-tuple-dims",
+         "all-admissible-tuple-dims"],
 )
 def test_each_input_check_raises_its_class(build, error, match):
     with pytest.raises(error, match=match):

@@ -247,7 +247,12 @@ def test_hermitize_rejects_non_finite(index, value):
 
 
 @pytest.mark.parametrize("index,value", NON_FINITE)
-def test_min_gen_eig_rejects_non_finite(index, value):
+def test_min_gen_eig_rejects_non_finite(index, value, monkeypatch):
+    # on either side, before linalg._eigh is reached (it takes finite input only)
+    def unreachable(m):
+        raise AssertionError("linalg._eigh reached with a non-finite entry")
+
+    monkeypatch.setattr(linalg, "_eigh", unreachable)
     a = _rand_hermitian(np.random.default_rng(11), 3)
     with pytest.raises(NotHermitian):
         min_gen_eig(_with_entry(a, index, value), np.eye(3))
@@ -475,6 +480,16 @@ def test_least_2x2_of_a_multiple_of_the_identity_is_e1():
 def test_least_2x2_rejects_non_finite(m00, m10, m11):
     with pytest.raises(np.linalg.LinAlgError):
         _least_2x2(np.array([[m00, 0.0], [m10, m11]], dtype=complex))
+
+
+@pytest.mark.parametrize("n", [2, 8])
+def test_eigh_raises_when_the_solver_fails(n):
+    # a NaN below the diagonal fails the solve, and the gufunc fills its output
+    # with NaN (at 8x8 it also sets the invalid flag, which numpy would report)
+    m = np.eye(n, dtype=complex)
+    m[-1, 0] = np.nan
+    with np.errstate(invalid="ignore"), pytest.raises(np.linalg.LinAlgError, match="did not converge"):
+        _eigh(m)
 
 
 # From 14 x 14 up _least takes the eigenvalues alone and one inverse-iteration

@@ -1,8 +1,8 @@
 """check_111's polishes in lockstep: start by start, the one-start polish's points, vertex and value, bit for bit.
 
-``_nelder_mead`` on ``_polish_objective`` is the one-start reference here;
-tests/test_polish.py holds it to scipy's Nelder-Mead and to a 0-d
-``alpha_slack``.
+The lockstep driver with one start, valuing each point by ``_polish_slacks``
+on that point alone, is the one-start reference here; tests/test_polish.py
+holds it to scipy's Nelder-Mead and to a 0-d ``alpha_slack``.
 """
 
 import math
@@ -14,7 +14,7 @@ from test_polish import _grid_params, _hex, _tie_draw
 from triwit import AlphaGrid, QubitWitnessParams, Verdict, alpha_slack, check_111
 from triwit import witness
 from triwit.linalg import DEFAULT_TOL
-from triwit.witness import RADIUS_MAX, RADIUS_MIN, REFINE, _closed_form, _nelder_mead, _polish_alpha, _polish_objective
+from triwit.witness import RADIUS_MAX, RADIUS_MIN, REFINE, _closed_form, _nelder_mead_lockstep, _polish_alpha, _polish_slacks
 
 
 def _lockstep_check_111(monkeypatch, p, grid):
@@ -51,7 +51,7 @@ def _one_start_polishes(p, grid):
     angles = np.linspace(0.0, 2.0 * np.pi, grid.angles, endpoint=False)
     alphas = radii[:, None] * np.exp(1j * angles[None, :])
     lowest = alphas.ravel()[np.argsort(alpha_slack(cf.scaled, alphas), axis=None)[:REFINE]]
-    f = _polish_objective(cf.scaled)
+    slacks = _polish_slacks(cf.scaled)
     starts, runs = [], []
     for alpha0 in lowest:
         x0 = (math.log(abs(alpha0)), float(np.angle(alpha0)))
@@ -59,10 +59,10 @@ def _one_start_polishes(p, grid):
 
         def g(x):
             points.append(_hex(x))
-            return f(x)
+            return slacks((x,))[0]
 
         starts.append(x0)
-        runs.append((points, _nelder_mead(g, x0)))
+        runs.append((points, _nelder_mead_lockstep(lambda xs: [g(x) for x in xs], (x0,))[0]))
     return cf, starts, runs
 
 

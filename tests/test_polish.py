@@ -1,4 +1,4 @@
-"""The (1,1,1) polish: ``_nelder_mead`` against scipy's Nelder-Mead, bit for bit.
+"""The (1,1,1) polish: the lockstep driver with one start against scipy's Nelder-Mead, bit for bit.
 
 scipy is a test dependency only; the package itself must not import it.
 """
@@ -23,11 +23,11 @@ from triwit.witness import (
     RADIUS_MAX,
     RADIUS_MIN,
     REFINE,
-    _nelder_mead,
     _closed_form,
+    _nelder_mead_lockstep,
     _ordered,
     _polish_alpha,
-    _polish_objective,
+    _polish_slacks,
 )
 
 OPTIONS = {"maxiter": POLISH_MAXITER, "xatol": POLISH_XATOL, "fatol": POLISH_FATOL}
@@ -53,7 +53,8 @@ def _same_as_scipy(f, x0):
     points in the same order and return the same point and value, bit for bit."""
     want, got = [], []
     res = minimize(_recorded(f, want), np.array(x0, dtype=float), method="Nelder-Mead", options=OPTIONS)
-    x, val = _nelder_mead(_recorded(f, got), tuple(float(v) for v in x0))
+    g = _recorded(f, got)
+    x, val = _nelder_mead_lockstep(lambda points: [g(x) for x in points], (tuple(float(v) for v in x0),))[0]
     assert got == want
     assert _hex(x) == _hex(res.x)
     assert _hex([val]) == _hex([res.fun])
@@ -87,10 +88,10 @@ def test_polish_objective_is_a_0d_alpha_slack_bit_for_bit():
         p = QubitWitnessParams(
             s=tuple(rng.exponential(scale, 4)), t=tuple(rng.exponential(scale, 4)), u=tuple(u)
         )
-        f = _polish_objective(p)
+        slacks = _polish_slacks(p)
         for log_radius, angle in zip(rng.uniform(-11, 11, 500), rng.uniform(-10, 10, 500)):
             x = (float(log_radius), float(angle))
-            assert f(x).hex() == float(alpha_slack(p, _polish_alpha(*x))).hex()
+            assert slacks((x,))[0].hex() == float(alpha_slack(p, _polish_alpha(*x))).hex()
 
 
 def test_nelder_mead_matches_scipy_on_the_slack_objective():
@@ -100,8 +101,9 @@ def test_nelder_mead_matches_scipy_on_the_slack_objective():
         radii = np.geomspace(RADIUS_MIN, RADIUS_MAX, 64)
         angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         alphas = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
+        slacks = _polish_slacks(p)
         for idx in np.argsort(alpha_slack(p, alphas))[:REFINE]:
-            _same_as_scipy(_polish_objective(p), (math.log(abs(alphas[idx])), float(np.angle(alphas[idx]))))
+            _same_as_scipy(lambda x: slacks((x,))[0], (math.log(abs(alphas[idx])), float(np.angle(alphas[idx]))))
 
 
 @pytest.mark.parametrize(

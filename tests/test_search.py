@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -8,6 +9,7 @@ from scipy.optimize import minimize
 from triwit import (
     ALL_PERMUTATIONS,
     BiLinearMap,
+    ConsistencyError,
     DimMismatch,
     NoViolation,
     NotHermitian,
@@ -35,7 +37,7 @@ from triwit import (
 )
 from triwit import linalg
 from triwit import search
-from triwit.linalg import DEFAULT_TOL, Tolerance, _frobenius, hermitize, min_gen_eig
+from triwit.linalg import DEFAULT_TOL, Tolerance, _frobenius, hermitize
 from triwit.search import _mode_product, _sandwich
 
 QUBITS = TriDims(2, 2, 2)
@@ -225,6 +227,27 @@ def test_certificate_revalidates():
     assert abs(revalue - out.value) <= 1e-9 * np.linalg.norm(w.mat)
 
 
+def test_certificate_over_its_rank_bound_raises(monkeypatch):
+    # the (2,2,2) search finds a violation, which a failed re-check refuses
+    monkeypatch.setattr(search, "sr_leq", lambda xi, t, tol: False)
+    with pytest.raises(ConsistencyError, match="rank-triplet bound"):
+        violation_search(_witness_matrix(), (2, 2, 2), SeesawConfig(restarts=5, seed=4))
+
+
+def test_certificate_off_unit_norm_raises(monkeypatch):
+    # every restart's vector doubled: the pairing stays negative and the rank
+    # triplet the same, so only the norm check refuses it
+    seesaw = search.seesaw_minimize
+
+    def doubled(*args):
+        run = seesaw(*args)
+        return dataclasses.replace(run, xi=2 * run.xi)
+
+    monkeypatch.setattr(search, "seesaw_minimize", doubled)
+    with pytest.raises(ConsistencyError, match="not unit norm"):
+        violation_search(_witness_matrix(), (2, 2, 2), SeesawConfig(restarts=5, seed=4))
+
+
 def test_seesaw_objective_trace_monotone():
     for seed in range(8):
         wmat = _rand_hermitian(np.random.default_rng(100 + seed), 8)
@@ -325,6 +348,18 @@ def test_sandwich_leaves_saturated_axes_open():
     np.testing.assert_allclose(_sandwich(w, np.kron(u, v)), big.conj().T @ w @ big, rtol=0, atol=atol)
 
 
+def _whitened_least(a, b):
+    """Reference: the least generalized eigenvector of (a, b) on the numerical range of b.
+
+    eigh of b, keep its eigenvalues above 1e-9 ||b||_2, whiten by them, then
+    the least eigenvector of the whitened a, mapped back.
+    """
+    bw, bv = np.linalg.eigh(b)
+    keep = bw > 1e-9 * np.max(np.abs(bw))
+    whiten = bv[:, keep] / np.sqrt(bw[keep])
+    return whiten @ np.linalg.eigh(whiten.conj().T @ a @ whiten)[1][:, 0]
+
+
 def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=1e-10):
     """Reference: the see-saw with explicit Jacobians and generalized eigenproblems.
 
@@ -363,7 +398,7 @@ def _reference_seesaw(wmat, dims, target, rng, max_sweeps, eps=1e-10):
         start = value
         for name in sweep:
             jac = jacobian(name)
-            _, z = min_gen_eig(jac.conj().T @ wmat @ jac, jac.conj().T @ jac)
+            z = _whitened_least(jac.conj().T @ wmat @ jac, jac.conj().T @ jac)
             candidate = quotient(jac @ z)
             if candidate <= value:
                 value = candidate
@@ -561,10 +596,9 @@ def test_violation_search_rejects_non_finite(value):
 # linalg._eigh tests only its least eigenvalue for NaN, and a NaN on the
 # diagonal can leave the others finite, so it takes finite input only: every
 # public path into it rejects a NaN diagonal entry before _eigh is reached
+# (min_gen_eig's own test in tests/test_linalg.py holds this for that path)
 NAN_DIAGONAL_PATHS = {
     "hermitian_eig": lambda m: hermitian_eig(m),
-    "min_gen_eig": lambda m: min_gen_eig(m, np.eye(8)),
-    "min_gen_eig-rhs": lambda m: min_gen_eig(np.eye(8), m),
     "seesaw_minimize-full": lambda m: seesaw_minimize(m, QUBITS, (2, 2, 2), np.random.default_rng(0)),
     "seesaw_minimize-cut": lambda m: seesaw_minimize(m, QUBITS, (1, 2, 2), np.random.default_rng(0)),
     "violation_search": lambda m: violation_search(_nan_operator(m), (1, 1, 2), SeesawConfig(restarts=1)),

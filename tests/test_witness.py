@@ -6,6 +6,7 @@ import pytest
 
 from triwit import (
     AlphaGrid,
+    ConsistencyError,
     NonPositive,
     Permutation3,
     QubitWitnessParams,
@@ -585,6 +586,14 @@ def test_ghz_value_random_draws_match_closed_form():
         val = ghz_value(s, lam, theta)  # raises ConsistencyError on mismatch
         closed = (1 / s) * (lam[1] ** 2 + lam[2] ** 2 + lam[3] ** 2) - 2 * lam[0] * lam[4]
         assert abs(val - closed) <= 1e-10
+
+
+def test_ghz_value_raises_when_the_pairing_disagrees_with_the_closed_form(monkeypatch):
+    # the Choi pairing is cross-checked, so a pairing off by 1e-9 is caught
+    true_pair = witness.pair
+    monkeypatch.setattr(witness, "pair", lambda rho, phi: true_pair(rho, phi) + 1e-9)
+    with pytest.raises(ConsistencyError, match="disagrees with closed form"):
+        ghz_value(1.0, (1 / math.sqrt(2), 0, 0, 0, 1 / math.sqrt(2)), 0.0)
 
 
 def test_alpha_grid_validation():

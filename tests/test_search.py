@@ -37,7 +37,7 @@ from triwit import (
 )
 from triwit import linalg
 from triwit import search
-from triwit.linalg import DEFAULT_TOL, Tolerance, _frobenius, hermitize
+from triwit.linalg import DEFAULT_TOL, Tolerance, _frobenius, hermitize, min_gen_eig
 from triwit.search import _mode_product, _sandwich
 
 QUBITS = TriDims(2, 2, 2)
@@ -596,9 +596,10 @@ def test_violation_search_rejects_non_finite(value):
 # linalg._eigh tests only its least eigenvalue for NaN, and a NaN on the
 # diagonal can leave the others finite, so it takes finite input only: every
 # public path into it rejects a NaN diagonal entry before _eigh is reached
-# (min_gen_eig's own test in tests/test_linalg.py holds this for that path)
 NAN_DIAGONAL_PATHS = {
     "hermitian_eig": lambda m: hermitian_eig(m),
+    "min_gen_eig": lambda m: min_gen_eig(m, np.eye(8)),
+    "min_gen_eig-rhs": lambda m: min_gen_eig(np.eye(8), m),
     "seesaw_minimize-full": lambda m: seesaw_minimize(m, QUBITS, (2, 2, 2), np.random.default_rng(0)),
     "seesaw_minimize-cut": lambda m: seesaw_minimize(m, QUBITS, (1, 2, 2), np.random.default_rng(0)),
     "violation_search": lambda m: violation_search(_nan_operator(m), (1, 1, 2), SeesawConfig(restarts=1)),

@@ -22,22 +22,26 @@ from .tensor import Permutation3, TriDims, TriOperator, _check_kind, _finite_arr
 
 @dataclass(frozen=True)
 class BiLinearMap:
-    dims: TriDims
+    """A bi-linear map, held as its Choi matrix alone; TypeError unless ``choi`` is a TriOperator."""
+
     choi: TriOperator
 
     def __post_init__(self):
-        if self.choi.dims != self.dims:
-            raise DimMismatch("Choi matrix dimensions do not match the map dimensions")
+        _check_kind("choi", self.choi, TriOperator)
+
+    @property
+    def dims(self) -> TriDims:
+        return self.choi.dims
 
 
 def from_choi(mat: np.ndarray, dims: TriDims) -> BiLinearMap:
     """Wrap an (abc) x (abc) matrix as a bi-linear map; TypeError unless ``dims`` is a TriDims."""
-    return BiLinearMap(dims, TriOperator(_check_kind("dims", dims, TriDims), mat))
+    return BiLinearMap(TriOperator(_check_kind("dims", dims, TriDims), mat))
 
 
 def from_function(f: Callable[[np.ndarray, np.ndarray], np.ndarray], dims: TriDims) -> BiLinearMap:
-    """Populate the Choi matrix from a callback evaluated on matrix-unit pairs."""
-    a, b, c = dims.as_tuple()
+    """Populate the Choi matrix from a callback on matrix-unit pairs; TypeError unless ``dims`` is a TriDims."""
+    a, b, c = _check_kind("dims", dims, TriDims).as_tuple()
     choi = np.zeros((dims.total, dims.total), dtype=complex)
     c6 = choi.reshape(a, b, c, a, b, c)  # the view of the same entries that apply reads
     for i, j, k, l in itertools.product(range(a), range(a), range(b), range(b)):
@@ -60,9 +64,9 @@ def elementary(v: np.ndarray, dims: TriDims) -> BiLinearMap:
     """The map (x, y) -> V (x kron y) V* for a c x (ab) matrix V.
 
     Its Choi matrix is the rank-one positive matrix onto the vector whose
-    flat (i, k, m) entry is V[m, (i, k)].
+    flat (i, k, m) entry is V[m, (i, k)].  TypeError unless ``dims`` is a TriDims.
     """
-    a, b, c = dims.as_tuple()
+    a, b, c = _check_kind("dims", dims, TriDims).as_tuple()
     v = _finite_array(v, (c, a * b), "elementary")
     vec = v.T.reshape(-1)
     return from_choi(np.outer(vec, vec.conj()), dims)
@@ -128,8 +132,7 @@ def permute_dual(phi: BiLinearMap, sigma: Permutation3) -> BiLinearMap:
     columns reordered together) and the dimensions move along.  TypeError
     unless ``phi`` is a BiLinearMap.
     """
-    flipped = flip(_check_kind("phi", phi, BiLinearMap).choi, sigma)
-    return BiLinearMap(flipped.dims, flipped)
+    return BiLinearMap(flip(_check_kind("phi", phi, BiLinearMap).choi, sigma))
 
 
 def contract_a(phi: BiLinearMap, x: np.ndarray) -> np.ndarray:

@@ -251,7 +251,7 @@ def _map_from_args(args, what: str) -> tuple[BiLinearMap, dict]:
         raise TriwitError(f"give either a {what} file or family parameters --s/--t/--u, not both")
     if path:
         op, digest = _read_operator(path)
-        return BiLinearMap(op.dims, op), {what: path, "sha256": digest}
+        return BiLinearMap(op), {what: path, "sha256": digest}
     if args.s and args.t:
         params, payload = _family_params(args)
         return family_choi(params), {"family_params": payload, "sha256": _digest(payload)}

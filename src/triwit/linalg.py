@@ -22,16 +22,7 @@ from numpy.linalg import _umath_linalg
 from numpy.linalg._linalg import _raise_linalgerror_singular
 
 from .errors import DegeneratePencil, DimMismatch, NotHermitian
-from .tensor import _finite_array
-
-__all__ = [
-    "Tolerance",
-    "DEFAULT_TOL",
-    "hermitize",
-    "hermitian_eig",
-    "svd_rank",
-    "min_gen_eig",
-]
+from .tensor import _check_kind, _finite_array
 
 
 @dataclass(frozen=True)
@@ -76,8 +67,9 @@ def hermitize(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> np.ndarray:
     Symmetrizing after the gate removes round-off asymmetry deterministically.
     Raises NotHermitian when the defect exceeds ``psd_abs * ||m||_F``, and
     when that norm is not below 2**1023, half the float range: also when
-    ``m`` holds a NaN or an infinity.
+    ``m`` holds a NaN or an infinity.  TypeError unless ``tol`` is a Tolerance.
     """
+    _check_kind("tol", tol, Tolerance)
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise NotHermitian(f"expected a square matrix, got shape {m.shape}")
@@ -251,10 +243,9 @@ def svd_rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
 
 
 def _spectrum_rank(s: np.ndarray, tol: Tolerance) -> int:
-    """The rank rule of :func:`svd_rank`, applied to descending singular values ``s``."""
-    if s[0] == 0.0:
-        return 0
-    return int(np.count_nonzero(s > tol.rank_rel * s[0]))
+    """The rank rule of :func:`svd_rank`, applied to descending singular values ``s``, 0 when s[0] is 0;
+    TypeError unless ``tol`` is a Tolerance."""
+    return int(np.count_nonzero(s > _check_kind("tol", tol, Tolerance).rank_rel * s[0]))
 
 
 def min_gen_eig(a: np.ndarray, b: np.ndarray, tol: Tolerance = DEFAULT_TOL):

@@ -74,7 +74,7 @@ def schmidt_rank_by_definition(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> S
     # Gram eigenvalues square the singular values, so the rank cutoff squares
     # too; it must stay above the eigensolver's own noise floor of order
     # eps * top, which squared cutoffs like 1e-18 would otherwise undercut
-    floor = max(tol.rank_rel**2, 64.0 * a * np.finfo(float).eps) * top
+    floor = max(_check_kind("tol", tol, Tolerance).rank_rel**2, 64.0 * a * np.finfo(float).eps) * top
     alpha = int(np.count_nonzero(gw > floor))
 
     svds = [np.linalg.svd(m) for m in maps]
@@ -103,7 +103,7 @@ def admissible(t, dims: TriDims) -> bool:
     Requires 1 <= alpha <= a, 1 <= beta <= b, 1 <= gamma <= c and each
     component at most the product of the other two.
     """
-    return _admissible(*_triple(t), *dims.as_tuple())
+    return _admissible(*_triple(t), *_check_kind("dims", dims, TriDims).as_tuple())
 
 
 def _admissible(al: int, be: int, ga: int, a: int, b: int, c: int) -> bool:

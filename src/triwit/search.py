@@ -129,9 +129,9 @@ def _draw_complex(rng: np.random.Generator, *shapes) -> list[np.ndarray]:
 def _fit_target(target, dims: TriDims) -> SchmidtRank:
     """The target rank triplet as integers: ValueError unless it has three
     integral entries, DimMismatch unless 1 <= target <= dims."""
-    t = SchmidtRank(*_triple(target))
-    if min(t) < 1 or not triple_leq(t, dims.as_tuple()):
-        raise DimMismatch(f"target {tuple(target)} does not fit in dims {dims.as_tuple()}")
+    t, d = SchmidtRank(*_triple(target)), _check_kind("dims", dims, TriDims).as_tuple()
+    if min(t) < 1 or not triple_leq(t, d):
+        raise DimMismatch(f"target {tuple(target)} does not fit in dims {d}")
     return t
 
 
@@ -153,7 +153,8 @@ def sample_sr_vector(dims: TriDims, target, rng: np.random.Generator) -> TriVect
 def sample_state(dims: TriDims, target, n_terms: int, rng: np.random.Generator) -> TriOperator:
     """Unit-trace mixture of projectors onto sampled rank-bounded vectors."""
     _check_count("n_terms", n_terms, 1)
-    mat = np.zeros((dims.total, dims.total), dtype=complex)
+    n = _check_kind("dims", dims, TriDims).total
+    mat = np.zeros((n, n), dtype=complex)
     for _ in range(n_terms):
         xi = sample_sr_vector(dims, target, rng).data
         mat += np.outer(xi, xi.conj())
@@ -407,6 +408,7 @@ def violation_search(
     TriOperator.
     """
     target = _fit_target(target, _check_kind("w", w, TriOperator).dims)
+    _check_kind("cfg", cfg, SeesawConfig)
     wmat = hermitize(w.mat, tol)
     prepared = _Witness(wmat, w.dims, target)
     restarts = 1 if target == w.dims.as_tuple() else cfg.restarts

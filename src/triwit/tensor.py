@@ -63,9 +63,6 @@ class TriDims:
     def as_tuple(self) -> tuple[int, int, int]:
         return (self.a, self.b, self.c)
 
-    def permuted(self, sigma: "Permutation3") -> "TriDims":
-        return TriDims(*sigma.apply(self.as_tuple()))
-
 
 @dataclass(frozen=True)
 class Permutation3:
@@ -102,8 +99,9 @@ class TriVector:
     data: np.ndarray
 
     def __post_init__(self):
+        n = _check_kind("dims", self.dims, TriDims).total
         data = np.asarray(self.data, dtype=complex).reshape(-1)
-        object.__setattr__(self, "data", _finite_array(data, (self.dims.total,), "TriVector"))
+        object.__setattr__(self, "data", _finite_array(data, (n,), "TriVector"))
 
     def as_tensor(self) -> np.ndarray:
         return self.data.reshape(self.dims.as_tuple())
@@ -120,7 +118,7 @@ class TriOperator:
     mat: np.ndarray
 
     def __post_init__(self):
-        n = self.dims.total
+        n = _check_kind("dims", self.dims, TriDims).total
         object.__setattr__(self, "mat", _finite_array(self.mat, (n, n), "TriOperator"))
 
 
@@ -143,7 +141,7 @@ def unfold(xi: TriVector, mode: int) -> np.ndarray:
     """
     if _check_count("mode", mode, MODE_A, DimMismatch) > MODE_C:
         raise DimMismatch(f"mode must be 0, 1 or 2, got {mode}")
-    t = xi.as_tensor()
+    t = _check_kind("xi", xi, TriVector).as_tensor()
     return np.moveaxis(t, mode, 0).reshape(t.shape[mode], -1)
 
 
@@ -156,13 +154,11 @@ def flip(x, sigma: Permutation3):
     ``sigma`` is a Permutation3 and ``x`` a TriVector or TriOperator.
     """
     _check_kind("sigma", sigma, Permutation3)
+    if not isinstance(x, (TriVector, TriOperator)):
+        raise TypeError(f"flip expects TriVector or TriOperator, got {type(x).__name__}")
+    nd = TriDims(*sigma.apply(x.dims.as_tuple()))
     if isinstance(x, TriVector):
-        t = x.as_tensor().transpose(sigma.image)
-        return TriVector(x.dims.permuted(sigma), t.ravel())
-    if isinstance(x, TriOperator):
-        d = x.dims.as_tuple()
-        axes = tuple(sigma.image) + tuple(i + 3 for i in sigma.image)
-        t = x.mat.reshape(d + d).transpose(axes)
-        nd = x.dims.permuted(sigma)
-        return TriOperator(nd, t.reshape(nd.total, nd.total))
-    raise TypeError(f"flip expects TriVector or TriOperator, got {type(x).__name__}")
+        return TriVector(nd, x.as_tensor().transpose(sigma.image).ravel())
+    d = x.dims.as_tuple()
+    t = x.mat.reshape(d + d).transpose(sigma.image + tuple(i + 3 for i in sigma.image))
+    return TriOperator(nd, t.reshape(nd.total, nd.total))

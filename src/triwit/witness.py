@@ -30,7 +30,7 @@ import numpy as np
 from .choi import BiLinearMap, from_choi, pair
 from .errors import ConsistencyError, NonPositive
 from .linalg import DEFAULT_TOL, Tolerance
-from .tensor import TriDims, TriOperator, _check_count
+from .tensor import TriDims, TriOperator, _check_count, _check_kind
 
 QUBIT_DIMS = TriDims(2, 2, 2)
 
@@ -148,7 +148,7 @@ class AlphaGrid:
 
 def family_choi(params: QubitWitnessParams) -> BiLinearMap:
     """Build the 8 x 8 family Choi matrix."""
-    s, t, u = params.s, params.t, params.u
+    s, t, u = _check_kind("params", params, QubitWitnessParams).s, params.t, params.u
     m = np.diag(np.array(s + t[::-1], dtype=complex))
     m[range(8), range(7, -1, -1)] = u + tuple(z.conjugate() for z in u[::-1])
     return from_choi(m, QUBIT_DIMS)
@@ -175,7 +175,7 @@ def alpha_slack(params: QubitWitnessParams, alpha) -> np.ndarray:
     read inf, without a warning, so the slack can read -inf.
     """
     alpha = np.asarray(alpha, dtype=complex)
-    s, t, u = params.s, params.t, params.u
+    s, t, u = _check_kind("params", params, QubitWitnessParams).s, params.t, params.u
     with np.errstate(over="ignore", invalid="ignore"):
         m = np.abs(alpha) ** 2
         lhs = _root_products(s[0] + t[3] * m, s[3] + t[0] * m) + _root_products(s[1] + t[2] * m, s[2] + t[1] * m)
@@ -252,13 +252,14 @@ def _closed_form(params: QubitWitnessParams, tol: Tolerance) -> _ClosedForm:
     sum of sqrt(s_i t_i) is at least the sum of |u_i|, less ``ineq_abs``
     times that sum, both taken where they are finite, on the scaled member.
     """
-    scaled, c = _scaled_for_slack(params)
+    scaled, c = _scaled_for_slack(_check_kind("params", params, QubitWitnessParams))
+    ineq = _check_kind("tol", tol, Tolerance).ineq_abs
     rst, au = scaled.root_st(), tuple(abs(z) for z in scaled.u)
     holds = {}
     for idx in _INDEX_SETS:
         lhs, rhs = sum(rst[i] for i in idx), sum(au[i] for i in idx)
-        holds[idx] = lhs >= rhs - tol.ineq_abs * rhs
-    refute_below = -tol.ineq_abs * max(scaled.s + scaled.t + au)
+        holds[idx] = lhs >= rhs - ineq * rhs
+    refute_below = -ineq * max(scaled.s + scaled.t + au)
     return _ClosedForm(scaled, c, holds, params.root_st(), tuple(a / c for a in au), refute_below)
 
 
@@ -428,6 +429,7 @@ def check_111(
     given in the original units.  The tolerance is ``ineq_abs`` times the
     member's largest entry, on the same scale.
     """
+    _check_kind("grid", grid, AlphaGrid)
     cf = _closed_form(params, tol) if closed_form is None else closed_form
     if cf.holds[(0, 1, 2, 3)]:
         return ClassVerdict(Verdict.CERTIFIED, "sum criterion: sum sqrt(s_i t_i) >= sum |u_i|")

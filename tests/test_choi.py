@@ -271,12 +271,33 @@ def test_permute_dual_identity_and_cycle():
 
 def test_pairing_invariant_under_simultaneous_flip():
     rng = np.random.default_rng(53)
-    phi = BiLinearMap(QUBITS, TriOperator(QUBITS, _rand_complex(rng, (8, 8))))
+    phi = BiLinearMap(TriOperator(QUBITS, _rand_complex(rng, (8, 8))))
     rho = TriOperator(QUBITS, _rand_complex(rng, (8, 8)))
     ref = pair(rho, phi)
     for sigma in ALL_PERMUTATIONS:
         got = pair(flip(rho, sigma), permute_dual(phi, sigma))
         assert abs(got - ref) <= 1e-12 * max(1.0, abs(ref))
+
+
+_UNEVEN = TriDims(1, 2, 3)
+_BCA = Permutation3((1, 2, 0))
+
+
+@pytest.mark.parametrize(
+    "build,dims",
+    [
+        (lambda: from_choi(np.eye(6), _UNEVEN), (1, 2, 3)),
+        (lambda: from_function(lambda x, y: np.trace(x) * np.trace(y) * np.eye(3), _UNEVEN), (1, 2, 3)),
+        (lambda: elementary(np.ones((3, 2)), _UNEVEN), (1, 2, 3)),
+        (lambda: family_choi(QubitWitnessParams(s=(1, 2, 3, 4), t=(4, 3, 2, 1), u=(1, 1j, 0, 0))), (2, 2, 2)),
+        (lambda: permute_dual(elementary(np.ones((3, 2)), _UNEVEN), _BCA), _BCA.apply((1, 2, 3))),
+    ],
+    ids=["from-choi", "from-function", "elementary", "family-choi", "permute-dual"],
+)
+def test_map_dims_are_its_choi_dims(build, dims):
+    phi = build()
+    assert phi.dims is phi.choi.dims
+    assert phi.dims.as_tuple() == dims
 
 
 def test_contract_a_family_closed_form():

@@ -845,7 +845,7 @@ def test_search_is_invariant_under_party_order_conjugation_and_local_unitaries(c
     rng = np.random.default_rng(421)
     *sigmas, last = ALL_PERMUTATIONS
     transforms = [(flip(w, sigma), sigma.apply(target)) for sigma in sigmas]
-    transforms.append((permute_dual(BiLinearMap(w.dims, w), last).choi, last.apply(target)))
+    transforms.append((permute_dual(BiLinearMap(w), last).choi, last.apply(target)))
     transforms.append((TriOperator(w.dims, w.mat.conj()), target))
     for _ in range(3):
         v = _local_unitary(rng, w.dims.as_tuple())

@@ -36,7 +36,7 @@ class BiLinearMap:
 
 def from_choi(mat: np.ndarray, dims: TriDims) -> BiLinearMap:
     """Wrap an (abc) x (abc) matrix as a bi-linear map; TypeError unless ``dims`` is a TriDims."""
-    return BiLinearMap(TriOperator(_check_kind("dims", dims, TriDims), mat))
+    return BiLinearMap(TriOperator(dims, mat))
 
 
 def from_function(f: Callable[[np.ndarray, np.ndarray], np.ndarray], dims: TriDims) -> BiLinearMap:

@@ -237,6 +237,7 @@ def svd_rank(m: np.ndarray, tol: Tolerance = DEFAULT_TOL) -> int:
     if m.ndim != 2:
         raise DimMismatch(f"svd_rank: expected a 2-D array, got shape {m.shape}")
     m = _finite_array(m, m.shape, "svd_rank")
+    _check_kind("tol", tol, Tolerance)
     if m.size == 0:
         return 0
     return _spectrum_rank(np.linalg.svd(m, compute_uv=False), tol)

@@ -92,6 +92,7 @@ def schmidt_rank_by_definition(xi: TriVector, tol: Tolerance = DEFAULT_TOL) -> S
 def sr_leq(xi: TriVector, t, tol: Tolerance = DEFAULT_TOL) -> bool:
     """True when the rank triplet of ``xi`` is componentwise at most ``t``; TypeError unless ``xi`` is a TriVector."""
     t = _triple(t)
+    _check_kind("tol", tol, Tolerance)
     if not _check_kind("xi", xi, TriVector).data.any():
         return True  # the zero vector sits in every cone
     return triple_leq(schmidt_rank(xi, tol), t)

@@ -87,6 +87,16 @@ def test_sr_wrong_dims_flag(tmp_path, capsys):
     path = _write(tmp_path / "v.json", vec)
     code, _ = _run(capsys, ["sr", path, "--dims", "2,2,3"])
     assert code == 2
+    # a --dims that fits the entry count regroups them: 12 entries written at (2,2,3), read at (3,2,2)
+    data = np.random.default_rng(0).standard_normal(12)
+    path = _write(tmp_path / "w.json", vector_to_json(TriVector(TriDims(2, 2, 3), data)))
+    code, out = _run(capsys, ["sr", path, "--dims", "3,2,2"])
+    assert code == 0
+    t = data.reshape(3, 2, 2)
+    spectra = [np.linalg.svd(np.moveaxis(t, k, 0).reshape(t.shape[k], -1), compute_uv=False) for k in range(3)]
+    results = json.loads(out)["results"]
+    assert results["dims"] == [3, 2, 2]
+    assert results["schmidt_rank"] == [int(np.sum(s > DEFAULT_TOL.rank_rel * s[0])) for s in spectra]
 
 
 def test_sr_product_vector(tmp_path, capsys):
@@ -686,6 +696,18 @@ def test_classify_grid_limit_counts_points(capsys, monkeypatch, member):
     # a negative count is named, not read as a grid of 4,000,000 points over the cap
     assert main(["classify", *member, "--grid-radii", "-2000", "--grid-angles", "-2000"]) == 2
     assert capsys.readouterr().err == "error: radii must be an integer >= 1, got -2000\n"
+
+
+def test_map_needs_a_file_or_both_s_and_t(tmp_path, capsys):
+    # --s or --t alone is no map, whichever command reads it
+    state = _write(tmp_path / "ghz.json", _ghz_state_doc())
+    for argv in (["pair", state, "--s", "0,1,1,1"], ["search", "--sr", "1,2,2", "--t", "0,1,1,1"]):
+        code = main(argv)
+        captured = capsys.readouterr()
+        assert code == 2, argv
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert "Traceback" not in captured.err and "--s/--t/--u" in captured.err
 
 
 def test_gen_takes_no_tolerance_flags(capsys):

@@ -161,6 +161,16 @@ def test_check_111_refuted_with_witness_alpha():
     assert alpha_slack(p, verdict.alpha) < -1e-9
 
 
+def test_check_111_refutes_at_its_pinned_alpha():
+    # fails the sum criterion and every pair class, so the grid and the polish give alpha; the slack is even in
+    # alpha, and on numpy's baseline loops the polish ends at the mirror image instead, -alpha to about 8e-9
+    p = QubitWitnessParams(s=(1.0, 0.5, 0.8, 1.2), t=(0.9, 1.1, 0.6, 1.0), u=(1.1, 0.8j, -0.7, 0.9 - 0.5j))
+    pinned = 0.8851167807582149 - 0.4516088730691316j
+    verdict = check_111(p)
+    assert verdict.verdict is Verdict.REFUTED
+    assert abs(verdict.alpha - pinned) <= 1e-12 * abs(pinned)
+
+
 def test_check_111_trivially_certified():
     p = QubitWitnessParams(s=(1, 1, 1, 1), t=(1, 1, 1, 1), u=(0, 0, 0, 0))
     assert check_111(p).verdict is Verdict.CERTIFIED

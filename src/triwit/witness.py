@@ -11,10 +11,10 @@ datum of a member comes from one record, ``_closed_form``, taken on the
 member scaled once by an exact power of two.
 
 The descent is scipy's non-adaptive Nelder-Mead unrolled in plain Python
-for two variables, a generator (``_nelder_mead_steps``) whose docstring
-gives its coefficients and stopping rule; it asks for scipy's points and
+for two variables (``_nelder_mead``, whose docstring gives its
+coefficients and stopping rule); it calls the slack at scipy's points and
 returns scipy's point bit for bit, so the package imports no scipy.  The
-four polishes run in lockstep, each round's points valued in two numpy calls.
+four polishes run one after another, each point valued in plain Python.
 """
 
 from __future__ import annotations
@@ -133,9 +133,9 @@ class AlphaGrid:
     ``radii`` radii, log-spaced over the fixed range RADIUS_MIN = 1e-3 to
     RADIUS_MAX = 1e3 so both small and large parameters are covered, times
     ``angles`` equally spaced angles; the REFINE = 4 grid points of least
-    slack get a local derivative-free polish, :func:`_nelder_mead_steps` in
+    slack get a local derivative-free polish, :func:`_nelder_mead` in
     (log radius, angle), the radius clamped to three e-folds beyond the
-    grid's range.
+    grid's range, each in turn; the first of least slack gives alpha.
     """
 
     radii: int = 64
@@ -269,38 +269,24 @@ def _polish_alpha(log_radius: float, angle: float) -> complex:
     return math.exp(log_radius) * cmath.exp(1j * angle)
 
 
-def _polish_slacks(params: QubitWitnessParams):
-    """``alpha_slack`` at ``_polish_alpha(*x)`` for each of at most REFINE points x, as floats: one lockstep round.
+def _polish_slack(params: QubitWitnessParams):
+    """``alpha_slack`` at ``_polish_alpha(*x)`` as a function of one point x, in Python floats and complex numbers.
 
-    Bit for bit the values of 0-d ``alpha_slack`` calls, in two numpy calls
-    a round, not two a point: numpy's complex products by conj(u_i) and its
-    complex ``abs`` round differently from Python's, so those stay numpy
-    ufuncs, one call each for the round (which give the same bits on any
-    length as on a 0-d array under numpy's AVX-512, AVX2 and baseline x86
-    loops); ``u_i * conj(alpha)``, the sums, ``sqrt`` and ``**`` round the
-    same in Python, so they move there, point by point.  ``conj_u`` holds
-    REFINE copies of conj(u_4), then of conj(u_3); k points take its middle 2 k.
+    The same formula in the same operation order as :func:`alpha_slack`.
+    Python rounds the complex products and moduli differently from numpy,
+    so the two agree to a few ulps of the terms' size, not bit for bit.
     """
     (s0, s1, s2, s3), (t0, t1, t2, t3), (u0, u1, u2, u3) = params.s, params.t, params.u
-    conj_u = np.repeat([u3.conjugate(), u2.conjugate()], REFINE)
+    conj_u3, conj_u2 = u3.conjugate(), u2.conjugate()
 
-    def slacks(points) -> list[float]:
-        alphas = [_polish_alpha(x, y) for x, y in points]
-        k = len(alphas)
-        p = np.multiply(conj_u[REFINE - k : REFINE + k], alphas * 2).tolist()
-        terms = []
-        for alpha, p3, p2 in zip(alphas, p, p[k:]):
-            ca = alpha.conjugate()
-            terms += (alpha, u0 * ca + p3, u1 * ca + p2)
-        moduli = iter(np.abs(terms).tolist())
-        values = []
-        for a, r1, r2 in zip(moduli, moduli, moduli):
-            m = a**2
-            lhs = _root_product(s0 + t3 * m, s3 + t0 * m) + _root_product(s1 + t2 * m, s2 + t1 * m)
-            values.append(lhs - (r1 + r2))
-        return values
+    def slack(x) -> float:
+        alpha = _polish_alpha(*x)
+        conj_alpha = alpha.conjugate()
+        m = abs(alpha) ** 2
+        lhs = _root_product(s0 + t3 * m, s3 + t0 * m) + _root_product(s1 + t2 * m, s2 + t1 * m)
+        return lhs - (abs(u0 * conj_alpha + conj_u3 * alpha) + abs(u1 * conj_alpha + conj_u2 * alpha))
 
-    return slacks
+    return slack
 
 
 def _ordered(s0, s1, s2, f0, f1, f2):
@@ -319,18 +305,18 @@ def _ordered(s0, s1, s2, f0, f1, f2):
     return s0, s1, s2, f0, f1, f2
 
 
-def _nelder_mead_steps(x0):
-    """scipy's Nelder-Mead from ``x0``, as a generator: it yields each point, is sent its value, returns the best.
+def _nelder_mead(f, x0):
+    """scipy's Nelder-Mead on ``f`` from ``x0``: the best vertex and its value.
 
     A copy of ``scipy.optimize.minimize(f, x0, method="Nelder-Mead")`` with
     its default (non-adaptive) coefficients, no bounds, ``maxfev`` unset and
     ``options={"maxiter": POLISH_MAXITER, "xatol": POLISH_XATOL, "fatol":
     POLISH_FATOL}``, unrolled for two variables: the vertices ``s0, s1, s2``
-    (tuples, the points yielded) and their values ``f0, f1, f2`` are locals,
-    every step is written per coordinate, and :func:`_ordered` re-sorts
-    them as scipy's argsort does.  Each step asks for the same points in the
-    same order as scipy evaluates ``f``, so the two return the same vertex
-    bit for bit.  scipy's rho = 1, chi = 2, psi = sigma = 1/2 are folded
+    (tuples) and their values ``f0, f1, f2`` are locals, every step is
+    written per coordinate, and :func:`_ordered` re-sorts them as scipy's
+    argsort does.  Each step calls ``f`` at the same points in the same
+    order as scipy, so the two return the same vertex bit for bit.
+    scipy's rho = 1, chi = 2, psi = sigma = 1/2 are folded
     into the exact numbers of its products, with centroid xbar and worst
     vertex w: reflect 2 xbar - w, expand 3 xbar - 2 w, contract outside
     1.5 xbar - 0.5 w, inside 0.5 xbar + 0.5 w, shrink s0 + 0.5 (s - s0).
@@ -340,7 +326,7 @@ def _nelder_mead_steps(x0):
     s0 = (x, y)
     s1 = ((1 + _NONZDELT) * x if x != 0 else _ZDELT, y)
     s2 = (x, (1 + _NONZDELT) * y if y != 0 else _ZDELT)
-    s0, s1, s2, f0, f1, f2 = _ordered(s0, s1, s2, (yield s0), (yield s1), (yield s2))
+    s0, s1, s2, f0, f1, f2 = _ordered(s0, s1, s2, f(s0), f(s1), f(s2))
 
     for _ in range(maxiter - 1):
         (a0, b0), (a1, b1), (a2, b2) = s0, s1, s2
@@ -356,56 +342,35 @@ def _nelder_mead_steps(x0):
 
         ca, cb = (a0 + a1) / 2, (b0 + b1) / 2
         xr = (2 * ca - a2, 2 * cb - b2)
-        fxr = yield xr
+        fxr = f(xr)
         shrink = False
         if fxr < f0:
             xe = (3 * ca - 2 * a2, 3 * cb - 2 * b2)
-            fxe = yield xe
+            fxe = f(xe)
             s2, f2 = (xe, fxe) if fxe < fxr else (xr, fxr)
         elif fxr < f1:
             s2, f2 = xr, fxr
         elif fxr < f2:
             xc = (1.5 * ca - 0.5 * a2, 1.5 * cb - 0.5 * b2)
-            fxc = yield xc
+            fxc = f(xc)
             if fxc <= fxr:
                 s2, f2 = xc, fxc
             else:
                 shrink = True
         else:
             xcc = (0.5 * ca + 0.5 * a2, 0.5 * cb + 0.5 * b2)
-            fxcc = yield xcc
+            fxcc = f(xcc)
             if fxcc < f2:
                 s2, f2 = xcc, fxcc
             else:
                 shrink = True
         if shrink:
             s1 = (a0 + 0.5 * (a1 - a0), b0 + 0.5 * (b1 - b0))
-            f1 = yield s1
+            f1 = f(s1)
             s2 = (a0 + 0.5 * (a2 - a0), b0 + 0.5 * (b2 - b0))
-            f2 = yield s2
+            f2 = f(s2)
         s0, s1, s2, f0, f1, f2 = _ordered(s0, s1, s2, f0, f1, f2)
     return s0, f0
-
-
-def _nelder_mead_lockstep(values, starts) -> list:
-    """:func:`_nelder_mead_steps` from each of ``starts`` in lockstep: the best vertex and value of each, in order.
-
-    Each round passes ``values`` the pending point of every run still going,
-    in start order, and takes back their values in that order.
-    """
-    runs = [_nelder_mead_steps(x0) for x0 in starts]
-    points = [next(run) for run in runs]
-    results, live = [None] * len(runs), list(range(len(runs)))
-    while live:
-        for j, v in enumerate(values(points)):
-            try:
-                points[j] = runs[j].send(v)
-            except StopIteration as stop:
-                results[live[j]], runs[j] = stop.value, None
-        if None in runs:
-            keep = [j for j, run in enumerate(runs) if run is not None]
-            live, runs, points = ([seq[j] for j in keep] for seq in (live, runs, points))
-    return results
 
 
 def check_111(
@@ -442,17 +407,21 @@ def check_111(
     alphas = radii[:, None] * np.exp(1j * angles[None, :])
     slack = alpha_slack(cf.scaled, alphas)
 
-    lowest = alphas.ravel()[np.argsort(slack, axis=None)[:REFINE]]
-    starts = [(math.log(abs(alpha0)), float(np.angle(alpha0))) for alpha0 in lowest]
-    best_alpha, best_slack = None, np.inf
-    for (log_radius, angle), val in _nelder_mead_lockstep(_polish_slacks(cf.scaled), starts):
+    polish_slack = _polish_slack(cf.scaled)
+    best_alpha, best_slack = None, math.inf
+    for alpha0 in alphas.ravel()[np.argsort(slack, axis=None)[:REFINE]]:
+        (log_radius, angle), val = _nelder_mead(polish_slack, (math.log(abs(alpha0)), float(np.angle(alpha0))))
         if val < best_slack:
             best_alpha, best_slack = _polish_alpha(log_radius, angle), val
     if best_slack < cf.refute_below:
+        # the slack is even in alpha and negation is exact: report the one of
+        # +-alpha with Re > 0, or with Re = 0 and Im >= 0
+        if best_alpha.real < 0 or best_alpha.real == 0 and best_alpha.imag < 0:
+            best_alpha = -best_alpha
         return ClassVerdict(
             Verdict.REFUTED,
             f"inequality fails by {-best_slack / cf.scale:.3e} at alpha = {best_alpha:.6g}",
-            alpha=complex(best_alpha),
+            alpha=best_alpha,
         )
     return ClassVerdict(
         Verdict.NUMERICALLY_SUPPORTED,

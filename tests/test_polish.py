@@ -1,8 +1,9 @@
-"""The (1,1,1) polish: the lockstep driver with one start against scipy's Nelder-Mead, bit for bit.
+"""The (1,1,1) polish against scipy's Nelder-Mead, bit for bit, and its slack against ``alpha_slack``.
 
 scipy is a test dependency only; the package itself must not import it.
 """
 
+import cmath
 import itertools
 import math
 import os
@@ -24,10 +25,11 @@ from triwit.witness import (
     RADIUS_MIN,
     REFINE,
     _closed_form,
-    _nelder_mead_lockstep,
+    _nelder_mead,
     _ordered,
     _polish_alpha,
-    _polish_slacks,
+    _polish_slack,
+    _root_product,
 )
 
 OPTIONS = {"maxiter": POLISH_MAXITER, "xatol": POLISH_XATOL, "fatol": POLISH_FATOL}
@@ -54,7 +56,7 @@ def _same_as_scipy(f, x0):
     want, got = [], []
     res = minimize(_recorded(f, want), np.array(x0, dtype=float), method="Nelder-Mead", options=OPTIONS)
     g = _recorded(f, got)
-    x, val = _nelder_mead_lockstep(lambda points: [g(x) for x in points], (tuple(float(v) for v in x0),))[0]
+    x, val = _nelder_mead(g, tuple(float(v) for v in x0))
     assert got == want
     assert _hex(x) == _hex(res.x)
     assert _hex([val]) == _hex([res.fun])
@@ -79,19 +81,34 @@ def _grid_params(rng):
             return p
 
 
-def test_polish_objective_is_a_0d_alpha_slack_bit_for_bit():
-    # the polish's slack in two numpy calls rounds as alpha_slack does on one point
+def _terms_size(p, alpha):
+    """The sum of the moduli of alpha_slack's four terms at ``alpha``."""
+    s, t, u = p.s, p.t, p.u
+    m = abs(alpha) ** 2
+    return (
+        math.sqrt((s[0] + t[3] * m) * (s[3] + t[0] * m))
+        + math.sqrt((s[1] + t[2] * m) * (s[2] + t[1] * m))
+        + abs(u[0] * alpha.conjugate() + u[3].conjugate() * alpha)
+        + abs(u[1] * alpha.conjugate() + u[2].conjugate() * alpha)
+    )
+
+
+def test_polish_slack_agrees_with_alpha_slack():
+    # Python and numpy round the complex products and moduli differently, so the
+    # two slacks agree to a few ulps of the terms' size, not bit for bit
     rng = np.random.default_rng(70)
+    eps = np.finfo(float).eps
     for k in range(40):
         scale = 10.0 ** rng.uniform(-4, 4)
         u = scale * (rng.standard_normal(4) + 1j * rng.standard_normal(4))
         p = QubitWitnessParams(
             s=tuple(rng.exponential(scale, 4)), t=tuple(rng.exponential(scale, 4)), u=tuple(u)
         )
-        slacks = _polish_slacks(p)
+        slack = _polish_slack(p)
         for log_radius, angle in zip(rng.uniform(-11, 11, 500), rng.uniform(-10, 10, 500)):
             x = (float(log_radius), float(angle))
-            assert slacks((x,))[0].hex() == float(alpha_slack(p, _polish_alpha(*x))).hex()
+            alpha = _polish_alpha(*x)
+            assert abs(slack(x) - float(alpha_slack(p, alpha))) <= 16 * eps * _terms_size(p, alpha), (k, x)
 
 
 def test_nelder_mead_matches_scipy_on_the_slack_objective():
@@ -101,9 +118,9 @@ def test_nelder_mead_matches_scipy_on_the_slack_objective():
         radii = np.geomspace(RADIUS_MIN, RADIUS_MAX, 64)
         angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
         alphas = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
-        slacks = _polish_slacks(p)
+        slack = _polish_slack(p)
         for idx in np.argsort(alpha_slack(p, alphas))[:REFINE]:
-            _same_as_scipy(lambda x: slacks((x,))[0], (math.log(abs(alphas[idx])), float(np.angle(alphas[idx]))))
+            _same_as_scipy(slack, (math.log(abs(alphas[idx])), float(np.angle(alphas[idx]))))
 
 
 @pytest.mark.parametrize(
@@ -138,41 +155,72 @@ def test_nelder_mead_matches_scipy_at_the_iteration_cap():
     assert (res.status, res.nit) == (2, POLISH_MAXITER)
 
 
-def _scipy_check_111(params: QubitWitnessParams, grid: AlphaGrid = AlphaGrid(), tol=DEFAULT_TOL) -> ClassVerdict:
-    """check_111's grid and polish with scipy.optimize.minimize, as the package computed it before."""
+def _scipy_polishes(params: QubitWitnessParams, grid: AlphaGrid, tol=DEFAULT_TOL):
+    """check_111's grid and polish with scipy.optimize.minimize: the member's record, each start's alpha and slack.
+
+    The objective is the slack in Python floats and complex numbers, in
+    alpha_slack's operation order, on the member as check_111 scales it.
+    """
+    cf = _closed_form(params, tol)
+    (s0, s1, s2, s3), (t0, t1, t2, t3), (u0, u1, u2, u3) = cf.scaled.s, cf.scaled.t, cf.scaled.u
     radii = np.geomspace(RADIUS_MIN, RADIUS_MAX, grid.radii)
     angles = np.linspace(0.0, 2.0 * np.pi, grid.angles, endpoint=False)
     alphas = radii[:, None] * np.exp(1j * angles[None, :])
-    slack = alpha_slack(params, alphas)
+    slack = alpha_slack(cf.scaled, alphas)
     log_lo = math.log(RADIUS_MIN) - 3.0
     log_hi = math.log(RADIUS_MAX) + 3.0
 
-    def refined(alpha0):
-        def objective(x):
-            radius = math.exp(min(max(x[0], log_lo), log_hi))
-            return float(alpha_slack(params, radius * np.exp(1j * x[1])))
+    def point(x):
+        return math.exp(min(max(float(x[0]), log_lo), log_hi)) * cmath.exp(1j * float(x[1]))
 
+    def objective(x):
+        alpha = point(x)
+        conj_alpha = alpha.conjugate()
+        m = abs(alpha) ** 2
+        lhs = _root_product(s0 + t3 * m, s3 + t0 * m) + _root_product(s1 + t2 * m, s2 + t1 * m)
+        return lhs - (abs(u0 * conj_alpha + u3.conjugate() * alpha) + abs(u1 * conj_alpha + u2.conjugate() * alpha))
+
+    polishes = []
+    for idx in np.argsort(slack, axis=None)[:REFINE]:
+        alpha0 = alphas.ravel()[idx]
         x0 = np.array([math.log(abs(alpha0)), np.angle(alpha0)])
         res = minimize(objective, x0, method="Nelder-Mead", options=OPTIONS)
-        radius = math.exp(min(max(res.x[0], log_lo), log_hi))
-        return radius * np.exp(1j * res.x[1])
+        polishes.append((point(res.x), float(res.fun)))
+    return cf, polishes
 
+
+def _scipy_check_111(params: QubitWitnessParams, grid: AlphaGrid = AlphaGrid(), tol=DEFAULT_TOL) -> ClassVerdict:
+    """check_111's verdict from :func:`_scipy_polishes`: the first start of least slack gives alpha.
+
+    Of the mirror pair +-alpha it reports the one with Re > 0, or Re = 0 and Im >= 0.
+    """
+    cf, polishes = _scipy_polishes(params, grid, tol)
     best_alpha, best_slack = None, np.inf
-    for idx in np.argsort(slack, axis=None)[:REFINE]:
-        cand = refined(alphas.ravel()[idx])
-        val = float(alpha_slack(params, cand))
+    for cand, val in polishes:
         if val < best_slack:
             best_alpha, best_slack = cand, val
-    if best_slack < -tol.ineq_abs * max(params.s + params.t + _closed_form(params, tol).abs_u):
+    if best_slack < cf.refute_below:
+        best_alpha = _right_half_plane(best_alpha)
         return ClassVerdict(
             Verdict.REFUTED,
-            f"inequality fails by {-best_slack:.3e} at alpha = {best_alpha:.6g}",
+            f"inequality fails by {-best_slack / cf.scale:.3e} at alpha = {best_alpha:.6g}",
             alpha=complex(best_alpha),
         )
     return ClassVerdict(
         Verdict.NUMERICALLY_SUPPORTED,
         f"no violating alpha found on a {grid.radii} x {grid.angles} grid with local descent",
     )
+
+
+def _right_half_plane(alpha):
+    """The one of +-alpha with Re > 0, or Re = 0 and Im >= 0."""
+    return alpha if alpha.real > 0 or (alpha.real == 0 and alpha.imag >= 0) else -alpha
+
+
+def _assert_matches_the_scipy_polish(p, grid=AlphaGrid()):
+    got, want = check_111(p, grid), _scipy_check_111(p, grid)
+    assert (got, repr(got.alpha)) == (want, repr(want.alpha))
+    return got
 
 
 def _tie_draw(rng):
@@ -195,13 +243,66 @@ def test_check_111_matches_the_scipy_polish():
             ties.append(("tie", p))
     seen = {}
     for kind, p in draws + ties:
-        got, want = check_111(p), _scipy_check_111(p)
-        assert (got, repr(got.alpha)) == (want, repr(want.alpha))
+        got = _assert_matches_the_scipy_polish(p)
         seen[kind, got.verdict] = seen.get((kind, got.verdict), 0) + 1
     # the draws cover refutations, numerically supported verdicts and exact ties
     assert seen.get(("random", Verdict.REFUTED), 0) >= 5
     assert seen.get(("tie", Verdict.REFUTED), 0) >= 3
     assert seen.get(("tie", Verdict.NUMERICALLY_SUPPORTED), 0) >= 3
+
+
+@pytest.mark.parametrize("grid", [AlphaGrid(1, 2), AlphaGrid(1, 1), AlphaGrid(2, 3)], ids=["1x2", "1x1", "2x3"])
+def test_check_111_matches_the_scipy_polish_on_grids_with_few_points(grid):
+    rng = np.random.default_rng(74)
+    for _ in range(3):
+        _assert_matches_the_scipy_polish(_grid_params(rng), grid)
+
+
+def test_check_111_keeps_the_first_start_on_ties():
+    # the tie draws of test_check_111_matches_the_scipy_polish, and more
+    rng = np.random.default_rng(72)
+    for _ in range(12):
+        _grid_params(rng)
+    tied = 0
+    for _ in range(40):
+        p = _tie_draw(rng)
+        if check_111(p, AlphaGrid(1, 1)).verdict is Verdict.CERTIFIED:
+            continue
+        _assert_matches_the_scipy_polish(p)
+        polishes = _scipy_polishes(p, AlphaGrid())[1]
+        least = min(val for _, val in polishes)
+        tied_alphas = {_right_half_plane(cand) for cand, val in polishes if val == least}
+        tied += len(tied_alphas) > 1
+    # several members have two or more starts of least slack at different +-alpha, where the first one must win
+    assert tied >= 3
+
+
+def test_check_111_matches_the_scipy_polish_on_a_member_scaled_for_the_slack():
+    rng = np.random.default_rng(75)
+    for _ in range(3):
+        q = _grid_params(rng)
+        p = QubitWitnessParams(
+            s=tuple(x * 1e300 for x in q.s), t=tuple(x * 1e300 for x in q.t), u=tuple(z * 1e300 for z in q.u)
+        )
+        assert _closed_form(p, DEFAULT_TOL).scale < 1.0
+        _assert_matches_the_scipy_polish(p)
+
+
+def test_refuted_alpha_lies_in_the_right_half_plane():
+    # the slack is even in alpha, so check_111 reports the one of +-alpha with Re > 0, or Re = 0 and Im >= 0
+    rng = np.random.default_rng(76)
+    refuted = 0
+    for _ in range(40):
+        p = _grid_params(rng)
+        verdict = check_111(p)
+        if verdict.verdict is not Verdict.REFUTED:
+            continue
+        refuted += 1
+        alpha = verdict.alpha
+        assert _right_half_plane(alpha) == alpha, alpha
+        assert verdict.evidence.endswith(f"at alpha = {alpha:.6g}")
+        assert float(alpha_slack(p, alpha)) < _closed_form(p, DEFAULT_TOL).refute_below
+    assert refuted >= 20
 
 
 def test_cli_classify_loads_no_scipy():

@@ -10,11 +10,11 @@ grid-plus-descent search over a complex parameter.  Every closed-form
 datum of a member comes from one record, ``_closed_form``, taken on the
 member scaled once by an exact power of two.
 
-The descent is scipy's non-adaptive Nelder-Mead unrolled in plain Python
-for two variables (``_nelder_mead``, whose docstring gives its
-coefficients and stopping rule); it calls the slack at scipy's points and
-returns scipy's point bit for bit, so the package imports no scipy.  The
-four polishes run one after another, each point valued in plain Python.
+The grid and the descent value one slack in Python floats, ``_slack_parts``,
+in (log radius, angle), so no numpy dispatch decides the starts or alpha.
+The descent is scipy's non-adaptive Nelder-Mead unrolled for two variables
+(``_nelder_mead``, whose docstring gives its coefficients and stopping
+rule); it returns scipy's point bit for bit, so the package imports no scipy.
 """
 
 from __future__ import annotations
@@ -130,12 +130,12 @@ class PositivityReport:
 class AlphaGrid:
     """Polar sampling grid for the (1,1,1) refutation search.
 
-    ``radii`` radii, log-spaced over the fixed range RADIUS_MIN = 1e-3 to
-    RADIUS_MAX = 1e3 so both small and large parameters are covered, times
-    ``angles`` equally spaced angles; the REFINE = 4 grid points of least
-    slack get a local derivative-free polish, :func:`_nelder_mead` in
-    (log radius, angle), the radius clamped to three e-folds beyond the
-    grid's range, each in turn; the first of least slack gives alpha.
+    ``radii`` log radii equally spaced from log RADIUS_MIN = log 1e-3 to log
+    RADIUS_MAX = log 1e3, times ``angles`` equally spaced angles, valued by
+    :func:`_slack_parts`; the REFINE = 4 points of least slack, in stable
+    order, each start a local derivative-free polish, :func:`_nelder_mead`
+    in (log radius, angle), the radius clamped to three e-folds beyond the
+    grid's range; the first of least slack gives alpha.
     """
 
     radii: int = 64
@@ -269,24 +269,23 @@ def _polish_alpha(log_radius: float, angle: float) -> complex:
     return math.exp(log_radius) * cmath.exp(1j * angle)
 
 
-def _polish_slack(params: QubitWitnessParams):
-    """``alpha_slack`` at ``_polish_alpha(*x)`` as a function of one point x, in Python floats and complex numbers.
+def _slack_parts(params: QubitWitnessParams):
+    """:func:`alpha_slack`'s sides in Python floats: ``radial(m)`` at m = |alpha|**2 and ``moduli(alpha)``.
 
-    The same formula in the same operation order as :func:`alpha_slack`.
-    Python rounds the complex products and moduli differently from numpy,
-    so the two agree to a few ulps of the terms' size, not bit for bit.
+    The polish reads ``radial(abs(alpha) ** 2) - moduli(alpha)``, alpha_slack to a few ulps of its terms' size.
+    ``moduli`` has degree one, so at alpha = r e^{i t} the grid reads ``radial(r * r) - r * moduli(e^{i t})``.
     """
     (s0, s1, s2, s3), (t0, t1, t2, t3), (u0, u1, u2, u3) = params.s, params.t, params.u
     conj_u3, conj_u2 = u3.conjugate(), u2.conjugate()
 
-    def slack(x) -> float:
-        alpha = _polish_alpha(*x)
-        conj_alpha = alpha.conjugate()
-        m = abs(alpha) ** 2
-        lhs = _root_product(s0 + t3 * m, s3 + t0 * m) + _root_product(s1 + t2 * m, s2 + t1 * m)
-        return lhs - (abs(u0 * conj_alpha + conj_u3 * alpha) + abs(u1 * conj_alpha + conj_u2 * alpha))
+    def radial(m: float) -> float:
+        return _root_product(s0 + t3 * m, s3 + t0 * m) + _root_product(s1 + t2 * m, s2 + t1 * m)
 
-    return slack
+    def moduli(alpha: complex) -> float:
+        conj_alpha = alpha.conjugate()
+        return abs(u0 * conj_alpha + conj_u3 * alpha) + abs(u1 * conj_alpha + conj_u2 * alpha)
+
+    return radial, moduli
 
 
 def _ordered(s0, s1, s2, f0, f1, f2):
@@ -402,15 +401,21 @@ def check_111(
         if cf.certifies(cls):
             return ClassVerdict(Verdict.CERTIFIED, f"dominated by certified class {cls}")
 
-    radii = np.geomspace(RADIUS_MIN, RADIUS_MAX, grid.radii)
-    angles = np.linspace(0.0, 2.0 * np.pi, grid.angles, endpoint=False)
-    alphas = radii[:, None] * np.exp(1j * angles[None, :])
-    slack = alpha_slack(cf.scaled, alphas)
+    radial, moduli = _slack_parts(cf.scaled)
+    log_radii = np.linspace(math.log(RADIUS_MIN), math.log(RADIUS_MAX), grid.radii).tolist()
+    angles = np.linspace(0.0, 2.0 * np.pi, grid.angles, endpoint=False).tolist()
+    radii = [math.exp(x) for x in log_radii]
+    rhs = np.array([moduli(cmath.exp(1j * angle)) for angle in angles])
+    slack = np.array([radial(r * r) for r in radii])[:, None] - np.array(radii)[:, None] * rhs
 
-    polish_slack = _polish_slack(cf.scaled)
+    def polish_slack(x) -> float:
+        alpha = _polish_alpha(*x)
+        return radial(abs(alpha) ** 2) - moduli(alpha)
+
     best_alpha, best_slack = None, math.inf
-    for alpha0 in alphas.ravel()[np.argsort(slack, axis=None)[:REFINE]]:
-        (log_radius, angle), val = _nelder_mead(polish_slack, (math.log(abs(alpha0)), float(np.angle(alpha0))))
+    for k in np.argsort(slack, axis=None, kind="stable")[:REFINE].tolist():
+        i, j = divmod(k, grid.angles)
+        (log_radius, angle), val = _nelder_mead(polish_slack, (log_radii[i], angles[j]))
         if val < best_slack:
             best_alpha, best_slack = _polish_alpha(log_radius, angle), val
     if best_slack < cf.refute_below:

@@ -1,10 +1,12 @@
-"""The (1,1,1) polish against scipy's Nelder-Mead, bit for bit, and its slack against ``alpha_slack``.
+"""The (1,1,1) polish against scipy's Nelder-Mead, bit for bit, its slack against ``alpha_slack``, and
+check_111 against numpy's baseline loops.
 
 scipy is a test dependency only; the package itself must not import it.
 """
 
 import cmath
 import itertools
+import json
 import math
 import os
 import subprocess
@@ -28,8 +30,8 @@ from triwit.witness import (
     _nelder_mead,
     _ordered,
     _polish_alpha,
-    _polish_slack,
     _root_product,
+    _slack_parts,
 )
 
 OPTIONS = {"maxiter": POLISH_MAXITER, "xatol": POLISH_XATOL, "fatol": POLISH_FATOL}
@@ -81,6 +83,17 @@ def _grid_params(rng):
             return p
 
 
+def _composed_slack(p):
+    """The polish's objective: ``_slack_parts``' two sides composed at ``_polish_alpha(*x)``, as check_111 does."""
+    radial, moduli = _slack_parts(p)
+
+    def slack(x):
+        alpha = _polish_alpha(*x)
+        return radial(abs(alpha) ** 2) - moduli(alpha)
+
+    return slack
+
+
 def _terms_size(p, alpha):
     """The sum of the moduli of alpha_slack's four terms at ``alpha``."""
     s, t, u = p.s, p.t, p.u
@@ -104,7 +117,7 @@ def test_polish_slack_agrees_with_alpha_slack():
         p = QubitWitnessParams(
             s=tuple(rng.exponential(scale, 4)), t=tuple(rng.exponential(scale, 4)), u=tuple(u)
         )
-        slack = _polish_slack(p)
+        slack = _composed_slack(p)
         for log_radius, angle in zip(rng.uniform(-11, 11, 500), rng.uniform(-10, 10, 500)):
             x = (float(log_radius), float(angle))
             alpha = _polish_alpha(*x)
@@ -115,12 +128,9 @@ def test_nelder_mead_matches_scipy_on_the_slack_objective():
     rng = np.random.default_rng(71)
     for _ in range(6):
         p = _grid_params(rng)
-        radii = np.geomspace(RADIUS_MIN, RADIUS_MAX, 64)
-        angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)
-        alphas = (radii[:, None] * np.exp(1j * angles[None, :])).ravel()
-        slack = _polish_slack(p)
-        for idx in np.argsort(alpha_slack(p, alphas))[:REFINE]:
-            _same_as_scipy(slack, (math.log(abs(alphas[idx])), float(np.angle(alphas[idx]))))
+        slack = _composed_slack(p)
+        for x0 in _grid_starts(*_reference_parts(p), AlphaGrid()):
+            _same_as_scipy(slack, x0)
 
 
 @pytest.mark.parametrize(
@@ -155,6 +165,37 @@ def test_nelder_mead_matches_scipy_at_the_iteration_cap():
     assert (res.status, res.nit) == (2, POLISH_MAXITER)
 
 
+def _reference_parts(params: QubitWitnessParams):
+    """alpha_slack's left side at m = |alpha|**2 and its right side at alpha, written out in its operation order."""
+    (s0, s1, s2, s3), (t0, t1, t2, t3), (u0, u1, u2, u3) = params.s, params.t, params.u
+
+    def radial(m):
+        return _root_product(s0 + t3 * m, s3 + t0 * m) + _root_product(s1 + t2 * m, s2 + t1 * m)
+
+    def moduli(alpha):
+        conj_alpha = alpha.conjugate()
+        return abs(u0 * conj_alpha + u3.conjugate() * alpha) + abs(u1 * conj_alpha + u2.conjugate() * alpha)
+
+    return radial, moduli
+
+
+def _grid_starts(radial, moduli, grid: AlphaGrid):
+    """check_111's polish starts: the grid valued point by point, the REFINE least in stable order.
+
+    The grid is equally spaced in (log radius, angle), and the slack at
+    alpha = r e^{i angle} is read as radial(r * r) - r * moduli(e^{i angle}).
+    """
+    log_radii = np.linspace(math.log(RADIUS_MIN), math.log(RADIUS_MAX), grid.radii).tolist()
+    angles = np.linspace(0.0, 2.0 * np.pi, grid.angles, endpoint=False).tolist()
+    points, values = [], []
+    for log_radius in log_radii:
+        r = math.exp(log_radius)
+        for angle in angles:
+            points.append((log_radius, angle))
+            values.append(radial(r * r) - r * moduli(cmath.exp(1j * angle)))
+    return [points[k] for k in sorted(range(len(values)), key=values.__getitem__)[:REFINE]]
+
+
 def _scipy_polishes(params: QubitWitnessParams, grid: AlphaGrid, tol=DEFAULT_TOL):
     """check_111's grid and polish with scipy.optimize.minimize: the member's record, each start's alpha and slack.
 
@@ -162,11 +203,7 @@ def _scipy_polishes(params: QubitWitnessParams, grid: AlphaGrid, tol=DEFAULT_TOL
     alpha_slack's operation order, on the member as check_111 scales it.
     """
     cf = _closed_form(params, tol)
-    (s0, s1, s2, s3), (t0, t1, t2, t3), (u0, u1, u2, u3) = cf.scaled.s, cf.scaled.t, cf.scaled.u
-    radii = np.geomspace(RADIUS_MIN, RADIUS_MAX, grid.radii)
-    angles = np.linspace(0.0, 2.0 * np.pi, grid.angles, endpoint=False)
-    alphas = radii[:, None] * np.exp(1j * angles[None, :])
-    slack = alpha_slack(cf.scaled, alphas)
+    radial, moduli = _reference_parts(cf.scaled)
     log_lo = math.log(RADIUS_MIN) - 3.0
     log_hi = math.log(RADIUS_MAX) + 3.0
 
@@ -175,16 +212,11 @@ def _scipy_polishes(params: QubitWitnessParams, grid: AlphaGrid, tol=DEFAULT_TOL
 
     def objective(x):
         alpha = point(x)
-        conj_alpha = alpha.conjugate()
-        m = abs(alpha) ** 2
-        lhs = _root_product(s0 + t3 * m, s3 + t0 * m) + _root_product(s1 + t2 * m, s2 + t1 * m)
-        return lhs - (abs(u0 * conj_alpha + u3.conjugate() * alpha) + abs(u1 * conj_alpha + u2.conjugate() * alpha))
+        return radial(abs(alpha) ** 2) - moduli(alpha)
 
     polishes = []
-    for idx in np.argsort(slack, axis=None)[:REFINE]:
-        alpha0 = alphas.ravel()[idx]
-        x0 = np.array([math.log(abs(alpha0)), np.angle(alpha0)])
-        res = minimize(objective, x0, method="Nelder-Mead", options=OPTIONS)
+    for x0 in _grid_starts(radial, moduli, grid):
+        res = minimize(objective, np.array(x0), method="Nelder-Mead", options=OPTIONS)
         polishes.append((point(res.x), float(res.fun)))
     return cf, polishes
 
@@ -303,6 +335,50 @@ def test_refuted_alpha_lies_in_the_right_half_plane():
         assert verdict.evidence.endswith(f"at alpha = {alpha:.6g}")
         assert float(alpha_slack(p, alpha)) < _closed_form(p, DEFAULT_TOL).refute_below
     assert refuted >= 20
+
+
+def _verdicts(draws):
+    """check_111 on each (s, t, u) of ``draws``, each verdict as JSON: verdict, evidence and alpha as (re, im)."""
+    out = []
+    for s, t, u in draws:
+        v = check_111(QubitWitnessParams(s=s, t=t, u=[complex(*z) for z in u]))
+        out.append([v.verdict.value, v.evidence, None if v.alpha is None else [v.alpha.real, v.alpha.imag]])
+    return out
+
+
+def test_check_111_does_not_depend_on_numpy_dispatch():
+    # the grid and the polish value the slack in Python floats, so every verdict, its evidence and alpha are the
+    # same bits with every target numpy dispatches to at run time disabled, on its baseline loops
+    from numpy._core._multiarray_umath import __cpu_dispatch__
+
+    rng = np.random.default_rng(77)
+    draws = []
+    for _ in range(240):
+        p = _grid_params(rng)
+        draws.append([list(p.s), list(p.t), [[z.real, z.imag] for z in p.u]])
+    code = """
+import json, sys
+from numpy._core._multiarray_umath import __cpu_dispatch__ as d, __cpu_features__ as f
+on = [k for k in d if f[k]]
+assert not on, on
+sys.path.insert(0, sys.argv[1])
+from test_polish import _verdicts
+json.dump(_verdicts(json.load(sys.stdin)), sys.stdout)
+"""
+    env = {
+        **os.environ,
+        "NPY_DISABLE_CPU_FEATURES": " ".join(__cpu_dispatch__),
+        "PYTHONPATH": os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])),
+    }
+    proc = subprocess.run(
+        [sys.executable, "-c", code, str(Path(__file__).parent)],
+        input=json.dumps(draws), capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    want, got = _verdicts(draws), json.loads(proc.stdout)
+    assert sum(v[0] == "refuted" for v in want) >= 100
+    differ = [k for k, (a, b) in enumerate(zip(want, got)) if a != b]
+    assert len(got) == len(want) and not differ, f"{len(differ)} of {len(want)} draws differ, first {differ[:5]}"
 
 
 def test_cli_classify_loads_no_scipy():

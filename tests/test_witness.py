@@ -163,12 +163,13 @@ def test_check_111_refuted_with_witness_alpha():
 
 def test_check_111_refutes_at_its_pinned_alpha():
     # fails the sum criterion and every pair class, so the grid and the polish give alpha; the slack is even in
-    # alpha, and of the mirror pair +-alpha the one with Re > 0 is reported
+    # alpha, and of the mirror pair +-alpha the one with Re > 0 is reported; both are valued in Python floats, so
+    # alpha is the same bits on every numpy loop set
     p = QubitWitnessParams(s=(1.0, 0.5, 0.8, 1.2), t=(0.9, 1.1, 0.6, 1.0), u=(1.1, 0.8j, -0.7, 0.9 - 0.5j))
-    pinned = 0.8851167751347362 - 0.4516088794475846j
+    pinned = 0.8851167790644794 - 0.4516088851246091j
     verdict = check_111(p)
     assert verdict.verdict is Verdict.REFUTED
-    assert abs(verdict.alpha - pinned) <= 1e-12 * abs(pinned)
+    assert verdict.alpha == pinned
 
 
 def test_check_111_trivially_certified():

@@ -12,9 +12,8 @@ member scaled once by an exact power of two.
 
 The grid and the descent value one slack in Python floats, ``_slack_parts``,
 in (log radius, angle), so no numpy dispatch decides the starts or alpha.
-The descent is scipy's non-adaptive Nelder-Mead unrolled for two variables
-(``_nelder_mead``, whose docstring gives its coefficients and stopping
-rule); it returns scipy's point bit for bit, so the package imports no scipy.
+The slack is even in alpha: the grid is the half plane, with REFINE = 2 starts.
+The descent, ``_nelder_mead``, is scipy's Nelder-Mead bit for bit, without scipy.
 """
 
 from __future__ import annotations
@@ -41,10 +40,10 @@ PAIR_CLASSES = {
     (2, 2, 1): ((0, 1), (2, 3)),
 }
 
-# fixed radius range and polish count of the (1,1,1) refutation grid
+# the (1,1,1) grid's radius range, and its polish count: one per mirror pair +-alpha on the half plane
 RADIUS_MIN = 1e-3
 RADIUS_MAX = 1e3
-REFINE = 4
+REFINE = 2
 
 # the polish's iteration cap and stopping tolerances (scipy's option names)
 POLISH_MAXITER = 400
@@ -131,11 +130,12 @@ class AlphaGrid:
     """Polar sampling grid for the (1,1,1) refutation search.
 
     ``radii`` log radii equally spaced from log RADIUS_MIN = log 1e-3 to log
-    RADIUS_MAX = log 1e3, times ``angles`` equally spaced angles, valued by
-    :func:`_slack_parts`; the REFINE = 4 points of least slack, in stable
-    order, each start a local derivative-free polish, :func:`_nelder_mead`
-    in (log radius, angle), the radius clamped to three e-folds beyond the
-    grid's range; the first of least slack gives alpha.
+    RADIUS_MAX = log 1e3, times the circle's ``angles`` equally spaced angles
+    read modulo pi, since the slack is even in alpha (``angles // 2`` of them
+    when ``angles`` is even), valued by :func:`_slack_parts`; the REFINE = 2
+    points of least slack, in stable order, each start a :func:`_nelder_mead`
+    polish in (log radius, angle), the radius clamped to three e-folds beyond
+    the grid's range; the first of least slack gives alpha.
     """
 
     radii: int = 64
@@ -403,7 +403,7 @@ def check_111(
 
     radial, moduli = _slack_parts(cf.scaled)
     log_radii = np.linspace(math.log(RADIUS_MIN), math.log(RADIUS_MAX), grid.radii).tolist()
-    angles = np.linspace(0.0, 2.0 * np.pi, grid.angles, endpoint=False).tolist()
+    angles = np.linspace(0.0, np.pi, grid.angles if grid.angles % 2 else grid.angles // 2, endpoint=False).tolist()
     radii = [math.exp(x) for x in log_radii]
     rhs = np.array([moduli(cmath.exp(1j * angle)) for angle in angles])
     slack = np.array([radial(r * r) for r in radii])[:, None] - np.array(radii)[:, None] * rhs
@@ -414,7 +414,7 @@ def check_111(
 
     best_alpha, best_slack = None, math.inf
     for k in np.argsort(slack, axis=None, kind="stable")[:REFINE].tolist():
-        i, j = divmod(k, grid.angles)
+        i, j = divmod(k, len(angles))
         (log_radius, angle), val = _nelder_mead(polish_slack, (log_radii[i], angles[j]))
         if val < best_slack:
             best_alpha, best_slack = _polish_alpha(log_radius, angle), val

@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize
 
-from triwit import AlphaGrid, ClassVerdict, QubitWitnessParams, Verdict, alpha_slack, check_111
+from triwit import AlphaGrid, ClassVerdict, QubitWitnessParams, Verdict, alpha_slack, check_111, witness
 from triwit.linalg import DEFAULT_TOL
 from triwit.witness import (
     POLISH_FATOL,
@@ -179,21 +179,33 @@ def _reference_parts(params: QubitWitnessParams):
     return radial, moduli
 
 
-def _grid_starts(radial, moduli, grid: AlphaGrid):
-    """check_111's polish starts: the grid valued point by point, the REFINE least in stable order.
+def _least_points(radial, moduli, log_radii, angles, count):
+    """The ``count`` points (log radius, angle) of least slack on a grid, in stable order (Python's ``sorted``).
 
-    The grid is equally spaced in (log radius, angle), and the slack at
-    alpha = r e^{i angle} is read as radial(r * r) - r * moduli(e^{i angle}).
+    The slack at alpha = r e^{i angle} is read as radial(r * r) - r * moduli(e^{i angle}).
     """
-    log_radii = np.linspace(math.log(RADIUS_MIN), math.log(RADIUS_MAX), grid.radii).tolist()
-    angles = np.linspace(0.0, 2.0 * np.pi, grid.angles, endpoint=False).tolist()
+    right = [moduli(cmath.exp(1j * angle)) for angle in angles]
     points, values = [], []
     for log_radius in log_radii:
         r = math.exp(log_radius)
-        for angle in angles:
+        left = radial(r * r)
+        for angle, h in zip(angles, right):
             points.append((log_radius, angle))
-            values.append(radial(r * r) - r * moduli(cmath.exp(1j * angle)))
-    return [points[k] for k in sorted(range(len(values)), key=values.__getitem__)[:REFINE]]
+            values.append(left - r * h)
+    return [points[k] for k in sorted(range(len(values)), key=values.__getitem__)[:count]]
+
+
+def _grid_starts(radial, moduli, grid: AlphaGrid):
+    """check_111's polish starts: the REFINE least of its grid, equally spaced in (log radius, angle).
+
+    The angles are the full circle's read modulo pi (the slack is even in
+    alpha): ``grid.angles // 2`` angles on [0, pi) when ``grid.angles`` is
+    even, and ``grid.angles`` when it is odd.
+    """
+    log_radii = np.linspace(math.log(RADIUS_MIN), math.log(RADIUS_MAX), grid.radii).tolist()
+    n_angles = grid.angles if grid.angles % 2 else grid.angles // 2
+    angles = np.linspace(0.0, np.pi, n_angles, endpoint=False).tolist()
+    return _least_points(radial, moduli, log_radii, angles, REFINE)
 
 
 def _scipy_polishes(params: QubitWitnessParams, grid: AlphaGrid, tol=DEFAULT_TOL):
@@ -288,6 +300,70 @@ def test_check_111_matches_the_scipy_polish_on_grids_with_few_points(grid):
     rng = np.random.default_rng(74)
     for _ in range(3):
         _assert_matches_the_scipy_polish(_grid_params(rng), grid)
+
+
+def _full_circle_search(params: QubitWitnessParams, tol=DEFAULT_TOL):
+    """The search on the whole circle: the 4 least of a 64 x 64 grid over 0 <= angle < 2 pi, each polished.
+
+    The grid and the objective are valued by :func:`_reference_parts`, on the member as check_111 scales it;
+    the polish is ``_nelder_mead``.  Returns the member's record and the first start of least slack's
+    alpha and slack.
+    """
+    cf = _closed_form(params, tol)
+    radial, moduli = _reference_parts(cf.scaled)
+    log_radii = np.linspace(math.log(RADIUS_MIN), math.log(RADIUS_MAX), 64).tolist()
+    angles = np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False).tolist()
+
+    def objective(x):
+        alpha = _polish_alpha(*x)
+        return radial(abs(alpha) ** 2) - moduli(alpha)
+
+    best_alpha, best_slack = None, math.inf
+    for x0 in _least_points(radial, moduli, log_radii, angles, 4):
+        x, val = _nelder_mead(objective, x0)
+        if val < best_slack:
+            best_alpha, best_slack = _polish_alpha(*x), val
+    return cf, best_alpha, best_slack
+
+
+def test_half_plane_grid_keeps_the_full_circle_verdicts():
+    # the slack is even in alpha, so the half-plane grid and its 2 polishes drop only the mirror images of the
+    # whole circle's 4: the same verdict, and alpha the whole circle's best alpha or -alpha
+    rng = np.random.default_rng(78)
+    seen = {}
+    for k in range(200):
+        p = _grid_params(rng)
+        cf, alpha, slack = _full_circle_search(p)
+        want = Verdict.REFUTED if slack < cf.refute_below else Verdict.NUMERICALLY_SUPPORTED
+        got = check_111(p)
+        assert got.verdict is want, (k, got, slack)
+        if want is Verdict.REFUTED:
+            assert min(abs(got.alpha - alpha), abs(got.alpha + alpha)) <= 1e-6 * abs(alpha), (k, got.alpha, alpha)
+        seen[want] = seen.get(want, 0) + 1
+    assert seen.get(Verdict.REFUTED, 0) >= 100 and seen.get(Verdict.NUMERICALLY_SUPPORTED, 0) >= 5
+
+
+@pytest.mark.parametrize("grid", [AlphaGrid(3, 5), AlphaGrid(2, 7), AlphaGrid(3, 8)], ids=["3x5", "2x7", "3x8"])
+def test_half_plane_grid_holds_every_full_circle_angle_modulo_pi(grid, monkeypatch):
+    # with every grid point a start and a polish that returns its start, check_111 reports the points it valued
+    starts = []
+
+    def start_only(f, x0):
+        starts.append(x0)
+        return x0, math.inf
+
+    monkeypatch.setattr(witness, "REFINE", grid.radii * grid.angles)
+    monkeypatch.setattr(witness, "_nelder_mead", start_only)
+    p = QubitWitnessParams(s=(1.0, 0.5, 0.8, 1.2), t=(0.9, 1.1, 0.6, 1.0), u=(1.1, 0.8j, -0.7, 0.9 - 0.5j))
+    assert check_111(p, grid).verdict is Verdict.NUMERICALLY_SUPPORTED
+    full = np.linspace(0.0, 2.0 * np.pi, grid.angles, endpoint=False)
+    want = sorted(set(np.round(np.mod(full, np.pi), 12).tolist()))
+    got = sorted({angle for _, angle in starts})
+    assert len(starts) == grid.radii * len(got)
+    assert np.allclose(got, want, rtol=0, atol=1e-12), (got, want)
+    if grid.angles % 2 == 0:
+        # an even grid's half plane is the first half of the full circle's angles, bit for bit
+        assert _hex(got) == _hex(full[: grid.angles // 2])
 
 
 def test_check_111_keeps_the_first_start_on_ties():
